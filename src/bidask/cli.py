@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,17 +27,14 @@ from .errors import ConfigError
 from .fgbm import FgbmSpec, simulate_fgbm, simulate_fgbm_asset
 from .paths import (
     ControlProcess,
-    SampledPath,
     default_control_family,
     estimate_tube_capacity,
     hedge_verify,
-    mc_ask_bid,
     read_path_file,
     simulate_asset_paths,
     write_ensemble_file,
-    write_path_file,
 )
-from .pde import GridSpec, PricingProblem, solve_bsb_pair
+from .pde import GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair
 from .sublinear import ScalarFunctionSpec, UncertaintyBand
 
 __all__ = ["RunConfig", "Report", "parse_config", "emit_config", "run", "main"]
@@ -52,10 +49,16 @@ class CommandFailure(RuntimeError):
 @dataclass
 class RunConfig:
     """A fully validated run: the command plus its canonical effective
-    config (every default filled in)."""
+    config (every default filled in).
+
+    ``_built`` holds the typed objects (band, problem, grid, control)
+    that validation constructed, so running does not rebuild them from
+    ``effective``; it is not part of the config's identity.
+    """
 
     command: str
     effective: dict
+    _built: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def seed(self) -> int:
@@ -284,7 +287,7 @@ def _read_grid(r, cfg):
         return None, echo
 
 
-def _read_control(r, cfg, key="control"):
+def _read_control(r, cfg, band, key="control"):
     d = cfg.get(key)
     if not isinstance(d, dict):
         r.fail(key, "required section is missing")
@@ -300,7 +303,7 @@ def _read_control(r, cfg, key="control"):
             return None, echo
         try:
             return ControlProcess(tuple(map(float, bp)), tuple(map(float, sg)),
-                                  tuple(map(float, mu))), echo
+                                  tuple(map(float, mu)), band=band), echo
         except (TypeError, ValueError) as e:
             r.fail(key, str(e))
             return None, echo
@@ -311,7 +314,7 @@ def _read_control(r, cfg, key="control"):
     if None in (mu, sigma):
         return None, echo
     try:
-        return ControlProcess.constant(mu, sigma), echo
+        return ControlProcess.constant(mu, sigma, band=band), echo
     except ValueError as e:
         r.fail(key, str(e))
         return None, echo
@@ -361,6 +364,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     eff = {"command": cmd, "seed": seed, "format": fmt, "output": output}
     band, band_echo = _read_band(r, cfg)
     eff["band"] = band_echo
+    built = {"band": band}
 
     pos = lambda v: None if v > 0 else "must be positive"
     pos_int = lambda v: None if v >= 1 else "must be >= 1"
@@ -403,16 +407,18 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
             eff.update({"path_file": path_file, "scenario": scen_echo})
         if not r.errors and band is not None and payoff is not None:
             try:
-                PricingProblem(payoff, maturity, rate, band, tuple(domain))
+                built["problem"] = PricingProblem(payoff, maturity, rate, band,
+                                                  tuple(domain))
             except ValueError as e:
                 r.fail("payoff/spot_domain", str(e))
+            built["grid"] = grid
 
     elif cmd == "simulate":
         s0 = r.get(cfg, "s0", "", required=True, kind=float, check=pos)
         horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=pos)
         n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=pos_int)
         n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=pos_int)
-        control, control_echo = _read_control(r, cfg)
+        built["control"], control_echo = _read_control(r, cfg, band)
         paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
         eff.update({"s0": s0, "horizon": horizon, "n_steps": n_steps,
                     "n_paths": n_paths, "control": control_echo,
@@ -467,6 +473,13 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                 pricing_echo = {"payoff": payoff_echo, "maturity": maturity,
                                 "rate": rate, "spot_domain": domain,
                                 "grid": grid_echo}
+                if None not in (band, payoff, maturity, rate, domain, grid):
+                    try:
+                        built["problem"] = PricingProblem(payoff, maturity, rate, band,
+                                                          tuple(domain))
+                    except ValueError as e:
+                        r.fail("pricing.payoff/pricing.spot_domain", str(e))
+                    built["grid"] = grid
             else:
                 r.fail("pricing", "expected an object")
         eff.update({"path_file": path_file, "epsilon": epsilon,
@@ -499,7 +512,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 
     if r.errors:
         raise ConfigError(r.errors)
-    return RunConfig(command=cmd, effective=eff)
+    return RunConfig(command=cmd, effective=eff, _built=built)
 
 
 # ---------------------------------------------------------------------------
@@ -507,37 +520,9 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _band_of(eff) -> UncertaintyBand:
-    b = eff["band"]
-    return UncertaintyBand(b["mu_lo"], b["mu_hi"], b["sigma_lo"], b["sigma_hi"])
-
-
-def _payoff_of(d) -> ScalarFunctionSpec:
-    kind = d["kind"]
-    if kind in ("call", "put"):
-        return getattr(ScalarFunctionSpec, kind)(d["strike"])
-    if kind == "identity":
-        return ScalarFunctionSpec.identity()
-    if kind == "power":
-        return ScalarFunctionSpec.power(d["exponent"])
-    ctor = getattr(ScalarFunctionSpec, kind)
-    return ctor([(x, y) for x, y in d["knots"]])
-
-
-def _grid_of(d) -> GridSpec:
-    return GridSpec(d["n_space"], d["n_time"], d["stretching"])
-
-
-def _problem_of(eff, band) -> PricingProblem:
-    return PricingProblem(_payoff_of(eff["payoff"]), eff["maturity"], eff["rate"],
-                          band, tuple(eff["spot_domain"]))
-
-
-def _run_price(eff):
-    band = _band_of(eff)
-    problem = _problem_of(eff, band)
-    grid = _grid_of(eff["grid"])
-    ask, bid = solve_bsb_pair(problem, grid)
+def _run_price(eff, built):
+    grid = built["grid"]
+    ask, bid = solve_bsb_pair(built["problem"], grid)
     spot = eff["spot"]
     outputs = {
         "ask": ask.value_at(0.0, spot),
@@ -551,17 +536,10 @@ def _run_price(eff):
     return outputs, timing
 
 
-def _run_simulate(eff):
-    band = _band_of(eff)
-    c = eff["control"]
-    if "breakpoints" in c:
-        control = ControlProcess(tuple(c["breakpoints"]), tuple(c["sigma_levels"]),
-                                 tuple(c["mu_levels"]), band=band)
-    else:
-        control = ControlProcess.constant(c["mu"], c["sigma"], band=band)
+def _run_simulate(eff, built):
     grid = np.linspace(0.0, eff["horizon"], eff["n_steps"] + 1)
-    paths = simulate_asset_paths(control, eff["s0"], grid, eff["seed"],
-                                 eff["n_paths"], band=band)
+    paths = simulate_asset_paths(built["control"], eff["s0"], grid, eff["seed"],
+                                 eff["n_paths"], band=built["band"])
     terminal = np.array([p.values[-1] for p in paths])
     outputs = {
         "n_paths": len(paths),
@@ -578,10 +556,9 @@ def _run_simulate(eff):
     return outputs, timing
 
 
-def _run_fgbm(eff):
-    band = _band_of(eff)
+def _run_fgbm(eff, built):
     grid = tuple(np.linspace(0.0, eff["horizon"], eff["n_steps"] + 1))
-    spec = FgbmSpec(eff["hurst"], band, grid)
+    spec = FgbmSpec(eff["hurst"], built["band"], grid)
     if eff["asset"] is not None:
         paths = simulate_fgbm_asset(spec, eff["asset"]["drift"], eff["asset"]["s0"],
                                     eff["sigma"], eff["seed"], eff["n_paths"])
@@ -613,15 +590,11 @@ def _crossing_rows(cps):
     ]
 
 
-def _run_cps(eff):
+def _run_cps(eff, built):
     path = read_path_file(eff["path_file"], positive=True)
     eps = eff["epsilon"]
     if eff["pricing"] is not None:
-        p = eff["pricing"]
-        band = _band_of(eff)
-        problem = PricingProblem(_payoff_of(p["payoff"]), p["maturity"], p["rate"],
-                                 band, tuple(p["spot_domain"]))
-        result = cps_price(path, problem, eps, _grid_of(p["grid"]))
+        result = cps_price(path, built["problem"], eps, built["grid"])
         cps = result.cps
         price_out = {
             "ask": result.ask.value, "ask_lower": result.ask.lower,
@@ -650,13 +623,9 @@ def _run_cps(eff):
     return outputs, timing
 
 
-def _run_hedge(eff):
-    band = _band_of(eff)
-    problem = _problem_of(eff, band)
-    grid = _grid_of(eff["grid"])
-    from .pde import solve_bsb_ask
-
-    surface = solve_bsb_ask(problem, grid)
+def _run_hedge(eff, built):
+    band, grid = built["band"], built["grid"]
+    surface = solve_bsb_ask(built["problem"], grid)
     if eff["path_file"]:
         path = read_path_file(eff["path_file"], positive=True)
     else:
@@ -678,8 +647,8 @@ def _run_hedge(eff):
     return outputs, timing
 
 
-def _run_capacity(eff):
-    band = _band_of(eff)
+def _run_capacity(eff, built):
+    band = built["band"]
     center = read_path_file(eff["center_file"])
     if eff["controls"] is not None:
         controls = [ControlProcess.constant(d["mu"], d["sigma"], band=band)
@@ -706,7 +675,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> Report:
     """Execute a validated config and assemble the deterministic report."""
     try:
-        outputs, timing = _RUNNERS[config.command](config.effective)
+        outputs, timing = _RUNNERS[config.command](config.effective, config._built)
     except (ConfigError, CommandFailure):
         raise
     except Exception as e:

@@ -221,36 +221,35 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
     )
 
 
+def _gaps(source: SampledPath, shadow: SampledPath):
+    """delta1 = S / S~ - 1 per point, delta2 = dS / (2 dS~) per step (NaN
+    where the shadow increment vanishes), and the mask of those steps."""
+    s, sh = source.values, shadow.values
+    d1 = s / sh - 1.0
+    ds, dsh = np.diff(s), np.diff(sh)
+    flagged = dsh == 0.0
+    d2 = np.full(len(ds), np.nan)
+    np.divide(ds, 2.0 * dsh, out=d2, where=~flagged)
+    return d1, d2, flagged
+
+
 def delta_processes(cps: ConsistentPriceSystem):
     """Pointwise and incremental gap processes between source and shadow.
 
     delta1(t) = S_t / S~_t - 1;  delta2 per step = dS / (2 dS~), NaN where
     the shadow increment vanishes (those steps are flagged, not fatal).
     """
-    s = cps.source.values
-    sh = cps.shadow.values
-    d1 = s / sh - 1.0
-    ds = np.diff(s)
-    dsh = np.diff(sh)
-    flagged = dsh == 0.0
-    d2 = np.full(len(ds), np.nan)
-    np.divide(ds, 2.0 * dsh, out=d2, where=~flagged)
-    delta1 = SampledPath(cps.source.times, d1)
-    delta2 = SampledPath(cps.source.times[:-1], d2)
-    return delta1, delta2
+    d1, d2, _ = _gaps(cps.source, cps.shadow)
+    return SampledPath(cps.source.times, d1), SampledPath(cps.source.times[:-1], d2)
 
 
 def _delta_stats(source: SampledPath, shadow: SampledPath, eps: float) -> DeltaStats:
-    s, sh = source.values, shadow.values
-    d1 = s / sh - 1.0
+    d1, d2, flagged = _gaps(source, shadow)
     within1 = float(np.mean(np.abs(d1) <= eps * (1.0 + 1e-12)))
-    ds, dsh = np.diff(s), np.diff(sh)
-    flagged = dsh == 0.0
     if np.all(flagged):
         within2 = 0.0
     else:
-        d2 = ds[~flagged] / (2.0 * dsh[~flagged])
-        within2 = float(np.mean(np.abs(d2) <= 2.0 * eps))
+        within2 = float(np.mean(np.abs(d2[~flagged]) <= 2.0 * eps))
     return DeltaStats(within1, within2, int(np.count_nonzero(flagged)))
 
 

@@ -9,7 +9,9 @@ covariance envelopes.  Two sampling routes are exposed:
   one lower-triangular solve per path;
 * discrete Volterra synthesis: B_H(t_i) ~= sum_j K_H(t_i, s_j*) dB_j with
   the square-integrable kernel K_H evaluated at increment midpoints, which
-  also powers conditional means given the driving noise.
+  also powers conditional means given the driving noise.  The kernel is in
+  closed form: an incomplete Beta function for H < 1/2, a Gauss
+  hypergeometric function for H > 1/2.
 
 Only constant-sigma scenarios are supported: scaling the covariance by a
 constant is exact, while a time-varying volatility has no closed
@@ -20,14 +22,13 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cholesky
 from scipy.special import beta as _beta
 from scipy.special import betainc as _betainc
+from scipy.special import hyp2f1 as _hyp2f1
 
 from .errors import NumericalFailure
 from .paths import SampledPath, _draw_normals
@@ -43,7 +44,6 @@ __all__ = [
     "simulate_fgbm_asset",
 ]
 
-_QUAD_ABS_TOL = 1e-10
 _CACHE_MAX_POINTS = 4096  # factor matrices above this are not retained
 
 _cache_lock = threading.Lock()
@@ -106,45 +106,24 @@ def moving_avg_constant(H: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quad_checked(f, lo, hi):
-    # accuracy is enforced on the reported error estimate below, so the
-    # roundoff chatter quad emits at its precision floor is not a failure
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise NumericalFailure("kernel quadrature did not converge",
-                               abs_error=err, value=val)
-    return val
+def _kernel(t, s, H: float) -> np.ndarray:
+    """K_H(t, s) elementwise over broadcast arrays with 0 < s < t (unchecked).
 
-
-def volterra_kernel(t: float, s: float, H: float) -> float:
-    """Square-integrable kernel writing the fractional noise as an integral
-    against ordinary driving noise: B_H(t) = int_0^t K_H(t, s) dB_s.
-
-    Two-branch formula split at H = 1/2.  For H < 1/2 the inner integral
-    reduces exactly to an incomplete Beta tail (substituting u -> s/v), so
-    no quadrature is needed; for H > 1/2 the endpoint singularity at u = s
-    is weakened by the substitution u = s + (t-s) w^2 before adaptive
-    quadrature.  H = 1/2 itself is the identity kernel (the second-branch
-    constant is singular there, and the driving noise is already the
-    process).
+    Both branches are closed forms of the integral in the kernel's
+    definition.  For H > 1/2, Euler's integral gives
+    int_s^t (u-s)^(H-3/2) u^(H-1/2) du
+      = (t-s)^(H-1/2) s^(H-1/2) 2F1(1/2-H, H-1/2; H+1/2; -(t-s)/s) / (H-1/2).
+    For H < 1/2 the integral reduces (substituting u -> s/v) to an
+    incomplete Beta tail.
     """
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
-    if not (0.0 < s < t):
-        raise ValueError(f"kernel needs 0 < s < t, got s={s!r}, t={t!r}")
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
     if H == 0.5:
-        return 1.0
-
+        return np.ones(np.broadcast(t, s).shape)
     if H > 0.5:
         c = math.sqrt(H * (2.0 * H - 1.0) / _beta(2.0 - 2.0 * H, H - 0.5))
-        pre = 2.0 * (t - s) ** (H - 0.5)
-
-        def f(w):
-            return pre * w ** (2.0 * H - 2.0) * (s + (t - s) * w * w) ** (H - 0.5)
-
-        return c * s ** (0.5 - H) * _quad_checked(f, 0.0, 1.0)
+        hyp = _hyp2f1(0.5 - H, H - 0.5, H + 0.5, -(t - s) / s)
+        return c * (t - s) ** (H - 0.5) * hyp / (H - 0.5)
 
     c = math.sqrt(2.0 * H / ((1.0 - 2.0 * H) * _beta(1.0 - 2.0 * H, H + 0.5)))
     # int_s^t u^(H-3/2) (u-s)^(H-1/2) du == s^(2H-1) B(1-2H, H+1/2)
@@ -156,12 +135,28 @@ def volterra_kernel(t: float, s: float, H: float) -> float:
     return c * (direct - (H - 0.5) * s ** (0.5 - H) * integral)
 
 
-def _kernel_matrix(grid: np.ndarray, H: float) -> np.ndarray:
-    """K_H(t_i, s_j*) at increment midpoints s_j*, lower triangular (j < i).
+def volterra_kernel(t: float, s: float, H: float) -> float:
+    """Square-integrable kernel writing the fractional noise as an integral
+    against ordinary driving noise: B_H(t) = int_0^t K_H(t, s) dB_s.
 
-    Midpoints avoid the s -> 0 divergence of the kernel; one quadrature per
-    entry, so this is only used for the explicitly requested synthesis
-    route and for conditional means.
+    Two closed-form branches split at H = 1/2: an incomplete Beta tail for
+    H < 1/2 and a Gauss hypergeometric function for H > 1/2, so nothing is
+    integrated numerically.  H = 1/2 itself is the identity kernel (the
+    second-branch constant is singular there, and the driving noise is
+    already the process).
+    """
+    if not (0.0 < H < 1.0):
+        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
+    if not (0.0 < s < t):
+        raise ValueError(f"kernel needs 0 < s < t, got s={s!r}, t={t!r}")
+    return float(_kernel(t, s, H))
+
+
+def _kernel_matrix(grid: np.ndarray, H: float) -> np.ndarray:
+    """K_H(t_i, s_j*) at increment midpoints s_j*, lower triangular (j <= i).
+
+    Midpoints avoid the s -> 0 divergence of the kernel, and s_j* < t_i
+    holds on the whole lower triangle.
     """
     key = (grid.tobytes(), H)
     with _cache_lock:
@@ -170,11 +165,9 @@ def _kernel_matrix(grid: np.ndarray, H: float) -> np.ndarray:
         return hit
     mids = 0.5 * (grid[:-1] + grid[1:])
     n = len(mids)
+    i, j = np.tril_indices(n)
     K = np.zeros((n, n))
-    for i in range(n):
-        t = grid[i + 1]
-        for j in range(i + 1):
-            K[i, j] = volterra_kernel(t, mids[j], H) if mids[j] < t else 0.0
+    K[i, j] = _kernel(grid[1:][i], mids[j], H)
     if n <= _CACHE_MAX_POINTS:
         with _cache_lock:
             _kernel_cache[key] = K
@@ -288,14 +281,8 @@ def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
     times = driving_increments.times
     dB = np.diff(driving_increments.values)
     mids = 0.5 * (times[:-1] + times[1:])
-    used = times[1:] <= v + 1e-12 * max(1.0, v)
-    if H == 0.5:
-        return float(np.sum(dB[used]))
-    acc = 0.0
-    for m, d in zip(mids[used], dB[used]):
-        if m < t:
-            acc += volterra_kernel(t, m, H) * d
-    return float(acc)
+    used = (times[1:] <= v + 1e-12 * max(1.0, v)) & (mids < t)
+    return float(np.sum(_kernel(t, mids[used], H) * dB[used]))
 
 
 def simulate_fgbm_asset(spec: FgbmSpec, b, S0: float, sigma, seed: int,

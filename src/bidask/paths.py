@@ -18,6 +18,7 @@ never changes existing paths.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -502,9 +503,9 @@ class HolderEstimate:
 def _expected_abs_gauss_max(n_blocks: int) -> float:
     """E[max |Z_1..Z_N|] for iid standard normals, by quadrature."""
     from scipy.integrate import quad
-    from scipy.stats import norm as _norm
+    from scipy.special import ndtr
 
-    val, _ = quad(lambda x: 1.0 - (2.0 * _norm.cdf(x) - 1.0) ** n_blocks,
+    val, _ = quad(lambda x: 1.0 - (2.0 * ndtr(x) - 1.0) ** n_blocks,
                   0.0, 20.0, limit=200)
     return float(val)
 
@@ -711,27 +712,27 @@ def _self_financing_wealth(times, S, theta, r, y0):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _text_stream(target, mode: str):
+    """``target`` opened in ``mode`` when it is a path, else the open file itself."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def write_path_file(path: SampledPath, dest) -> None:
     """Two-column text: header 'time,value', one row per grid point."""
-
-    def _write(fh):
+    with _text_stream(dest, "w") as fh:
         fh.write("time,value\n")
         for t, v in zip(path.times, path.values):
             fh.write(f"{t:.12g},{v:.12g}\n")
 
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(dest)
-
 
 def read_path_file(src, positive: bool = False) -> SampledPath:
-    if isinstance(src, (str, bytes)) or hasattr(src, "__fspath__"):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = src.read()
+    with _text_stream(src, "r") as fh:
+        text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0].strip() != "time":
         raise ValueError("path file must start with a 'time,value' header")
@@ -751,25 +752,16 @@ def write_ensemble_file(paths, dest) -> None:
         if len(p.times) != len(times) or not np.array_equal(p.times, times):
             raise ValueError("ensemble paths must share one time grid")
 
-    def _write(fh):
+    with _text_stream(dest, "w") as fh:
         fh.write("time," + ",".join(f"value_{j}" for j in range(len(paths))) + "\n")
         for i, t in enumerate(times):
             row = ",".join(f"{p.values[i]:.12g}" for p in paths)
             fh.write(f"{t:.12g},{row}\n")
 
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(dest)
-
 
 def read_ensemble_file(src, positive: bool = False):
-    if isinstance(src, (str, bytes)) or hasattr(src, "__fspath__"):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = src.read()
+    with _text_stream(src, "r") as fh:
+        text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("time,"):
         raise ValueError("ensemble file must start with a 'time,value_0,...' header")

@@ -32,16 +32,15 @@ pricing PDEs, so u(boundary) = slope*x + intercept*exp(-r tau).
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ConsistencyError, NumericalFailure
-from .sublinear import ScalarFunctionSpec, UncertaintyBand
+from .sublinear import ScalarFunctionSpec, UncertaintyBand, g_drift_vol
 
 __all__ = [
     "GridSpec",
@@ -200,6 +199,29 @@ def _check_dominance(ask: PriceSurface, bid: PriceSurface) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _snap_nodes(w: np.ndarray, knots, to_w=float) -> list:
+    """Move, in place, the interior node of ``w`` nearest each knot onto it.
+
+    Knots are taken in increasing order, each onto a node right of the
+    last one moved; a move that would break monotonicity is skipped.
+    Returns the (node index, knot) pairs that were moved.
+    """
+    last = 0
+    snapped = []
+    for knot in sorted(set(knots)):
+        wk = to_w(knot)
+        j = int(np.argmin(np.abs(w - wk)))
+        j = min(max(j, last + 1), len(w) - 2)
+        old = w[j]
+        w[j] = wk
+        if w[j] <= w[j - 1] or w[j] >= w[j + 1]:
+            w[j] = old
+            continue
+        snapped.append((j, knot))
+        last = j
+    return snapped
+
+
 def _build_space_nodes(problem: PricingProblem, grid: GridSpec):
     """Spatial nodes in price units plus the working coordinate array.
 
@@ -217,21 +239,9 @@ def _build_space_nodes(problem: PricingProblem, grid: GridSpec):
         w = np.linspace(x_min, x_max, grid.n_space + 1)
         to_w = float
 
-    last = 0
-    snapped = []
-    for knot in sorted(set(problem.payoff.knot_points())):
-        if not (x_min < knot < x_max) or knot <= 0 and grid.stretching == "uniform_log":
-            continue
-        wk = to_w(knot)
-        j = int(np.argmin(np.abs(w - wk)))
-        j = min(max(j, last + 1), grid.n_space - 1)
-        old = w[j]
-        w[j] = wk
-        if w[j] <= w[j - 1] or w[j] >= w[j + 1]:
-            w[j] = old  # snap would break monotonicity; leave the node alone
-            continue
-        snapped.append((j, knot))
-        last = j
+    # x_min > 0 on log grids, so every knot kept here has a logarithm
+    knots = [k for k in problem.payoff.knot_points() if x_min < k < x_max]
+    snapped = _snap_nodes(w, knots, to_w)
 
     x = np.exp(w) if grid.stretching == "uniform_log" else w.copy()
     for j, knot in snapped:
@@ -462,18 +472,7 @@ def solve_g_heat(
     w = np.linspace(x_lo, x_hi, grid.n_space + 1)
 
     # snap interior nodes onto payoff kinks, and keep a node at the origin
-    last = 0
-    for knot in sorted(set(phi.knot_points()) | {0.0}):
-        if not (x_lo < knot < x_hi):
-            continue
-        j = int(np.argmin(np.abs(w - knot)))
-        j = min(max(j, last + 1), grid.n_space - 1)
-        old = w[j]
-        w[j] = knot
-        if w[j] <= w[j - 1] or w[j] >= w[j + 1]:
-            w[j] = old
-            continue
-        last = j
+    _snap_nodes(w, [k for k in (*phi.knot_points(), 0.0) if x_lo < k < x_hi])
 
     dt = horizon / grid.n_time
     u0 = np.asarray(phi(w), dtype=float)
@@ -488,13 +487,10 @@ def solve_g_heat(
         for sigma in (band.sigma_hi, band.sigma_lo)
     ], axis=1)
 
-    def drift_growth(slope):
-        return band.mu_hi * max(slope, 0.0) - band.mu_lo * max(-slope, 0.0)
-
     def boundary_of(step):
         t = (step + 1) * dt
-        lo = a_lo * w[0] + b_lo + t * drift_growth(a_lo)
-        hi = a_hi * w[-1] + b_hi + t * drift_growth(a_hi)
+        lo = a_lo * w[0] + b_lo + t * g_drift_vol(a_lo, 0.0, band)
+        hi = a_hi * w[-1] + b_hi + t * g_drift_vol(a_hi, 0.0, band)
         return lo, hi
 
     context = {"side": "heat", "stretching": grid.stretching}
@@ -523,7 +519,7 @@ def black_scholes_closed_form(
     srt = sigma * math.sqrt(T)
     d1 = (math.log(spot / strike) + (r + 0.5 * sigma * sigma) * T) / srt
     d2 = d1 - srt
-    call = spot * norm.cdf(d1) - strike * math.exp(-r * T) * norm.cdf(d2)
+    call = spot * ndtr(d1) - strike * math.exp(-r * T) * ndtr(d2)
     if kind == "call":
         return float(call)
     return float(call - spot + strike * math.exp(-r * T))
@@ -547,9 +543,3 @@ def write_surface_file(surface: PriceSurface, dest) -> None:
             _write(fh)
     else:
         _write(dest)
-
-
-def surface_to_text(surface: PriceSurface) -> str:
-    buf = io.StringIO()
-    write_surface_file(surface, buf)
-    return buf.getvalue()

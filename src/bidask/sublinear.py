@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "UncertaintyBand",
@@ -260,45 +259,22 @@ def g_drift_vol(eta: float, alpha: float, band: UncertaintyBand) -> float:
 # ---------------------------------------------------------------------------
 
 
-def maximal_expectation(
-    phi: ScalarFunctionSpec,
-    lo: float,
-    hi: float,
-    grid_points: int = 1024,
-    refine_tol: float = 1e-10,
-) -> float:
+def maximal_expectation(phi: ScalarFunctionSpec, lo: float, hi: float) -> float:
     """Upper expectation under pure mean uncertainty: max phi over [lo, hi].
 
-    A dense scan (plus the function's own kink abscissae, so piecewise
-    maxima are exact) locates the best grid cell; bounded scalar
-    minimisation of ``-phi`` refines the maximiser to ``refine_tol``.  The
-    lower variant is ``-maximal_expectation(phi.negated(), lo, hi)``.
+    Exact for the whole family: every kind is linear between its kink
+    abscissae, or (``power``) monotone on either side of 0, so the maximum
+    is attained at lo, at hi, at a kink inside the interval, or at 0.  phi
+    is evaluated on these candidates only; 0 is one for every kind, since
+    a value inside the interval cannot exceed the maximum.  The lower
+    variant is ``-maximal_expectation(phi.negated(), lo, hi)``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("interval endpoints must be finite")
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    if lo == hi:
-        return float(phi(lo))
-
-    x = np.linspace(lo, hi, grid_points)
-    knots = [k for k in phi.knot_points() if lo <= k <= hi]
-    if knots:
-        x = np.sort(np.concatenate((x, np.asarray(knots, dtype=float))))
-    y = np.asarray(phi(x))
-    j = int(np.argmax(y))
-    best = float(y[j])
-
-    a = x[max(j - 1, 0)]
-    b = x[min(j + 1, len(x) - 1)]
-    if b > a:
-        res = minimize_scalar(
-            lambda t: -float(phi(t)), bounds=(a, b), method="bounded",
-            options={"xatol": refine_tol},
-        )
-        if res.success:
-            best = max(best, -float(res.fun))
-    return best
+    inner = [x for x in (*phi.knot_points(), 0.0) if lo < x < hi]
+    return float(np.max(phi(np.array([lo, hi, *inner], dtype=float))))
 
 
 def g_normal_expectation(

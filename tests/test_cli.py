@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bidask
 from bidask import ConfigError, emit_config, parse_config, run
 from bidask.cli import main
 
@@ -68,6 +73,35 @@ class TestParseConfig:
     def test_invalid_json_reported(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope")
+
+    def test_out_of_band_control_names_its_field(self):
+        cfg = {
+            "command": "simulate", "seed": 1,
+            "band": {"mu_lo": 0.0, "mu_hi": 0.1, "sigma_lo": 0.1, "sigma_hi": 0.3},
+            "s0": 100.0, "horizon": 1.0,
+            "control": {"mu": 0.05, "sigma": 0.5},
+        }
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert exc.value.errors == [
+            "control: sigma levels (0.5,) leave the band [0.1, 0.3]"]
+
+    def test_negative_pricing_payoff_names_its_field(self):
+        cfg = {
+            "command": "cps", "seed": 0,
+            "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3},
+            "path_file": "unused.csv", "epsilon": 0.05,
+            "pricing": {
+                "payoff": {"kind": "piecewise_linear",
+                           "knots": [[50.0, -1.0], [150.0, 1.0]]},
+                "maturity": 1.0, "spot_domain": [20.0, 500.0],
+            },
+        }
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert exc.value.errors == [
+            "pricing.payoff/pricing.spot_domain: "
+            "payoff must be nonnegative on the spot domain"]
 
     def test_round_trip_is_canonical(self):
         # emit o parse is idempotent: the first emission canonicalises
@@ -254,3 +288,31 @@ class TestCommandLine:
     def test_missing_file_exits_nonzero(self, capsys):
         assert main(["price", "--config", "/nonexistent/cfg.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def _run_python(args, **kwargs):
+    """Run a fresh interpreter that imports ``bidask`` from this source tree."""
+    src = str(Path(bidask.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300, **kwargs)
+
+
+class TestFreshInterpreter:
+    def test_python_dash_m_writes_the_report_main_writes(self, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(price_config(grid={"n_space": 64, "n_time": 32})))
+        via_m, in_process = tmp_path / "m.json", tmp_path / "main.json"
+        proc = _run_python(["-m", "bidask", "price", "--config", str(f),
+                            "--out", str(via_m)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["price", "--config", str(f), "--out", str(in_process)]) == 0
+        assert via_m.read_bytes() == in_process.read_bytes()
+
+    def test_import_leaves_heavy_scipy_modules_out(self):
+        proc = _run_python(["-c", "import sys, bidask; print(sorted(m for m in "
+                            "('scipy.optimize', 'scipy.integrate', 'scipy.stats') "
+                            "if m in sys.modules))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta
 
 from bidask import (
     ControlProcess,
@@ -20,12 +21,26 @@ from bidask import (
     simulate_gbm_increments,
     volterra_kernel,
 )
+from bidask.fgbm import _kernel_matrix
 
 BAND = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
 
 
 def unit_cov(s, t, H):
     return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
+
+
+def quadrature_kernel(t, s, H):
+    """Oracle for H > 1/2: c s^(1/2-H) int_s^t (u-s)^(H-3/2) u^(H-1/2) du by
+    adaptive quadrature, after u = s + (t-s) w^2 weakens the singularity."""
+    c = math.sqrt(H * (2.0 * H - 1.0) / beta(2.0 - 2.0 * H, H - 0.5))
+
+    def f(w):
+        return 2.0 * (t - s) ** (H - 0.5) * w ** (2.0 * H - 2.0) \
+            * (s + (t - s) * w * w) ** (H - 0.5)
+
+    val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    return c * s ** (0.5 - H) * val
 
 
 class TestCovariance:
@@ -112,6 +127,24 @@ class TestVolterraKernel:
             val, _ = quad(lambda u: volterra_kernel(1.0, u, H) ** 2, 0.0, 1.0,
                           epsabs=1e-10, limit=400)
             assert val == pytest.approx(1.0, rel=1e-7)
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9, 0.99])
+    def test_closed_form_matches_quadrature(self, H):
+        for t in (1.0, 0.3):
+            for frac in (1e-8, 1e-4, 0.25, 0.5, 0.9, 1.0 - 1e-6):
+                s = frac * t
+                assert volterra_kernel(t, s, H) == pytest.approx(
+                    quadrature_kernel(t, s, H), rel=1e-9)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_matrix_matches_scalar_kernel(self, H):
+        grid = np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.1, 12))))
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        K = _kernel_matrix(grid, H)
+        for i in range(len(mids)):
+            for j in range(len(mids)):
+                want = volterra_kernel(grid[i + 1], mids[j], H) if j <= i else 0.0
+                assert K[i, j] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -245,6 +278,18 @@ class TestConditionalMean:
         k = 8
         got = fgbm_conditional_mean(drv, grid[k], grid[k], 0.7)
         assert got == pytest.approx(synth.values[k], rel=1e-10)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_matches_scalar_sum(self, H):
+        grid = np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.1, 12))))
+        c = ControlProcess.constant(0.0, 0.2)
+        drv = simulate_gbm_increments(c, grid, seed=3, n_paths=1)[0]
+        t, v = grid[-1], grid[7]
+        want = sum(volterra_kernel(t, 0.5 * (a + b), H) * (yb - ya)
+                   for a, b, ya, yb in zip(grid[:7], grid[1:8],
+                                           drv.values[:7], drv.values[1:8]))
+        got = fgbm_conditional_mean(drv, v, t, H)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_rejects_v_after_t(self):
         grid = np.linspace(0, 1, 17)

@@ -185,6 +185,11 @@ class TestMaximalExpectation:
         lower = -maximal_expectation(f.negated(), 0.5, 2.0)
         assert lower == pytest.approx(0.25, abs=1e-9)  # min of x^2 on [0.5, 2]
 
+    def test_interior_zero_of_even_power_is_exact(self):
+        f = ScalarFunctionSpec.power(2).negated()
+        for lo, hi in ((-1.0, 2.0), (-0.7, 2.3)):
+            assert maximal_expectation(f, lo, hi) == 0.0
+
     def test_point_interval(self):
         assert maximal_expectation(ScalarFunctionSpec.identity(), 0.3, 0.3) == 0.3
 
