@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .cps import build_shadow_path, cps_price
 from .errors import ConfigError
-from .fgbm import FgbmSpec, simulate_fgbm, simulate_fgbm_asset
+from .fgbm import FgbmSpec, _normals_per_path, simulate_fgbm, simulate_fgbm_asset
 from .paths import (
     ControlProcess,
     default_control_family,
@@ -320,6 +320,20 @@ def _read_control(r, cfg, band, key="control"):
         return None, echo
 
 
+def _constant_control(r, band, mu, sigma, path):
+    """The constant control (mu, sigma) inside ``band``, built at parse
+    time; a level outside the band fails at ``{path}sigma`` or ``{path}mu``."""
+    if band is None or None in (mu, sigma):
+        return None
+    try:
+        return ControlProcess.constant(mu, sigma, band=band)
+    except ValueError as e:
+        # ControlProcess checks sigma before mu
+        bad_sigma = sigma < 0.0 or not band.contains_sigma(sigma)
+        r.fail(path + ("sigma" if bad_sigma else "mu"), str(e))
+        return None
+
+
 _COMMON_KEYS = {"command", "seed", "format", "output", "band"}
 
 _COMMAND_KEYS = {
@@ -400,6 +414,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                                check=pos_int)
                     scen = {"mu": mu, "sigma": sg, "n_steps": ns}
                     scen_echo = scen
+                    built["scenario"] = _constant_control(r, band, mu, sg, "scenario.")
                 else:
                     r.fail("scenario", "expected an object")
             if path_file is None and scen is None:
@@ -496,7 +511,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
             if not isinstance(lst, list):
                 r.fail("controls", "expected a list of {mu, sigma} objects")
             else:
-                controls_echo = []
+                controls_echo, controls = [], []
                 for i, d in enumerate(lst):
                     sub = _Reader()
                     if isinstance(d, dict):
@@ -504,9 +519,14 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                         mu = sub.get(d, "mu", f"controls.{i}.", required=True, kind=float)
                         sg = sub.get(d, "sigma", f"controls.{i}.", required=True, kind=float)
                         controls_echo.append({"mu": mu, "sigma": sg})
+                        controls.append(_constant_control(sub, band, mu, sg,
+                                                          f"controls.{i}."))
                     else:
                         sub.fail(f"controls.{i}", "expected an object")
                     r.errors.extend(sub.errors)
+                built["controls"] = controls
+        if controls_echo is None and band is not None:
+            built["controls"] = default_control_family(band)
         eff.update({"center_file": center_file, "eta": eta,
                     "n_paths": n_paths, "controls": controls_echo})
 
@@ -557,14 +577,16 @@ def _run_simulate(eff, built):
 
 
 def _run_fgbm(eff, built):
-    grid = tuple(np.linspace(0.0, eff["horizon"], eff["n_steps"] + 1))
-    spec = FgbmSpec(eff["hurst"], built["band"], grid)
+    grid = np.linspace(0.0, eff["horizon"], eff["n_steps"] + 1)
+    spec = FgbmSpec(eff["hurst"], built["band"], tuple(grid))
+    # the asset route always samples exactly, whatever ``method`` says
+    method = "factorization" if eff["asset"] is not None else eff["method"]
     if eff["asset"] is not None:
         paths = simulate_fgbm_asset(spec, eff["asset"]["drift"], eff["asset"]["s0"],
                                     eff["sigma"], eff["seed"], eff["n_paths"])
     else:
         paths = simulate_fgbm(spec, eff["sigma"], eff["seed"], eff["n_paths"],
-                              method=eff["method"])
+                              method=method)
     terminal = np.array([p.values[-1] for p in paths])
     outputs = {
         "n_paths": len(paths),
@@ -575,7 +597,7 @@ def _run_fgbm(eff, built):
     if eff["paths_out"]:
         write_ensemble_file(paths, eff["paths_out"])
         outputs["paths_out"] = eff["paths_out"]
-    timing = {"rng_normal_draws": eff["n_paths"] * eff["n_steps"],
+    timing = {"rng_normal_draws": eff["n_paths"] * _normals_per_path(grid, method),
               "time_steps": eff["n_steps"]}
     return outputs, timing
 
@@ -629,11 +651,9 @@ def _run_hedge(eff, built):
     if eff["path_file"]:
         path = read_path_file(eff["path_file"], positive=True)
     else:
-        sc = eff["scenario"]
-        control = ControlProcess.constant(sc["mu"], sc["sigma"], band=band)
-        tgrid = np.linspace(0.0, eff["maturity"], sc["n_steps"] + 1)
-        path = simulate_asset_paths(control, eff["spot"], tgrid, eff["seed"], 1,
-                                    band=band)[0]
+        tgrid = np.linspace(0.0, eff["maturity"], eff["scenario"]["n_steps"] + 1)
+        path = simulate_asset_paths(built["scenario"], eff["spot"], tgrid, eff["seed"],
+                                    1, band=band)[0]
     report = hedge_verify(surface, path, eff["rate"])
     outputs = {
         "initial_capital": float(report.wealth.values[0]),
@@ -648,14 +668,9 @@ def _run_hedge(eff, built):
 
 
 def _run_capacity(eff, built):
-    band = built["band"]
     center = read_path_file(eff["center_file"])
-    if eff["controls"] is not None:
-        controls = [ControlProcess.constant(d["mu"], d["sigma"], band=band)
-                    for d in eff["controls"]]
-    else:
-        controls = default_control_family(band)
-    cap = estimate_tube_capacity(center, eff["eta"], band, controls,
+    controls = built["controls"]
+    cap = estimate_tube_capacity(center, eff["eta"], built["band"], controls,
                                  eff["seed"], eff["n_paths"])
     outputs = {"capacity": cap, "eta": eff["eta"], "n_controls": len(controls)}
     timing = {"rng_normal_draws": eff["n_paths"] * (len(center) - 1) * len(controls)}
@@ -731,3 +746,7 @@ def main(argv=None) -> int:
     except (OSError, ConfigError, CommandFailure, ValueError) as e:
         sys.stderr.write(f"bidask: error: {e}\n")
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,15 +3,23 @@
 The process is centered Gaussian per scenario with the classical
 fractional covariance  R(s,t) = (s^2H + t^2H - |t-s|^2H)/2  scaled by a
 scenario volatility sigma^2; the band's two ends give the upper and lower
-covariance envelopes.  Two sampling routes are exposed:
+covariance envelopes.  Two sampling methods are exposed:
 
-* exact covariance factorization (default): Cholesky of R on the grid,
-  one lower-triangular solve per path;
-* discrete Volterra synthesis: B_H(t_i) ~= sum_j K_H(t_i, s_j*) dB_j with
-  the square-integrable kernel K_H evaluated at increment midpoints, which
-  also powers conditional means given the driving noise.  The kernel is in
-  closed form: an incomplete Beta function for H < 1/2, a Gauss
-  hypergeometric function for H > 1/2.
+* exact sampling (``factorization``, the default), by one of two routes
+  chosen from the grid:
+  - on a uniform grid starting at 0 the increments are stationary
+    fractional Gaussian noise, sampled by Davies-Harte circulant
+    embedding: the autocovariance is embedded in a circulant of twice the
+    size, whose eigenvalues (one real FFT) are nonnegative for every H,
+    and each path is one inverse FFT of 2n scaled normals, O(n log n);
+  - on any other grid, Cholesky of R on the grid (cached up to 4096
+    points), one lower-triangular matvec per path, O(n^3) to factor and
+    O(n^2) per path;
+* discrete Volterra synthesis (``volterra``): B_H(t_i) ~= sum_j K_H(t_i,
+  s_j*) dB_j with the square-integrable kernel K_H evaluated at increment
+  midpoints, which also powers conditional means given the driving noise.
+  The kernel is in closed form: an incomplete Beta function for H < 1/2, a
+  Gauss hypergeometric function for H > 1/2.
 
 Only constant-sigma scenarios are supported: scaling the covariance by a
 constant is exact, while a time-varying volatility has no closed
@@ -225,14 +233,77 @@ def _scenario_sigma(sigma, band: UncertaintyBand) -> float:
     return s
 
 
+def _uniform_step(grid: np.ndarray) -> float | None:
+    """The step of a grid that starts at 0 with equal steps (to 1e-9
+    relative, which round-off in ``linspace`` stays far inside), else None."""
+    dt = grid[-1] / (len(grid) - 1)
+    if grid[0] == 0.0 and np.all(np.abs(np.diff(grid) - dt) <= 1e-9 * dt):
+        return float(dt)
+    return None
+
+
+def _fgn_autocovariance(n: int, H: float) -> np.ndarray:
+    """gamma(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2, k = 0..n: the
+    autocovariance of unit-step, unit-volatility fractional Gaussian noise."""
+    k = np.arange(n + 1, dtype=float)
+    return 0.5 * (np.abs(k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H)
+                  + np.abs(k - 1.0) ** (2 * H))
+
+
+def _circulant_eigenvalues(gamma: np.ndarray, H: float) -> np.ndarray:
+    """Eigenvalues 0..n of the 2n-circulant with first row gamma(0..n),
+    gamma(n-1..1) (the rest mirror them).
+
+    They are nonnegative for fractional Gaussian noise at every H, which
+    makes the embedding exact; a negative one (which only a sequence that
+    is not an fGn autocovariance should produce) is a NumericalFailure.
+    """
+    lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+    if lam.min() < 0.0:
+        raise NumericalFailure(
+            "circulant embedding of the autocovariance is not positive semidefinite",
+            min_eigenvalue=float(lam.min()), n_points=len(gamma) - 1, hurst=H)
+    return lam
+
+
+def _circulant_sample(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Rows of n correlated normals, one per row of 2n standard normals z.
+
+    The Hermitian half-spectrum w_0 = z_0, w_n = z_1, w_k = (z_{k+1} +
+    i z_{n+k}) / sqrt(2) for 0 < k < n, scaled by sqrt(2n lam_k), inverts
+    to a real vector whose covariance is the circulant; its first n
+    entries have the embedded Toeplitz covariance gamma(|i-j|).  One
+    row-wise inverse FFT over the batch gives each row bitwise what a
+    one-row call gives.
+    """
+    n = len(lam) - 1
+    w = np.empty((len(z), n + 1), dtype=complex)
+    w[:, 0] = z[:, 0]
+    w[:, n] = z[:, 1]
+    w[:, 1:n] = (z[:, 2:n + 1] + 1j * z[:, n + 1:]) * math.sqrt(0.5)
+    w *= np.sqrt(2 * n * lam)
+    return np.fft.irfft(w, 2 * n, axis=1)[:, :n]
+
+
+def _normals_per_path(grid: np.ndarray, method: str) -> int:
+    """Standard normals ``simulate_fgbm`` draws per path on ``grid``: 2n on
+    the circulant route, one per sampled time on the others."""
+    if method == "factorization" and _uniform_step(grid) is not None:
+        return 2 * (len(grid) - 1)
+    return len(grid) - 1 if grid[0] == 0.0 else len(grid)
+
+
 def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
                   method: str = "factorization"):
     """Fractional noise trajectories under one constant-sigma scenario.
 
-    ``factorization`` (default) samples exactly from the scaled covariance;
-    ``volterra`` synthesises the paths from ordinary driving increments
-    through the discrete kernel (needs the grid to start at 0).  Paths are
-    deterministic per (seed, path index) and start at 0 when the grid does.
+    ``factorization`` (default) samples exactly from the scaled covariance:
+    by circulant embedding (Davies-Harte) when the grid is uniform and
+    starts at 0, by the Cholesky factor of the covariance on the grid
+    otherwise.  ``volterra`` synthesises the paths from ordinary driving
+    increments through the discrete kernel (needs the grid to start at 0).
+    Paths are deterministic per (seed, path index) and start at 0 when the
+    grid does.
     """
     if method not in ("factorization", "volterra"):
         raise ValueError(f"unknown method {method!r}")
@@ -241,25 +312,28 @@ def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     H = spec.hurst
 
     starts_at_zero = grid[0] == 0.0
-    sample_times = grid[1:] if starts_at_zero else grid
+    if method == "volterra" and not starts_at_zero:
+        raise ValueError("volterra synthesis needs the grid to start at 0")
+    dt = _uniform_step(grid)
+    z = _draw_normals(seed, n_paths, _normals_per_path(grid, method))
 
-    # one matvec per path (not a batched matmul): path j's values must not
-    # depend on how many other paths share the call
-    if method == "factorization":
-        L = _unit_cholesky(sample_times, H)
-        z = _draw_normals(seed, n_paths, len(sample_times))
+    # the Cholesky and Volterra routes take one matvec per path (not a
+    # batched matmul): path j's values must not depend on how many other
+    # paths share the call
+    if method == "volterra":
+        K = _kernel_matrix(grid, H)
+        vol_sqrt_dt = sig * np.sqrt(np.diff(grid))
+        vals = np.empty_like(z)
+        for j in range(n_paths):
+            vals[j] = K @ (vol_sqrt_dt * z[j])
+    elif dt is not None:
+        lam = _circulant_eigenvalues(_fgn_autocovariance(len(grid) - 1, H), H)
+        vals = np.cumsum(sig * dt**H * _circulant_sample(z, lam), axis=1)
+    else:
+        L = _unit_cholesky(grid[1:] if starts_at_zero else grid, H)
         vals = np.empty_like(z)
         for j in range(n_paths):
             vals[j] = sig * (L @ z[j])
-    else:
-        if not starts_at_zero:
-            raise ValueError("volterra synthesis needs the grid to start at 0")
-        K = _kernel_matrix(grid, H)
-        dt = np.diff(grid)
-        z = _draw_normals(seed, n_paths, len(dt))
-        vals = np.empty_like(z)
-        for j in range(n_paths):
-            vals[j] = K @ (sig * np.sqrt(dt) * z[j])
 
     out = []
     for j in range(n_paths):

@@ -173,6 +173,9 @@ class ScalarFunctionSpec:
         elif self.kind == "negation":
             out = -x
         elif self.kind == "power":
+            if not float(self.exponent).is_integer() and np.any(x < 0.0):
+                raise ValueError(f"power({self.exponent:g}) has a non-integer exponent "
+                                 f"and is undefined below 0, got x={float(x.min()):g}")
             out = np.power(x, self.exponent)
         else:
             xs = np.array([k[0] for k in self.knots])
@@ -267,7 +270,9 @@ def maximal_expectation(phi: ScalarFunctionSpec, lo: float, hi: float) -> float:
     is attained at lo, at hi, at a kink inside the interval, or at 0.  phi
     is evaluated on these candidates only; 0 is one for every kind, since
     a value inside the interval cannot exceed the maximum.  The lower
-    variant is ``-maximal_expectation(phi.negated(), lo, hi)``.
+    variant is ``-maximal_expectation(phi.negated(), lo, hi)``.  A
+    ``power`` with a non-integer exponent is undefined below 0, so an
+    interval reaching there raises ValueError.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("interval endpoints must be finite")

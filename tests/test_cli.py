@@ -103,6 +103,25 @@ class TestParseConfig:
             "pricing.payoff/pricing.spot_domain: "
             "payoff must be nonnegative on the spot domain"]
 
+    def test_out_of_band_hedge_scenario_names_its_field(self):
+        for scenario, field in (({"mu": 0.03, "sigma": 0.5}, "scenario.sigma"),
+                                ({"mu": 0.5, "sigma": 0.2}, "scenario.mu")):
+            cfg = price_config(command="hedge", scenario=scenario,
+                               band={"mu_lo": 0.01, "mu_hi": 0.05,
+                                     "sigma_lo": 0.1, "sigma_hi": 0.3})
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json.dumps(cfg))
+            assert [e.split(":")[0] for e in exc.value.errors] == [field]
+
+    def test_out_of_band_capacity_control_names_its_field(self):
+        cfg = {"command": "capacity",
+               "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               "center_file": "unused.csv", "eta": 0.1,
+               "controls": [{"mu": 0.0, "sigma": 0.2}, {"mu": 0.0, "sigma": 0.9}]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert [e.split(":")[0] for e in exc.value.errors] == ["controls.1.sigma"]
+
     def test_round_trip_is_canonical(self):
         # emit o parse is idempotent: the first emission canonicalises
         # (defaults filled, floats at 12 significant digits) and re-parsing
@@ -279,6 +298,19 @@ class TestCommandLine:
         assert main(["fgbm", "--config", str(f), "--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    @pytest.mark.parametrize("method, asset, per_path", [
+        ("factorization", None, 2 * 64),  # circulant embedding: 2n per path
+        ("volterra", None, 64),
+        ("volterra", {"s0": 100.0, "drift": 0.0}, 2 * 64),  # asset samples exactly
+    ])
+    def test_fgbm_counts_the_normals_it_draws(self, method, asset, per_path):
+        cfg = {"command": "fgbm", "seed": 5,
+               "band": {"mu_lo": 0.0, "mu_hi": 0.0, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               "hurst": 0.7, "sigma": 0.2, "horizon": 1.0, "n_steps": 64,
+               "n_paths": 3, "method": method, "asset": asset}
+        report = run(parse_config(json.dumps(cfg)))
+        assert report.timing["rng_normal_draws"] == 3 * per_path
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(price_config(unknown=1)))
@@ -309,6 +341,19 @@ class TestFreshInterpreter:
         assert proc.returncode == 0, proc.stderr
         assert main(["price", "--config", str(f), "--out", str(in_process)]) == 0
         assert via_m.read_bytes() == in_process.read_bytes()
+
+    def test_python_dash_m_cli_writes_the_report_python_dash_m_package_writes(
+            self, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(price_config(grid={"n_space": 64, "n_time": 32})))
+        outs = []
+        for module in ("bidask.cli", "bidask"):
+            out = tmp_path / f"{module}.json"
+            proc = _run_python(["-m", module, "price", "--config", str(f),
+                                "--out", str(out)], cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_import_leaves_heavy_scipy_modules_out(self):
         proc = _run_python(["-c", "import sys, bidask; print(sorted(m for m in "

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import cholesky
 from scipy.special import beta
 
 from bidask import (
@@ -21,7 +22,10 @@ from bidask import (
     simulate_gbm_increments,
     volterra_kernel,
 )
-from bidask.fgbm import _kernel_matrix
+import bidask.fgbm
+from bidask import NumericalFailure
+from bidask.fgbm import _circulant_eigenvalues, _fgn_autocovariance, _kernel_matrix
+from bidask.paths import _draw_normals
 
 BAND = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
 
@@ -252,6 +256,64 @@ class TestSimulation:
         paths = simulate_fgbm(spec, 0.2, seed=21, n_paths=4)
         ests = [holder_exponent(p).exponent for p in paths]
         assert abs(np.mean(ests) - 0.8) < 0.1
+
+
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 16, 1024])
+    def test_eigenvalues_nonnegative_and_invert_to_autocovariance(self, H, n):
+        gamma = _fgn_autocovariance(n, H)
+        # gamma(k) = Cov(B_H(1) - B_H(0), B_H(k+1) - B_H(k)); the difference
+        # cancels terms of size (n+1)^2H, hence the scaled tolerance
+        want = [unit_cov(1.0, k + 1.0, H) - unit_cov(1.0, k, H) for k in range(n + 1)]
+        assert np.allclose(gamma, want, rtol=0.0, atol=1e-14 * (n + 1) ** (2 * H))
+        lam = _circulant_eigenvalues(gamma, H)
+        assert lam.shape == (n + 1,) and lam.min() >= 0.0
+        assert np.max(np.abs(np.fft.irfft(lam, 2 * n)[:n + 1] - gamma)) <= 1e-12
+
+    def test_negative_eigenvalue_raises_with_its_value(self):
+        with pytest.raises(NumericalFailure) as exc:
+            _circulant_eigenvalues(np.array([1.0, 0.9, -0.8]), 0.7)
+        d = exc.value.diagnostics
+        # row (1, 0.9, -0.8, 0.9): eigenvalues 2, 1.8, -1.6
+        assert d["min_eigenvalue"] == pytest.approx(-1.6, abs=1e-12)
+        assert d["n_points"] == 2 and d["hurst"] == 0.7
+
+    def test_uniform_grid_builds_no_factor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Cholesky factor built on a uniform grid")
+
+        monkeypatch.setattr(bidask.fgbm, "cholesky", refuse)
+        spec = FgbmSpec(0.63, BAND, tuple(np.linspace(0, 2, 101)))
+        paths = simulate_fgbm(spec, 0.2, seed=1, n_paths=3)
+        assert all(len(p) == 101 and p.values[0] == 0.0 for p in paths)
+
+    def test_non_uniform_grid_is_the_cholesky_matvec(self):
+        H, sig, seed = 0.7, 0.2, 17
+        grid = np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.1, 12))))
+        paths = simulate_fgbm(FgbmSpec(H, BAND, tuple(grid)), sig, seed=seed, n_paths=4)
+        tt, ss = grid[1:, None], grid[None, 1:]
+        R = 0.5 * (tt ** (2 * H) + ss ** (2 * H) - np.abs(tt - ss) ** (2 * H))
+        L = cholesky(R, lower=True)
+        z = _draw_normals(seed, 4, len(grid) - 1)
+        for j, p in enumerate(paths):
+            assert p.values[0] == 0.0
+            assert np.array_equal(p.values[1:], sig * (L @ z[j]))
+
+    def test_single_step(self):
+        # n = 1: eigenvalues 2^(2H-1) and 2 - 2^(2H-1) of the 2x2 circulant,
+        # and B_H(1) = sigma (sqrt(lam0/2) z0 + sqrt(lam1/2) z1)
+        H, sig = 0.8, 0.25
+        spec = FgbmSpec(H, BAND, (0.0, 1.0))
+        paths = simulate_fgbm(spec, sig, seed=3, n_paths=20000)
+        z = _draw_normals(3, 20000, 2)
+        lam0, lam1 = 2.0 ** (2 * H - 1), 2.0 - 2.0 ** (2 * H - 1)
+        want = sig * (math.sqrt(lam0 / 2) * z[:, 0] + math.sqrt(lam1 / 2) * z[:, 1])
+        got = np.array([p.values[-1] for p in paths])
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+        assert all(p.values[0] == 0.0 and len(p) == 2 for p in paths)
+        se = sig**2 * math.sqrt(2.0 / len(got))
+        assert abs(got.var(ddof=1) - sig**2) < 4 * se
 
 
 class TestConditionalMean:

@@ -197,6 +197,16 @@ class TestMaximalExpectation:
         with pytest.raises(ValueError, match="empty interval"):
             maximal_expectation(ScalarFunctionSpec.identity(), 1.0, 0.0)
 
+    def test_fractional_power_below_zero_is_rejected(self):
+        root = ScalarFunctionSpec.power(0.5)
+        with pytest.raises(ValueError, match="below 0"):
+            maximal_expectation(root, -1.0, 1.0)
+        with pytest.raises(ValueError, match="below 0"):
+            root(np.array([0.25, -0.5]))
+        assert maximal_expectation(root, 0.0, 4.0) == 2.0
+        # integer exponents stay defined on the whole line
+        assert maximal_expectation(ScalarFunctionSpec.power(3.0), -2.0, -1.0) == -1.0
+
 
 class TestGNormalExpectation:
     def test_identity_is_centered(self):
