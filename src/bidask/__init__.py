@@ -39,6 +39,7 @@ from .pde import (
 from .paths import (
     BangBangRule,
     ControlProcess,
+    ConvergenceReport,
     HedgeReport,
     HolderEstimate,
     McEstimate,

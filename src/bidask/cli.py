@@ -223,8 +223,9 @@ def _read_band(r, cfg, path="band."):
         return None, echo
 
 
-def _read_payoff(r, cfg, key="payoff"):
-    d = cfg.get(key)
+def _read_payoff(r, cfg, prefix=""):
+    key = prefix + "payoff"
+    d = cfg.get("payoff")
     if not isinstance(d, dict):
         r.fail(key, "required section is missing")
         return None, {}
@@ -266,25 +267,38 @@ def _read_payoff(r, cfg, key="payoff"):
     return None, echo
 
 
-def _read_grid(r, cfg):
+def _read_grid(r, cfg, prefix=""):
+    key = prefix + "grid"
+    path = key + "."
     d = cfg.get("grid") or {}
     if not isinstance(d, dict):
-        r.fail("grid", "expected an object")
+        r.fail(key, "expected an object")
         d = {}
-    r.section(d, "grid.", {"n_space", "n_time", "stretching"})
-    n_space = r.get(d, "n_space", "grid.", kind=int, default=400,
+    r.section(d, path, {"n_space", "n_time", "stretching"})
+    n_space = r.get(d, "n_space", path, kind=int, default=400,
                     check=lambda v: None if v >= 16 else "must be >= 16")
-    n_time = r.get(d, "n_time", "grid.", kind=int, default=400,
+    n_time = r.get(d, "n_time", path, kind=int, default=400,
                    check=lambda v: None if v >= 16 else "must be >= 16")
-    stretching = r.get(d, "stretching", "grid.", kind=str, default="uniform_log",
+    stretching = r.get(d, "stretching", path, kind=str, default="uniform_log",
                        check=lambda v: None if v in ("uniform_log", "uniform_price")
                        else "must be 'uniform_log' or 'uniform_price'")
     echo = {"n_space": n_space, "n_time": n_time, "stretching": stretching}
     try:
         return GridSpec(n_space, n_time, stretching), echo
     except ValueError as e:
-        r.fail("grid", str(e))
+        r.fail(key, str(e))
         return None, echo
+
+
+def _read_domain(r, cfg, prefix="", required=False):
+    domain = r.get(cfg, "spot_domain", prefix, required=required, kind=list)
+    if domain is None:
+        return None
+    if len(domain) != 2 or not all(isinstance(v, (int, float))
+                                   and not isinstance(v, bool) for v in domain):
+        r.fail(prefix + "spot_domain", "expected [x_min, x_max]")
+        return None
+    return [float(domain[0]), float(domain[1])]
 
 
 def _read_control(r, cfg, band, key="control"):
@@ -389,13 +403,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         rate = r.get(cfg, "rate", "", kind=float, default=0.0)
         spot = r.get(cfg, "spot", "", required=True, kind=float, check=pos)
         grid, grid_echo = _read_grid(r, cfg)
-        domain = r.get(cfg, "spot_domain", "", kind=list)
-        if domain is not None:
-            if len(domain) != 2 or not all(isinstance(v, (int, float)) for v in domain):
-                r.fail("spot_domain", "expected [x_min, x_max]")
-                domain = None
-            else:
-                domain = [float(domain[0]), float(domain[1])]
+        domain = _read_domain(r, cfg)
         if domain is None and None not in (spot, maturity) and band is not None:
             half = 8.0 * band.sigma_hi * math.sqrt(maturity)
             domain = [spot * math.exp(-half), spot * math.exp(half)]
@@ -459,6 +467,9 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                 a_s0 = r.get(d, "s0", "asset.", required=True, kind=float, check=pos)
                 a_dr = r.get(d, "drift", "asset.", kind=float, default=0.0)
                 asset_echo = {"s0": a_s0, "drift": a_dr}
+                if method == "volterra":
+                    r.fail("method", "asset paths are sampled exactly; "
+                           "'volterra' cannot drive them")
             else:
                 r.fail("asset", "expected an object")
         eff.update({"hurst": hurst, "sigma": sigma, "horizon": horizon,
@@ -474,17 +485,12 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
             if isinstance(d, dict):
                 r.section(d, "pricing.", {"payoff", "maturity", "rate",
                                           "spot_domain", "grid"})
-                payoff, payoff_echo = _read_payoff(r, d)
+                payoff, payoff_echo = _read_payoff(r, d, "pricing.")
                 maturity = r.get(d, "maturity", "pricing.", required=True,
                                  kind=float, check=pos)
                 rate = r.get(d, "rate", "pricing.", kind=float, default=0.0)
-                grid, grid_echo = _read_grid(r, d)
-                domain = r.get(d, "spot_domain", "pricing.", required=True, kind=list)
-                if domain is not None and len(domain) == 2:
-                    domain = [float(domain[0]), float(domain[1])]
-                else:
-                    r.fail("pricing.spot_domain", "expected [x_min, x_max]")
-                    domain = None
+                grid, grid_echo = _read_grid(r, d, "pricing.")
+                domain = _read_domain(r, d, "pricing.", required=True)
                 pricing_echo = {"payoff": payoff_echo, "maturity": maturity,
                                 "rate": rate, "spot_domain": domain,
                                 "grid": grid_echo}
@@ -579,8 +585,7 @@ def _run_simulate(eff, built):
 def _run_fgbm(eff, built):
     grid = np.linspace(0.0, eff["horizon"], eff["n_steps"] + 1)
     spec = FgbmSpec(eff["hurst"], built["band"], tuple(grid))
-    # the asset route always samples exactly, whatever ``method`` says
-    method = "factorization" if eff["asset"] is not None else eff["method"]
+    method = eff["method"]
     if eff["asset"] is not None:
         paths = simulate_fgbm_asset(spec, eff["asset"]["drift"], eff["asset"]["s0"],
                                     eff["sigma"], eff["seed"], eff["n_paths"])

@@ -7,19 +7,21 @@ covariance envelopes.  Two sampling methods are exposed:
 
 * exact sampling (``factorization``, the default), by one of two routes
   chosen from the grid:
-  - on a uniform grid starting at 0 the increments are stationary
-    fractional Gaussian noise, sampled by Davies-Harte circulant
-    embedding: the autocovariance is embedded in a circulant of twice the
-    size, whose eigenvalues (one real FFT) are nonnegative for every H,
-    and each path is one inverse FFT of 2n scaled normals, O(n log n);
-  - on any other grid, Cholesky of R on the grid (cached up to 4096
-    points), one lower-triangular matvec per path, O(n^3) to factor and
-    O(n^2) per path;
+  - on a uniform grid the increments are stationary fractional Gaussian
+    noise, sampled by Davies-Harte circulant embedding: the
+    autocovariance is embedded in a circulant of twice the size, whose
+    eigenvalues (one real FFT) are nonnegative for every H, and each path
+    is one inverse FFT of 2n scaled normals, O(n log n);
+  - on any other grid, Cholesky of R on the grid, one lower-triangular
+    matvec per path, O(n^3) to factor and O(n^2) per path;
 * discrete Volterra synthesis (``volterra``): B_H(t_i) ~= sum_j K_H(t_i,
   s_j*) dB_j with the square-integrable kernel K_H evaluated at increment
   midpoints, which also powers conditional means given the driving noise.
   The kernel is in closed form: an incomplete Beta function for H < 1/2, a
   Gauss hypergeometric function for H > 1/2.
+
+Every grid starts at 0, where the noise is 0.  Nothing is cached between
+calls: each call builds its eigenvalues, factor or kernel matrix afresh.
 
 Only constant-sigma scenarios are supported: scaling the covariance by a
 constant is exact, while a time-varying volatility has no closed
@@ -29,7 +31,6 @@ covariance here.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +53,9 @@ __all__ = [
     "simulate_fgbm_asset",
 ]
 
-_CACHE_MAX_POINTS = 4096  # factor matrices above this are not retained
-
-_cache_lock = threading.Lock()
-_chol_cache: dict = {}
-_kernel_cache: dict = {}
-
-
 @dataclass(frozen=True)
 class FgbmSpec:
-    """Hurst index, volatility band, and simulation grid."""
+    """Hurst index, volatility band, and simulation grid (starting at 0)."""
 
     hurst: float
     band: UncertaintyBand
@@ -73,8 +67,8 @@ class FgbmSpec:
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 1 or len(g) < 2:
             raise ValueError("grid needs at least two points")
-        if g[0] < 0.0:
-            raise ValueError("grid must start at a nonnegative time")
+        if g[0] != 0.0:
+            raise ValueError("grid must start at 0")
         if np.any(np.diff(g) <= 0.0):
             raise ValueError("grid must be strictly increasing")
 
@@ -166,19 +160,11 @@ def _kernel_matrix(grid: np.ndarray, H: float) -> np.ndarray:
     Midpoints avoid the s -> 0 divergence of the kernel, and s_j* < t_i
     holds on the whole lower triangle.
     """
-    key = (grid.tobytes(), H)
-    with _cache_lock:
-        hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
     mids = 0.5 * (grid[:-1] + grid[1:])
     n = len(mids)
     i, j = np.tril_indices(n)
     K = np.zeros((n, n))
     K[i, j] = _kernel(grid[1:][i], mids[j], H)
-    if n <= _CACHE_MAX_POINTS:
-        with _cache_lock:
-            _kernel_cache[key] = K
     return K
 
 
@@ -193,11 +179,6 @@ def _unit_cholesky(times: np.ndarray, H: float) -> np.ndarray:
     Tiny diagonal regularisation (up to 1e-12 relative) is attempted before
     declaring the matrix numerically indefinite.
     """
-    key = (times.tobytes(), H)
-    with _cache_lock:
-        hit = _chol_cache.get(key)
-    if hit is not None:
-        return hit
     tt = times[:, None]
     ss = times[None, :]
     R = 0.5 * (tt ** (2 * H) + ss ** (2 * H) - np.abs(tt - ss) ** (2 * H))
@@ -214,9 +195,6 @@ def _unit_cholesky(times: np.ndarray, H: float) -> np.ndarray:
         raise NumericalFailure(
             "covariance matrix not positive definite after regularisation",
             n_points=len(times), hurst=H, max_jitter=1e-12)
-    if len(times) <= _CACHE_MAX_POINTS:
-        with _cache_lock:
-            _chol_cache[key] = L
     return L
 
 
@@ -234,10 +212,10 @@ def _scenario_sigma(sigma, band: UncertaintyBand) -> float:
 
 
 def _uniform_step(grid: np.ndarray) -> float | None:
-    """The step of a grid that starts at 0 with equal steps (to 1e-9
-    relative, which round-off in ``linspace`` stays far inside), else None."""
+    """The step of a grid from 0 with equal steps (to 1e-9 relative, which
+    round-off in ``linspace`` stays far inside), else None."""
     dt = grid[-1] / (len(grid) - 1)
-    if grid[0] == 0.0 and np.all(np.abs(np.diff(grid) - dt) <= 1e-9 * dt):
+    if np.all(np.abs(np.diff(grid) - dt) <= 1e-9 * dt):
         return float(dt)
     return None
 
@@ -287,33 +265,21 @@ def _circulant_sample(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _normals_per_path(grid: np.ndarray, method: str) -> int:
     """Standard normals ``simulate_fgbm`` draws per path on ``grid``: 2n on
-    the circulant route, one per sampled time on the others."""
+    the circulant route, one per step on the others."""
     if method == "factorization" and _uniform_step(grid) is not None:
         return 2 * (len(grid) - 1)
-    return len(grid) - 1 if grid[0] == 0.0 else len(grid)
+    return len(grid) - 1
 
 
-def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
-                  method: str = "factorization"):
-    """Fractional noise trajectories under one constant-sigma scenario.
-
-    ``factorization`` (default) samples exactly from the scaled covariance:
-    by circulant embedding (Davies-Harte) when the grid is uniform and
-    starts at 0, by the Cholesky factor of the covariance on the grid
-    otherwise.  ``volterra`` synthesises the paths from ordinary driving
-    increments through the discrete kernel (needs the grid to start at 0).
-    Paths are deterministic per (seed, path index) and start at 0 when the
-    grid does.
-    """
+def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
+                  method: str) -> np.ndarray:
+    """(n_paths, n+1) noise values on ``spec.grid``, row j for path j,
+    column 0 all zeros."""
     if method not in ("factorization", "volterra"):
         raise ValueError(f"unknown method {method!r}")
     sig = _scenario_sigma(sigma, spec.band)
     grid = spec.grid_array
     H = spec.hurst
-
-    starts_at_zero = grid[0] == 0.0
-    if method == "volterra" and not starts_at_zero:
-        raise ValueError("volterra synthesis needs the grid to start at 0")
     dt = _uniform_step(grid)
     z = _draw_normals(seed, n_paths, _normals_per_path(grid, method))
 
@@ -330,16 +296,27 @@ def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
         lam = _circulant_eigenvalues(_fgn_autocovariance(len(grid) - 1, H), H)
         vals = np.cumsum(sig * dt**H * _circulant_sample(z, lam), axis=1)
     else:
-        L = _unit_cholesky(grid[1:] if starts_at_zero else grid, H)
+        L = _unit_cholesky(grid[1:], H)
         vals = np.empty_like(z)
         for j in range(n_paths):
             vals[j] = sig * (L @ z[j])
+    return np.concatenate((np.zeros((n_paths, 1)), vals), axis=1)
 
-    out = []
-    for j in range(n_paths):
-        v = np.concatenate(([0.0], vals[j])) if starts_at_zero else vals[j]
-        out.append(SampledPath(grid, v))
-    return out
+
+def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
+                  method: str = "factorization"):
+    """Fractional noise trajectories under one constant-sigma scenario.
+
+    ``factorization`` (default) samples exactly from the scaled covariance:
+    by circulant embedding (Davies-Harte) when the grid is uniform, by the
+    Cholesky factor of the covariance on the grid otherwise.  ``volterra``
+    synthesises the paths from ordinary driving increments through the
+    discrete kernel.  Paths start at 0 (as the grid does) and are
+    deterministic per (seed, path index).  Nothing is cached between calls.
+    """
+    grid = spec.grid_array
+    return [SampledPath(grid, v)
+            for v in _noise_matrix(spec, sigma, seed, n_paths, method)]
 
 
 def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
@@ -362,21 +339,15 @@ def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
 def simulate_fgbm_asset(spec: FgbmSpec, b, S0: float, sigma, seed: int,
                         n_paths: int):
     """Positive asset paths driven by fractional noise with deterministic
-    drift rate b(t): S_{i+1} = S_i exp(b(t_i) dt + dB_H)."""
+    drift rate b(t): S_{i+1} = S_i exp(b(t_i) dt + dB_H), with the noise
+    ``simulate_fgbm`` samples exactly at the same seed."""
     if not (math.isfinite(S0) and S0 > 0.0):
         raise ValueError(f"S0 must be positive, got {S0!r}")
     grid = spec.grid_array
-    if grid[0] != 0.0:
-        raise ValueError("asset simulation needs the grid to start at 0")
     drift = b if callable(b) else (lambda _t, _b=float(b): _b)
-    noise = simulate_fgbm(spec, sigma, seed, n_paths)
-    dt = np.diff(grid)
-    b_dt = np.array([drift(tl) for tl in grid[:-1]]) * dt
-    out = []
-    for p in noise:
-        log_inc = b_dt + np.diff(p.values)
-        vals = np.empty(len(grid))
-        vals[0] = S0
-        vals[1:] = S0 * np.exp(np.cumsum(log_inc))
-        out.append(SampledPath(grid, vals, positive=True))
-    return out
+    noise = _noise_matrix(spec, sigma, seed, n_paths, "factorization")
+    b_dt = np.array([drift(tl) for tl in grid[:-1]]) * np.diff(grid)
+    vals = np.empty_like(noise)
+    vals[:, 0] = S0
+    vals[:, 1:] = S0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))
+    return [SampledPath(grid, v, positive=True) for v in vals]

@@ -85,11 +85,6 @@ class SampledPath:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def resample(self, new_times) -> "SampledPath":
-        new_times = np.asarray(new_times, dtype=float)
-        vals = np.interp(new_times, self.times, self.values)
-        return SampledPath(new_times, vals, positive=self.positive)
-
 
 @dataclass(frozen=True)
 class ControlProcess:

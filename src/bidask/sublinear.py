@@ -61,14 +61,6 @@ class UncertaintyBand:
         if self.sigma_hi <= 0.0:
             raise ValueError("sigma_hi must be positive (degenerate zero-volatility band)")
 
-    @property
-    def has_vol_uncertainty(self) -> bool:
-        return self.sigma_hi > self.sigma_lo
-
-    @property
-    def has_drift_uncertainty(self) -> bool:
-        return self.mu_hi > self.mu_lo
-
     def contains_sigma(self, sigma) -> bool:
         s = np.asarray(sigma, dtype=float)
         return bool(np.all(s >= self.sigma_lo - 1e-12) and np.all(s <= self.sigma_hi + 1e-12))

@@ -103,6 +103,24 @@ class TestParseConfig:
             "pricing.payoff/pricing.spot_domain: "
             "payoff must be nonnegative on the spot domain"]
 
+    @pytest.mark.parametrize("pricing, fields", [
+        ({"payoff": {"kind": "call"}}, ["pricing.payoff.strike"]),
+        ({"grid": {"n_space": 8, "bogus": 1}},
+         ["pricing.grid.bogus", "pricing.grid.n_space"]),
+        ({"spot_domain": ["a", 1]}, ["pricing.spot_domain"]),
+        ({"spot_domain": [True, 500.0]}, ["pricing.spot_domain"]),
+    ])
+    def test_cps_pricing_errors_name_their_full_path(self, pricing, fields):
+        d = {"payoff": {"kind": "call", "strike": 100.0}, "maturity": 1.0,
+             "spot_domain": [20.0, 500.0]}
+        d.update(pricing)
+        cfg = {"command": "cps",
+               "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               "path_file": "unused.csv", "epsilon": 0.05, "pricing": d}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert [e.split(":")[0] for e in exc.value.errors] == fields
+
     def test_out_of_band_hedge_scenario_names_its_field(self):
         for scenario, field in (({"mu": 0.03, "sigma": 0.5}, "scenario.sigma"),
                                 ({"mu": 0.5, "sigma": 0.2}, "scenario.mu")):
@@ -301,7 +319,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("method, asset, per_path", [
         ("factorization", None, 2 * 64),  # circulant embedding: 2n per path
         ("volterra", None, 64),
-        ("volterra", {"s0": 100.0, "drift": 0.0}, 2 * 64),  # asset samples exactly
+        ("factorization", {"s0": 100.0, "drift": 0.0}, 2 * 64),
     ])
     def test_fgbm_counts_the_normals_it_draws(self, method, asset, per_path):
         cfg = {"command": "fgbm", "seed": 5,
@@ -310,6 +328,15 @@ class TestCommandLine:
                "n_paths": 3, "method": method, "asset": asset}
         report = run(parse_config(json.dumps(cfg)))
         assert report.timing["rng_normal_draws"] == 3 * per_path
+
+    def test_fgbm_rejects_volterra_for_asset_paths(self):
+        cfg = {"command": "fgbm", "seed": 5,
+               "band": {"mu_lo": 0.0, "mu_hi": 0.0, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               "hurst": 0.7, "sigma": 0.2, "horizon": 1.0, "n_steps": 64,
+               "n_paths": 3, "method": "volterra", "asset": {"s0": 100.0}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert [e.split(":")[0] for e in exc.value.errors] == ["method"]
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         f = tmp_path / "cfg.json"

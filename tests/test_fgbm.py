@@ -168,9 +168,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FgbmSpec(0.7, BAND, (0.0, 1.0, 0.5))
 
-    def test_grid_nonnegative(self):
-        with pytest.raises(ValueError):
-            FgbmSpec(0.7, BAND, (-0.5, 1.0))
+    @pytest.mark.parametrize("grid", [(-0.5, 1.0), (0.5, 1.0, 1.5)])
+    def test_grid_starts_at_zero(self, grid):
+        with pytest.raises(ValueError, match="start at 0"):
+            FgbmSpec(0.7, BAND, grid)
 
 
 class TestSimulation:
@@ -388,6 +389,22 @@ class TestFractionalAsset:
         assert abs(logs.mean()) < 3 * logs.std() / math.sqrt(logs.size)
         var = logs.var(ddof=1)
         assert var == pytest.approx(0.04 * dt, rel=0.05)
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0, 1, 65),
+        np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.1, 12)))),
+    ])
+    @pytest.mark.parametrize("b", [0.03, lambda t: 0.1 * t - 0.02])
+    def test_exponentiates_the_noise_simulate_fgbm_draws(self, grid, b):
+        spec = FgbmSpec(0.7, BAND, tuple(grid))
+        noise = np.array([p.values for p in simulate_fgbm(spec, 0.2, seed=7, n_paths=6)])
+        drift = b if callable(b) else (lambda _t: b)
+        b_dt = np.array([drift(t) for t in grid[:-1]]) * np.diff(grid)
+        want = 100.0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))
+        got = np.array([p.values for p in
+                        simulate_fgbm_asset(spec, b, 100.0, 0.2, seed=7, n_paths=6)])
+        assert np.all(got[:, 0] == 100.0)
+        assert np.array_equal(got[:, 1:], want)
 
     def test_positivity(self):
         spec = FgbmSpec(0.3, BAND, tuple(np.linspace(0, 1, 65)))
