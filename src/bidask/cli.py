@@ -448,10 +448,16 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                     "paths_out": paths_out})
 
     elif cmd == "fgbm":
+        def in_band(v):
+            if v < 0:
+                return "must be nonnegative"
+            if band is not None and not band.contains_sigma(v):
+                return f"{v:g} is outside the band [{band.sigma_lo:g}, {band.sigma_hi:g}]"
+            return None
+
         hurst = r.get(cfg, "hurst", "", required=True, kind=float,
                       check=lambda v: None if 0 < v < 1 else "must lie in (0, 1)")
-        sigma = r.get(cfg, "sigma", "", required=True, kind=float,
-                      check=lambda v: None if v >= 0 else "must be nonnegative")
+        sigma = r.get(cfg, "sigma", "", required=True, kind=float, check=in_band)
         horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=pos)
         n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=pos_int)
         n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=pos_int)
@@ -678,7 +684,7 @@ def _run_capacity(eff, built):
     cap = estimate_tube_capacity(center, eff["eta"], built["band"], controls,
                                  eff["seed"], eff["n_paths"])
     outputs = {"capacity": cap, "eta": eff["eta"], "n_controls": len(controls)}
-    timing = {"rng_normal_draws": eff["n_paths"] * (len(center) - 1) * len(controls)}
+    timing = {"rng_normal_draws": eff["n_paths"] * (len(center) - 1)}
     return outputs, timing
 
 

@@ -7,25 +7,29 @@ optionally, the state-feedback rule read off a solved price surface).
 Under one scenario everything is ordinary Ito calculus: driving noise has
 independent centered Gaussian increments with variance sigma_i^2 dt, asset
 paths use the exact-per-step lognormal scheme, and the deflator discounts
-at the riskless rate while removing the scenario's risk premium.
+at the riskless rate while removing the scenario's risk premium.  For a
+time-based control both log S_T and the deflator exponent are linear in
+the path's normals, so Monte Carlo prices such a control from those two
+terminal statistics without building its paths.
 
 Randomness: one named splittable generator (Philox keyed by the seed),
 with path j drawing from counter block j << 128.  Path j's values depend
 only on (seed, j), so growing n_paths or splitting a batch across workers
-never changes existing paths.
+never changes existing paths.  A call that compares a control family
+(``mc_ask_bid``, ``estimate_tube_capacity``) draws the normals once and
+runs every control on them: common random numbers.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainExitError, SingularControlError
-from .pde import PriceSurface, PricingProblem
+from .pde import PriceSurface, PricingProblem, _text_stream
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -158,9 +162,10 @@ class BangBangRule:
     """State-feedback scenario read off a solved price surface.
 
     Volatility switches between the band ends on the sign of the surface's
-    discrete convexity at (t, x); the drift is a constant inside the band.
-    Usable wherever a ControlProcess is (simulation looks levels up per
-    step).
+    discrete convexity at (t, x), read at the surface's last time row at or
+    before t and its node nearest x; the drift is a constant inside the
+    band.  Usable wherever a ControlProcess is (simulation steps forward in
+    time, reading the volatility off a per-row table).
     """
 
     times: np.ndarray
@@ -172,17 +177,23 @@ class BangBangRule:
     label: str
 
     def sigma_state(self, t: float, s):
-        ti = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                         0, len(self.times) - 1))
-        j = np.clip(np.searchsorted(self.nodes, np.asarray(s, dtype=float)),
-                    1, len(self.nodes) - 1)
-        left_closer = (np.asarray(s) - self.nodes[j - 1]) < (self.nodes[j] - np.asarray(s))
-        j = np.where(left_closer, j - 1, j)
-        sg = self.sign_matrix[ti, j]
+        sg = self.sign_matrix[self._row(t), _nearest_node(self.nodes, s)]
         return np.where(sg > 0, self.sigma_on_convex, self.sigma_on_concave)
 
     def mu_state(self, t: float, s):
         return np.full(np.shape(np.asarray(s)), self.mu_value)
+
+    def _row(self, t):
+        """Surface time row in force at t: the last one at or before it."""
+        return np.clip(np.searchsorted(self.times, t, side="right") - 1,
+                       0, len(self.times) - 1)
+
+
+def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
+    """Index of the node nearest each value of s; a tie goes to the right."""
+    s = np.asarray(s, dtype=float)
+    j = np.clip(np.searchsorted(nodes, s), 1, len(nodes) - 1)
+    return np.where((s - nodes[j - 1]) < (nodes[j] - s), j - 1, j)
 
 
 def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = None) -> BangBangRule:
@@ -256,7 +267,7 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
         hi = min(lo + _RNG_BLOCK, n_paths)
         # a partial block is a row prefix of the full one: draws are
         # consumed row-major, so requesting fewer rows changes nothing
-        z[lo:hi] = _block_rng(seed, block).standard_normal((hi - lo, n_steps))
+        _block_rng(seed, block).standard_normal(out=z[lo:hi])
     return z
 
 
@@ -324,30 +335,36 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
 
 
 def _scenario_paths(control, S0, grid, seed, n_paths, band=None):
-    """Asset matrix (n_paths, n_grid), driving increments, per-step sigma/mu.
+    """Asset matrix (n_paths, n_grid), driving increments, per-step sigma/mu."""
+    return _paths_from_normals(control, S0, grid,
+                               _draw_normals(seed, n_paths, len(grid) - 1), band)
 
-    Handles both time-based controls (fully vectorised) and state-feedback
-    rules (per-step lookup of the volatility).
+
+def _paths_from_normals(control, S0, grid, z, band=None):
+    """``_scenario_paths`` on given normals z of shape (n_paths, n_steps).
+
+    Time-based controls are fully vectorised; a bang-bang rule steps
+    forward in time, reading each step's volatility off its table.
     """
     dt = np.diff(grid)
-    n_steps = len(dt)
-    z = _draw_normals(seed, n_paths, n_steps)
+    n_paths, n_steps = z.shape
 
     if hasattr(control, "sigma_state"):
-        S = np.empty((n_paths, n_steps + 1))
-        S[:, 0] = S0
-        dB = np.empty((n_paths, n_steps))
-        sig_used = np.empty((n_paths, n_steps))
-        mu_used = np.empty((n_paths, n_steps))
+        rows = control._row(grid[:-1])
+        table = np.where(control.sign_matrix > 0, control.sigma_on_convex,
+                         control.sigma_on_concave)
+        mu = control.mu_value
+        # time-major, so every step reads and writes contiguous rows
+        S = np.empty((n_steps + 1, n_paths))
+        S[0] = S0
+        dB = np.empty((n_steps, n_paths))
+        sig_used = np.empty((n_steps, n_paths))
         for i in range(n_steps):
-            s = S[:, i]
-            sg = np.asarray(control.sigma_state(grid[i], s), dtype=float)
-            mu = np.asarray(control.mu_state(grid[i], s), dtype=float)
-            dB[:, i] = sg * math.sqrt(dt[i]) * z[:, i]
-            S[:, i + 1] = s * np.exp((mu - 0.5 * sg * sg) * dt[i] + dB[:, i])
-            sig_used[:, i] = sg
-            mu_used[:, i] = mu
-        return S, dB, sig_used, mu_used
+            sg = table[rows[i]][_nearest_node(control.nodes, S[i])]
+            dB[i] = sg * math.sqrt(dt[i]) * z[:, i]
+            S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i] + dB[i])
+            sig_used[i] = sg
+        return S.T, dB.T, sig_used.T, np.broadcast_to(mu, (n_paths, n_steps))
 
     _check_control(control, grid, band)
     sig, mu = _step_levels(control, grid)
@@ -376,16 +393,19 @@ def _deflator_log_terms(dB, sig, mu, dt, r):
     riskless-drift value).  A zero-volatility step with nonzero premium
     cannot be deflated.
     """
-    theta = mu - r
     sig = np.broadcast_to(sig, np.shape(dB))
-    theta = np.broadcast_to(theta, np.shape(dB))
+    lam = _market_price_of_risk(np.broadcast_to(mu - r, np.shape(dB)), sig)
+    dw = np.divide(dB, sig, out=np.zeros(np.shape(dB)), where=sig != 0.0)
+    return lam * dw + 0.5 * lam * lam * dt
+
+
+def _market_price_of_risk(theta, sig):
+    """lambda = theta / sigma, and 0 where sigma = 0 and theta = 0."""
     zero_sig = sig == 0.0
     if np.any(zero_sig & (theta != 0.0)):
         raise SingularControlError(
             "zero volatility with nonzero risk premium: theta/sigma undefined")
-    lam = np.divide(theta, sig, out=np.zeros(np.shape(dB)), where=~zero_sig)
-    dw = np.divide(dB, sig, out=np.zeros(np.shape(dB)), where=~zero_sig)
-    return lam * dw + 0.5 * lam * lam * dt
+    return np.divide(theta, sig, out=np.zeros(np.shape(sig)), where=~zero_sig)
 
 
 def deflator_path(control: ControlProcess, r: float, grid,
@@ -418,8 +438,13 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
 
     Each control yields an estimate of E[H_T payoff(S_T)] (deflated claim
     under that scenario); the ask is the largest estimate over the family
-    and the bid the smallest.  All controls reuse the same per-path
-    streams, so the comparison is common-random-numbers.
+    and the bid the smallest.  The normals are drawn once per call and
+    every control runs on them, so the comparison is common-random-numbers.
+    A time-based control is priced from two terminal statistics, both
+    linear in the normals z: log S_T = log S_0 + sum (mu - sigma^2/2) dt +
+    z . sigma sqrt(dt), and the deflator exponent r T + z . lambda sqrt(dt)
+    + sum lambda^2 dt / 2; one matrix product gives both for the whole
+    family.  A state-feedback rule is simulated step by step.
     """
     controls = list(controls)
     if not controls:
@@ -430,13 +455,34 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     dt = np.diff(grid)
     r = problem.rate
 
+    # each time-based control owns two statistics, log(S_T / S_0) and then
+    # the deflator exponent, each a z-weight vector plus an offset
+    column, weights, offsets = {}, [], []
+    for idx, control in enumerate(controls):
+        if hasattr(control, "sigma_state"):
+            continue
+        _check_control(control, grid, problem.band)
+        sig, mu = _step_levels(control, grid)
+        lam = _market_price_of_risk(mu - r, sig)
+        column[idx] = len(weights)
+        weights += [sig * np.sqrt(dt), lam * np.sqrt(dt)]
+        offsets += [np.sum((mu - 0.5 * sig * sig) * dt),
+                    r * grid[-1] + 0.5 * np.sum(lam * lam * dt)]
+
+    z = _draw_normals(seed, n_paths, len(dt))
+    stats = z @ np.reshape(weights, (len(weights), len(dt))).T + offsets
     estimates = []
     for idx, control in enumerate(controls):
-        S, dB, sig, mu = _scenario_paths(control, spot, grid, seed, n_paths,
-                                         band=problem.band)
-        terms = _deflator_log_terms(dB, sig, mu, dt, r)
-        h_T = np.exp(-(r * grid[-1] + np.sum(terms, axis=1)))
-        y = h_T * np.asarray(problem.payoff(S[:, -1]))
+        if idx in column:
+            col = column[idx]
+            s_T = spot * np.exp(stats[:, col])
+            h_T = np.exp(-stats[:, col + 1])
+        else:
+            S, dB, sig, mu = _paths_from_normals(control, spot, grid, z)
+            terms = _deflator_log_terms(dB, sig, mu, dt, r)
+            s_T = S[:, -1]
+            h_T = np.exp(-(r * grid[-1] + np.sum(terms, axis=1)))
+        y = h_T * np.asarray(problem.payoff(s_T))
         value = float(np.mean(y))
         se = float(np.std(y, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         label = getattr(control, "label", None) or f"control_{idx}"
@@ -457,8 +503,9 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     """Monte Carlo lower bound for the capacity of the eta-tube around a path.
 
     For each control the asset is simulated from the center's starting
-    value on the center's grid; the estimate is the largest fraction of
-    paths with sup_t |S_t - center_t| < eta over the control family.
+    value on the center's grid, every control on the same normals; the
+    estimate is the largest fraction of paths with sup_t |S_t - center_t|
+    < eta over the control family.
     """
     controls = list(controls)
     if not controls:
@@ -469,9 +516,10 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
         return 0.0
     grid = center.times
     S0 = float(center.values[0])
+    z = _draw_normals(seed, n_paths, len(grid) - 1)
     best = 0.0
     for control in controls:
-        S, _, _, _ = _scenario_paths(control, S0, grid, seed, n_paths, band=band)
+        S, _, _, _ = _paths_from_normals(control, S0, grid, z, band)
         inside = np.all(np.abs(S - center.values[None, :]) < eta, axis=1)
         best = max(best, float(np.mean(inside)))
     return best
@@ -705,16 +753,6 @@ def _self_financing_wealth(times, S, theta, r, y0):
 # ---------------------------------------------------------------------------
 # Path file I/O
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def _text_stream(target, mode: str):
-    """``target`` opened in ``mode`` when it is a path, else the open file itself."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, mode, encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield target
 
 
 def write_path_file(path: SampledPath, dest) -> None:

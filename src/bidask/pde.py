@@ -33,6 +33,7 @@ pricing PDEs, so u(boundary) = slope*x + intercept*exp(-r tau).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -530,16 +531,19 @@ def black_scholes_closed_form(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _text_stream(target, mode: str):
+    """``target`` opened in ``mode`` when it is a path, else the open file itself."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def write_surface_file(surface: PriceSurface, dest) -> None:
     """Matrix text format: header row of space nodes, first column of times."""
-
-    def _write(fh):
+    with _text_stream(dest, "w") as fh:
         fh.write("time\\space," + ",".join(format(v, ".12g") for v in surface.space_nodes) + "\n")
         for t, row in zip(surface.times, surface.values):
             fh.write(format(t, ".12g") + "," + ",".join(format(v, ".12g") for v in row) + "\n")
-
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(dest)

@@ -338,6 +338,25 @@ class TestCommandLine:
             parse_config(json.dumps(cfg))
         assert [e.split(":")[0] for e in exc.value.errors] == ["method"]
 
+    def test_fgbm_sigma_outside_the_band_names_its_field(self):
+        cfg = {"command": "fgbm", "seed": 5,
+               "band": {"mu_lo": 0.0, "mu_hi": 0.0, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               "hurst": 0.7, "sigma": 0.9, "horizon": 1.0, "n_steps": 64}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert [e.split(":")[0] for e in exc.value.errors] == ["sigma"]
+        assert "outside the band" in exc.value.errors[0]
+
+    def test_capacity_counts_the_normals_it_draws(self):
+        # one draw serves the whole control family
+        cfg = {"command": "capacity", "seed": 2,
+               "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               "center_file": str(sample_path_file()), "eta": 5.0, "n_paths": 30}
+        report = run(parse_config(json.dumps(cfg)))
+        n_points = len(bidask.read_path_file(sample_path_file()))
+        assert report.outputs["n_controls"] == 27
+        assert report.timing["rng_normal_draws"] == 30 * (n_points - 1)
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(price_config(unknown=1)))

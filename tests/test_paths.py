@@ -10,6 +10,7 @@ from bidask import (
     ControlProcess,
     DomainExitError,
     GridSpec,
+    McEstimate,
     PricingProblem,
     SampledPath,
     ScalarFunctionSpec,
@@ -32,6 +33,7 @@ from bidask import (
     write_ensemble_file,
     write_path_file,
 )
+from bidask import paths as paths_mod
 
 BAND = UncertaintyBand(0.01, 0.05, 0.1, 0.3)
 GRID = np.linspace(0.0, 1.0, 257)
@@ -494,3 +496,149 @@ class TestPathFiles:
         b = SampledPath(grid_of(8), np.ones(9))
         with pytest.raises(ValueError, match="time grid"):
             write_ensemble_file([a, b], tmp_path / "x.csv")
+
+
+def butterfly_problem():
+    bfly = ScalarFunctionSpec.piecewise_linear(
+        [(60.0, 0.0), (80.0, 0.0), (100.0, 20.0), (120.0, 0.0), (140.0, 0.0)])
+    return make_problem(BAND, payoff=bfly)
+
+
+def butterfly_rule():
+    # on the butterfly the rule switches volatility; a call pins sigma_hi
+    return bang_bang_control_from_surface(solve_bsb_ask(butterfly_problem(),
+                                                        GridSpec(200, 200)))
+
+
+class TestTerminalStatistics:
+    """Time-based controls priced from log S_T and the deflator exponent."""
+
+    @staticmethod
+    def full_path_estimate(prob, control, grid, seed, n_paths):
+        # the full-path route: every path, every deflator term, last column
+        S, dB, sig, mu = paths_mod._scenario_paths(control, 100.0, grid, seed, n_paths,
+                                                   band=prob.band)
+        terms = paths_mod._deflator_log_terms(dB, sig, mu, np.diff(grid), prob.rate)
+        h_T = np.exp(-(prob.rate * grid[-1] + np.sum(terms, axis=1)))
+        y = h_T * prob.payoff(S[:, -1])
+        return float(np.mean(y)), float(np.std(y, ddof=1) / math.sqrt(n_paths))
+
+    @pytest.mark.parametrize("control, band", [
+        (ControlProcess.constant(0.05, 0.2), BAND),  # mu = r
+        (ControlProcess((0.0, 0.25, 0.625), (0.1, 0.3, 0.2), (0.05, 0.05, 0.05)), BAND),
+        (ControlProcess((0.0, 0.5), (0.3, 0.1), (0.01, 0.03)), BAND),  # mu != r
+        (ControlProcess.constant(0.01, 0.3), BAND),  # mu != r
+        (ControlProcess.constant(0.05, 0.0), UncertaintyBand(0.0, 0.05, 0.0, 0.3)),
+    ])
+    def test_matches_the_full_path_estimate(self, control, band):
+        prob = make_problem(band)
+        grid = grid_of(64)
+        est, _ = mc_ask_bid(prob, [control], grid, seed=19, spot=100.0, n_paths=3000)
+        value, se = self.full_path_estimate(prob, control, grid, 19, 3000)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=1e-15)
+
+    def test_zero_volatility_with_premium_is_singular(self):
+        band = UncertaintyBand(0.0, 0.05, 0.0, 0.3)
+        family = [ControlProcess.constant(0.05, 0.2), ControlProcess.constant(0.01, 0.0)]
+        with pytest.raises(SingularControlError):
+            mc_ask_bid(make_problem(band), family, grid_of(32), seed=0, spot=100.0,
+                       n_paths=10)
+
+    def test_misaligned_breakpoint_rejected(self):
+        family = [ControlProcess.constant(0.05, 0.2),
+                  ControlProcess((0.0, 0.3), (0.1, 0.3), (0.05, 0.05))]
+        with pytest.raises(ValueError, match="aligned"):
+            mc_ask_bid(make_problem(BAND), family, grid_of(32), seed=0, spot=100.0,
+                       n_paths=10)
+
+    def test_rule_in_a_mixed_family_prices_as_alone(self, monkeypatch):
+        rule = butterfly_rule()
+        family = [ControlProcess.constant(0.05, 0.1), rule,
+                  ControlProcess.constant(0.01, 0.3)]
+        made = []
+
+        def record(*args):
+            made.append(McEstimate(*args))
+            return made[-1]
+
+        monkeypatch.setattr(paths_mod, "McEstimate", record)
+        args = (butterfly_problem(), family, grid_of(64), 23, 100.0, 4000)
+        mc_ask_bid(*args)
+        in_family = made[1]
+        made.clear()
+        mc_ask_bid(args[0], [rule], *args[2:])
+        assert in_family.control_id == rule.label
+        assert in_family.value == made[0].value
+        assert in_family.std_error == made[0].std_error
+
+
+class TestTableDrivenAdversary:
+    def test_paths_match_a_per_step_sigma_state_loop(self):
+        rule = butterfly_rule()
+        grid = grid_of(173)  # steps fall between the surface's time rows
+        n_paths, S0 = 600, 100.0
+        S, dB, sig, mu = paths_mod._scenario_paths(rule, S0, grid, seed=31,
+                                                   n_paths=n_paths)
+        z = paths_mod._draw_normals(31, n_paths, len(grid) - 1)
+        dt = np.diff(grid)
+        ref_S = np.empty((n_paths, len(grid)))
+        ref_S[:, 0] = S0
+        ref = {k: np.empty((n_paths, len(dt))) for k in ("dB", "sig", "mu")}
+        for i in range(len(dt)):
+            s = ref_S[:, i]
+            sg = rule.sigma_state(grid[i], s)
+            m = rule.mu_state(grid[i], s)
+            ref["dB"][:, i] = sg * math.sqrt(dt[i]) * z[:, i]
+            ref_S[:, i + 1] = s * np.exp((m - 0.5 * sg * sg) * dt[i] + ref["dB"][:, i])
+            ref["sig"][:, i] = sg
+            ref["mu"][:, i] = m
+        assert np.array_equal(S, ref_S)
+        assert np.array_equal(dB, ref["dB"])
+        assert np.array_equal(sig, ref["sig"])
+        assert np.array_equal(mu, ref["mu"])
+        # the rule switches: both band ends are used
+        share_lo = float(np.mean(sig == BAND.sigma_lo))
+        assert 0.5 < share_lo < 0.95
+        assert np.all((sig == BAND.sigma_lo) | (sig == BAND.sigma_hi))
+
+    def test_nearest_node_ties_go_right(self):
+        nodes = np.array([1.0, 2.0, 4.0])
+        got = paths_mod._nearest_node(nodes, [0.0, 1.4, 1.5, 3.0, 3.1, 9.0])
+        assert got.tolist() == [0, 0, 1, 2, 2, 2]
+
+
+class TestOneDrawPerFamily:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        real = paths_mod._draw_normals
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(paths_mod, "_draw_normals", counted)
+        return calls
+
+    def test_mc_ask_bid_draws_once(self, draws):
+        family = default_control_family(BAND) + [butterfly_rule()]
+        mc_ask_bid(butterfly_problem(), family, grid_of(32), seed=4, spot=100.0,
+                   n_paths=200)
+        assert draws == [(4, 200, 32)]
+
+    def test_tube_capacity_draws_once(self, draws):
+        center = SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)),
+                             positive=True)
+        family = default_control_family(BAND)[:4] + [butterfly_rule()]
+        estimate_tube_capacity(center, 5.0, BAND, family, seed=6, n_paths=300)
+        assert draws == [(6, 300, 64)]
+
+    def test_family_capacity_is_the_best_single_control(self):
+        center = SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)),
+                             positive=True)
+        family = default_control_family(BAND) + [butterfly_rule()]
+        alone = [estimate_tube_capacity(center, 6.0, BAND, [c], seed=8, n_paths=400)
+                 for c in family]
+        assert estimate_tube_capacity(center, 6.0, BAND, family, seed=8,
+                                      n_paths=400) == max(alone)

@@ -338,3 +338,13 @@ class TestSurfaceLookup:
         assert float(row[0]) == pytest.approx(ask.times[-1])
         got = np.array([float(v) for v in row[1:]])
         assert np.allclose(got, ask.values[-1], rtol=1e-11)
+
+    def test_surface_file_written_to_a_path_matches_the_buffer(self, tmp_path):
+        ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(32, 16))
+        buf = io.StringIO()
+        write_surface_file(ask, buf)
+        dest = tmp_path / "surface.csv"
+        write_surface_file(ask, dest)
+        assert dest.read_text(encoding="utf-8") == buf.getvalue()
+        write_surface_file(ask, str(dest))
+        assert dest.read_text(encoding="utf-8") == buf.getvalue()
