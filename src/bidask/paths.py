@@ -343,13 +343,13 @@ def _scenario_paths(control, S0, grid, seed, n_paths, band=None):
 def _paths_from_normals(control, S0, grid, z, band=None):
     """``_scenario_paths`` on given normals z of shape (n_paths, n_steps).
 
-    Time-based controls are fully vectorised; a bang-bang rule steps
-    forward in time, reading each step's volatility off its table.
+    Time-based controls are fully vectorised; a BangBangRule steps forward
+    in time, reading each step's volatility off its table.
     """
     dt = np.diff(grid)
     n_paths, n_steps = z.shape
 
-    if hasattr(control, "sigma_state"):
+    if isinstance(control, BangBangRule):
         rows = control._row(grid[:-1])
         table = np.where(control.sign_matrix > 0, control.sigma_on_convex,
                          control.sigma_on_concave)
@@ -443,8 +443,7 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     A time-based control is priced from two terminal statistics, both
     linear in the normals z: log S_T = log S_0 + sum (mu - sigma^2/2) dt +
     z . sigma sqrt(dt), and the deflator exponent r T + z . lambda sqrt(dt)
-    + sum lambda^2 dt / 2; one matrix product gives both for the whole
-    family.  A state-feedback rule is simulated step by step.
+    + sum lambda^2 dt / 2.  A BangBangRule is simulated step by step.
     """
     controls = list(controls)
     if not controls:
@@ -453,35 +452,24 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     if abs(grid[-1] - problem.maturity) > 1e-9 * max(1.0, problem.maturity):
         raise ValueError("time grid must end at the claim maturity")
     dt = np.diff(grid)
+    sqrt_dt = np.sqrt(dt)
     r = problem.rate
 
-    # each time-based control owns two statistics, log(S_T / S_0) and then
-    # the deflator exponent, each a z-weight vector plus an offset
-    column, weights, offsets = {}, [], []
-    for idx, control in enumerate(controls):
-        if hasattr(control, "sigma_state"):
-            continue
-        _check_control(control, grid, problem.band)
-        sig, mu = _step_levels(control, grid)
-        lam = _market_price_of_risk(mu - r, sig)
-        column[idx] = len(weights)
-        weights += [sig * np.sqrt(dt), lam * np.sqrt(dt)]
-        offsets += [np.sum((mu - 0.5 * sig * sig) * dt),
-                    r * grid[-1] + 0.5 * np.sum(lam * lam * dt)]
-
     z = _draw_normals(seed, n_paths, len(dt))
-    stats = z @ np.reshape(weights, (len(weights), len(dt))).T + offsets
     estimates = []
     for idx, control in enumerate(controls):
-        if idx in column:
-            col = column[idx]
-            s_T = spot * np.exp(stats[:, col])
-            h_T = np.exp(-stats[:, col + 1])
-        else:
+        if isinstance(control, BangBangRule):
             S, dB, sig, mu = _paths_from_normals(control, spot, grid, z)
             terms = _deflator_log_terms(dB, sig, mu, dt, r)
             s_T = S[:, -1]
             h_T = np.exp(-(r * grid[-1] + np.sum(terms, axis=1)))
+        else:
+            _check_control(control, grid, problem.band)
+            sig, mu = _step_levels(control, grid)
+            lam = _market_price_of_risk(mu - r, sig)
+            s_T = spot * np.exp(np.sum((mu - 0.5 * sig * sig) * dt) + z @ (sig * sqrt_dt))
+            h_T = np.exp(-(r * grid[-1] + 0.5 * np.sum(lam * lam * dt)
+                           + z @ (lam * sqrt_dt)))
         y = h_T * np.asarray(problem.payoff(s_T))
         value = float(np.mean(y))
         se = float(np.std(y, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
