@@ -43,6 +43,7 @@ from .paths import (
     HedgeReport,
     HolderEstimate,
     McEstimate,
+    PathEnsemble,
     SampledPath,
     bang_bang_control_from_surface,
     default_control_family,

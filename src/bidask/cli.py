@@ -572,7 +572,7 @@ def _run_simulate(eff, built):
     grid = np.linspace(0.0, eff["horizon"], eff["n_steps"] + 1)
     paths = simulate_asset_paths(built["control"], eff["s0"], grid, eff["seed"],
                                  eff["n_paths"], band=built["band"])
-    terminal = np.array([p.values[-1] for p in paths])
+    terminal = paths.values[:, -1]
     outputs = {
         "n_paths": len(paths),
         "terminal_mean": float(terminal.mean()),
@@ -598,7 +598,7 @@ def _run_fgbm(eff, built):
     else:
         paths = simulate_fgbm(spec, eff["sigma"], eff["seed"], eff["n_paths"],
                               method=method)
-    terminal = np.array([p.values[-1] for p in paths])
+    terminal = paths.values[:, -1]
     outputs = {
         "n_paths": len(paths),
         "hurst": eff["hurst"],

@@ -40,7 +40,7 @@ from scipy.special import betainc as _betainc
 from scipy.special import hyp2f1 as _hyp2f1
 
 from .errors import NumericalFailure
-from .paths import SampledPath, _draw_normals
+from .paths import PathEnsemble, _as_grid, _draw_normals
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -64,13 +64,7 @@ class FgbmSpec:
     def __post_init__(self):
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"Hurst index must lie in (0, 1), got {self.hurst!r}")
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or len(g) < 2:
-            raise ValueError("grid needs at least two points")
-        if g[0] != 0.0:
-            raise ValueError("grid must start at 0")
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
+        _as_grid(self.grid)
 
     @property
     def grid_array(self) -> np.ndarray:
@@ -304,8 +298,9 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
 
 
 def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
-                  method: str = "factorization"):
-    """Fractional noise trajectories under one constant-sigma scenario.
+                  method: str = "factorization") -> PathEnsemble:
+    """Fractional noise trajectories under one constant-sigma scenario, as a
+    PathEnsemble.
 
     ``factorization`` (default) samples exactly from the scaled covariance:
     by circulant embedding (Davies-Harte) when the grid is uniform, by the
@@ -314,9 +309,7 @@ def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     discrete kernel.  Paths start at 0 (as the grid does) and are
     deterministic per (seed, path index).  Nothing is cached between calls.
     """
-    grid = spec.grid_array
-    return [SampledPath(grid, v)
-            for v in _noise_matrix(spec, sigma, seed, n_paths, method)]
+    return PathEnsemble(spec.grid_array, _noise_matrix(spec, sigma, seed, n_paths, method))
 
 
 def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
@@ -337,10 +330,10 @@ def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
 
 
 def simulate_fgbm_asset(spec: FgbmSpec, b, S0: float, sigma, seed: int,
-                        n_paths: int):
+                        n_paths: int) -> PathEnsemble:
     """Positive asset paths driven by fractional noise with deterministic
-    drift rate b(t): S_{i+1} = S_i exp(b(t_i) dt + dB_H), with the noise
-    ``simulate_fgbm`` samples exactly at the same seed."""
+    drift rate b(t), as a PathEnsemble: S_{i+1} = S_i exp(b(t_i) dt + dB_H),
+    with the noise ``simulate_fgbm`` samples exactly at the same seed."""
     if not (math.isfinite(S0) and S0 > 0.0):
         raise ValueError(f"S0 must be positive, got {S0!r}")
     grid = spec.grid_array
@@ -350,4 +343,4 @@ def simulate_fgbm_asset(spec: FgbmSpec, b, S0: float, sigma, seed: int,
     vals = np.empty_like(noise)
     vals[:, 0] = S0
     vals[:, 1:] = S0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))
-    return [SampledPath(grid, v, positive=True) for v in vals]
+    return PathEnsemble(grid, vals, positive=True)

@@ -18,11 +18,15 @@ only on (seed, j), so growing n_paths or splitting a batch across workers
 never changes existing paths.  A call that compares a control family
 (``mc_ask_bid``, ``estimate_tube_capacity``) draws the normals once and
 runs every control on them: common random numbers.
+
+Every simulator returns a ``PathEnsemble``, one matrix of paths on one
+grid.  A ``BangBangRule`` holds a table of the band end it picks.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +38,7 @@ from .sublinear import UncertaintyBand
 
 __all__ = [
     "SampledPath",
+    "PathEnsemble",
     "ControlProcess",
     "McEstimate",
     "BangBangRule",
@@ -62,6 +67,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _checked_path(times, values, positive: bool, ndim: int):
+    """Float times and values of one path (ndim 1) or one per row (ndim 2)."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or values.ndim != ndim or values.shape[-1] != len(times):
+        raise ValueError(f"times must be 1-d and values {ndim}-d, one value per time")
+    if len(times) < 1 or times[0] != 0.0:
+        raise ValueError("time grid must start at 0")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("time grid must be strictly increasing")
+    if positive and np.any(values <= 0.0):
+        raise ValueError("positive path has nonpositive values")
+    return times, values
+
+
 @dataclass
 class SampledPath:
     """A trajectory on a strictly increasing time grid starting at 0."""
@@ -71,16 +91,7 @@ class SampledPath:
     positive: bool = False
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if len(self.times) < 1 or self.times[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("time grid must be strictly increasing")
-        if self.positive and np.any(self.values <= 0.0):
-            raise ValueError("positive path has nonpositive values")
+        self.times, self.values = _checked_path(self.times, self.values, self.positive, 1)
 
     def __len__(self):
         return len(self.times)
@@ -88,6 +99,26 @@ class SampledPath:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
+
+
+class PathEnsemble(Sequence):
+    """Paths on one time grid, held as one (n_paths, n+1) matrix ``values``
+    and checked once.  ``[j]`` and iteration give unchecked ``SampledPath``
+    views of row j; a slice gives a ``PathEnsemble``."""
+
+    def __init__(self, times, values, positive: bool = False):
+        self.times, self.values = _checked_path(times, values, positive, 2)
+        self.positive = positive
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return PathEnsemble(self.times, self.values[j], self.positive)
+        path = object.__new__(SampledPath)  # a view: the grid is checked
+        path.times, path.values, path.positive = self.times, self.values[j], self.positive
+        return path
 
 
 @dataclass(frozen=True)
@@ -133,14 +164,16 @@ class ControlProcess:
         return cls((0.0,), (float(sigma),), (float(mu),), band=band, label=label)
 
     def sigma_at(self, t):
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                      0, len(self.breakpoints) - 1)
-        return np.asarray(self.sigma_levels, dtype=float)[idx]
+        return np.asarray(self.sigma_levels, dtype=float)[_in_force(self.breakpoints, t)]
 
     def mu_at(self, t):
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                      0, len(self.breakpoints) - 1)
-        return np.asarray(self.mu_levels, dtype=float)[idx]
+        return np.asarray(self.mu_levels, dtype=float)[_in_force(self.breakpoints, t)]
+
+
+def _in_force(starts, t):
+    """Index of the last of the increasing ``starts`` at or before each t
+    (the first one for t before them all)."""
+    return np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
 
 
 @dataclass(frozen=True)
@@ -161,32 +194,24 @@ class McEstimate:
 class BangBangRule:
     """State-feedback scenario read off a solved price surface.
 
-    Volatility switches between the band ends on the sign of the surface's
-    discrete convexity at (t, x), read at the surface's last time row at or
-    before t and its node nearest x; the drift is a constant inside the
-    band.  Usable wherever a ControlProcess is (simulation steps forward in
-    time, reading the volatility off a per-row table).
+    ``sigma_table[i, j]`` is the band end the rule picks at the surface's
+    time row i and node j.  At (t, x) the volatility is read at the last
+    row at or before t and the node nearest x; the drift is a constant
+    inside the band.  Usable wherever a ControlProcess is (simulation
+    steps forward in time, reading the volatility off the table).
     """
 
     times: np.ndarray
     nodes: np.ndarray
-    sign_matrix: np.ndarray
-    sigma_on_convex: float
-    sigma_on_concave: float
+    sigma_table: np.ndarray
     mu_value: float
     label: str
 
     def sigma_state(self, t: float, s):
-        sg = self.sign_matrix[self._row(t), _nearest_node(self.nodes, s)]
-        return np.where(sg > 0, self.sigma_on_convex, self.sigma_on_concave)
+        return self.sigma_table[_in_force(self.times, t), _nearest_node(self.nodes, s)]
 
     def mu_state(self, t: float, s):
         return np.full(np.shape(np.asarray(s)), self.mu_value)
-
-    def _row(self, t):
-        """Surface time row in force at t: the last one at or before it."""
-        return np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                       0, len(self.times) - 1)
 
 
 def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
@@ -199,10 +224,11 @@ def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
 def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = None) -> BangBangRule:
     """Extremal scenario implied by a surface's convexity pattern.
 
-    Ask surfaces map convex regions to sigma_hi (concave to sigma_lo); bid
-    surfaces the reverse.  The drift defaults to the riskless rate clamped
-    into the band (which makes the scenario's risk premium vanish whenever
-    the band allows it).
+    Ask surfaces map convex regions (second difference >= 0, an end node
+    taking its neighbour's) to sigma_hi, concave to sigma_lo; bid surfaces
+    the reverse.  The drift defaults to the riskless rate clamped into the
+    band (which makes the scenario's risk premium vanish whenever the band
+    allows it).
     """
     if surface.side not in ("ask", "bid"):
         raise ValueError("feedback rule needs an ask or bid surface")
@@ -215,26 +241,27 @@ def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = Non
         mu = min(max(surface.rate, band.mu_lo), band.mu_hi)
     elif not band.contains_mu(mu):
         raise ValueError(f"mu={mu} outside the band [{band.mu_lo}, {band.mu_hi}]")
-    signs = np.vstack([surface.curvature_sign_slice(i) for i in range(len(surface.times))])
-    if surface.side == "ask":
-        s_pos, s_neg = band.sigma_hi, band.sigma_lo
-    else:
-        s_pos, s_neg = band.sigma_lo, band.sigma_hi
+    x, u = surface.space_nodes, surface.values
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    d2 = 2.0 * ((u[:, 2:] - u[:, 1:-1]) / hp - (u[:, 1:-1] - u[:, :-2]) / hm) / (hm + hp)
+    d2 = np.concatenate((d2[:, :1], d2, d2[:, -1:]), axis=1)
+    s_pos, s_neg = ((band.sigma_hi, band.sigma_lo) if surface.side == "ask"
+                    else (band.sigma_lo, band.sigma_hi))
     return BangBangRule(
         times=surface.times.copy(),
         nodes=surface.space_nodes.copy(),
-        sign_matrix=signs,
-        sigma_on_convex=s_pos,
-        sigma_on_concave=s_neg,
+        sigma_table=np.where(d2 >= 0.0, s_pos, s_neg),
         mu_value=float(mu),
         label=f"bang_bang_{surface.side}",
     )
 
 
-def default_control_family(band: UncertaintyBand, n_sigma: int = 9, n_mu: int = 3):
-    """Constant controls on an n_sigma x n_mu lattice spanning the band."""
-    sigmas = np.unique(np.linspace(band.sigma_lo, band.sigma_hi, n_sigma))
-    mus = np.unique(np.linspace(band.mu_lo, band.mu_hi, n_mu))
+def default_control_family(band: UncertaintyBand):
+    """Constant controls on a 9 (sigma) x 3 (mu) lattice spanning the band,
+    ends included (fewer where the band is a point in a coordinate)."""
+    sigmas = np.unique(np.linspace(band.sigma_lo, band.sigma_hi, 9))
+    mus = np.unique(np.linspace(band.mu_lo, band.mu_hi, 3))
     return [ControlProcess.constant(m, s, band=band) for m in mus for s in sigmas]
 
 
@@ -303,8 +330,8 @@ def _step_levels(control: ControlProcess, grid: np.ndarray):
 
 
 def simulate_gbm_increments(control: ControlProcess, grid, seed: int, n_paths: int,
-                            band: UncertaintyBand | None = None):
-    """Driving-noise trajectories for one scenario.
+                            band: UncertaintyBand | None = None) -> PathEnsemble:
+    """Driving-noise trajectories for one scenario, as a PathEnsemble.
 
     Each increment over [t_i, t_{i+1}] is an independent centered Gaussian
     with variance sigma_i^2 dt_i; deterministic given (seed, path index).
@@ -316,22 +343,19 @@ def simulate_gbm_increments(control: ControlProcess, grid, seed: int, n_paths: i
     sig, _ = _step_levels(control, grid)
     z = _draw_normals(seed, n_paths, len(dt))
     cum = np.cumsum(sig * np.sqrt(dt) * z, axis=1)
-    out = []
-    for j in range(n_paths):
-        vals = np.concatenate(([0.0], cum[j]))
-        out.append(SampledPath(grid, vals))
-    return out
+    return PathEnsemble(grid, np.concatenate((np.zeros((n_paths, 1)), cum), axis=1))
 
 
 def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
-                         band: UncertaintyBand | None = None):
-    """Positive asset trajectories under one scenario (constant-per-step
-    lognormal stepping, exact for piecewise constant controls)."""
+                         band: UncertaintyBand | None = None) -> PathEnsemble:
+    """Positive asset trajectories under one scenario, as a PathEnsemble
+    (constant-per-step lognormal stepping, exact for piecewise constant
+    controls)."""
     if not (math.isfinite(S0) and S0 > 0.0):
         raise ValueError(f"S0 must be positive, got {S0!r}")
     grid = _as_grid(grid)
     S, _, _, _ = _scenario_paths(control, S0, grid, seed, n_paths, band)
-    return [SampledPath(grid, S[j], positive=True) for j in range(n_paths)]
+    return PathEnsemble(grid, S, positive=True)
 
 
 def _scenario_paths(control, S0, grid, seed, n_paths, band=None):
@@ -350,9 +374,7 @@ def _paths_from_normals(control, S0, grid, z, band=None):
     n_paths, n_steps = z.shape
 
     if isinstance(control, BangBangRule):
-        rows = control._row(grid[:-1])
-        table = np.where(control.sign_matrix > 0, control.sigma_on_convex,
-                         control.sigma_on_concave)
+        rows = _in_force(control.times, grid[:-1])
         mu = control.mu_value
         # time-major, so every step reads and writes contiguous rows
         S = np.empty((n_steps + 1, n_paths))
@@ -360,7 +382,7 @@ def _paths_from_normals(control, S0, grid, z, band=None):
         dB = np.empty((n_steps, n_paths))
         sig_used = np.empty((n_steps, n_paths))
         for i in range(n_steps):
-            sg = table[rows[i]][_nearest_node(control.nodes, S[i])]
+            sg = control.sigma_table[rows[i]][_nearest_node(control.nodes, S[i])]
             dB[i] = sg * math.sqrt(dt[i]) * z[:, i]
             S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i] + dB[i])
             sig_used[i] = sg
@@ -541,15 +563,16 @@ def _expected_abs_gauss_max(n_blocks: int) -> float:
     return float(val)
 
 
-def holder_exponent(path: SampledPath, max_scale: int = 64) -> HolderEstimate:
+def holder_exponent(path: SampledPath) -> HolderEstimate:
     """Roughness exponent from max increment magnitude over dyadic coarsenings.
 
-    At coarsening k the statistic is max_i |x_{(i+1)k} - x_{ik}|, divided
-    by the expected max of as many standard normals: without that Gumbel
-    normalisation the sqrt(2 log N_k) extreme-value factor drifts across
-    scales and biases the fit low by roughly 1/(2 log N).  The estimate is
-    the log-log regression slope against the coarsened time step, clipped
-    into (0, 1]: a Lipschitz path gives 1, driving noise ~1/2.
+    Coarsenings k = 1, 2, 4, ..., 64 keep >= 16 increments.  At coarsening k
+    the statistic is max_i |x_{(i+1)k} - x_{ik}|, divided by the expected
+    max of as many standard normals: without that Gumbel normalisation the
+    sqrt(2 log N_k) extreme-value factor drifts across scales and biases
+    the fit low by roughly 1/(2 log N).  The estimate is the log-log
+    regression slope against the coarsened time step, clipped into (0, 1]:
+    a Lipschitz path gives 1, driving noise ~1/2.
     """
     n = len(path)
     if n < 64:
@@ -562,7 +585,7 @@ def holder_exponent(path: SampledPath, max_scale: int = 64) -> HolderEstimate:
     mean_dt = (path.times[-1] - path.times[0]) / (n - 1)
     scales, maxima, normalised = [], [], []
     k = 1
-    while (n - 1) // k >= 16 and k <= max_scale:
+    while (n - 1) // k >= 16 and k <= 64:
         sub = vals[::k]
         m = float(np.max(np.abs(np.diff(sub))))
         if m > 0.0:
@@ -698,21 +721,10 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
             f"path exits the surface domain [{nodes[0]:g}, {nodes[-1]:g}] at t={times[k]:g}",
             exit_time=float(times[k]))
 
-    n_steps = len(times) - 1
-    theta = np.empty(n_steps)
-    u_on_path = np.empty(n_steps + 1)
-    for i in range(n_steps):
-        sl = surface.value_slice(times[i])
-        du = np.gradient(sl, nodes)
-        theta[i] = np.interp(s[i], nodes, du)
-        u_on_path[i] = np.interp(s[i], nodes, sl)
-    u_on_path[-1] = np.interp(s[-1], nodes, surface.values[-1])
-
-    wealth = _self_financing_wealth(times, s[None, :], theta[None, :], r,
-                                    float(u_on_path[0]))[0]
+    (wealth,), (u_on_path,) = _delta_hedge(surface, times, s[None, :], r)
     cost = wealth - u_on_path
     d_cost = np.diff(cost)
-    violation = float(max(0.0, -d_cost.min())) if n_steps else 0.0
+    violation = float(max(0.0, -d_cost.min())) if len(d_cost) else 0.0
     shortfall = float(max(0.0, u_on_path[-1] - wealth[-1]))
     return HedgeReport(
         wealth=SampledPath(times, wealth),
@@ -722,20 +734,27 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
     )
 
 
-def _self_financing_wealth(times, S, theta, r, y0):
-    """Wealth matrix for the self-financing recursion, vectorised in time.
+def _delta_hedge(surface: PriceSurface, times, S, r):
+    """Wealth of the surface's delta hedge and u(t_i, S_i) along each row
+    of S (n_paths, n_steps+1), each step's slice and gradient taken once.
+    The recursion Y_{i+1} = g_i Y_i + c_i is unrolled with cumulative
+    growth factors, so no per-path python loop is needed."""
+    nodes = surface.space_nodes
+    S = np.ascontiguousarray(S.T)  # time-major: each step reads and writes one row
+    dt = np.diff(times)[:, None]
+    theta = np.empty((len(dt), S.shape[1]))
+    u = np.empty(S.shape)
+    for i in range(len(dt)):
+        sl = surface.value_slice(times[i])
+        theta[i] = np.interp(S[i], nodes, np.gradient(sl, nodes))
+        u[i] = np.interp(S[i], nodes, sl)
+    u[-1] = np.interp(S[-1], nodes, surface.values[-1])
 
-    S and theta are (n_paths, n_steps+1) and (n_paths, n_steps); the linear
-    recursion Y_{i+1} = g_i Y_i + c_i is unrolled with cumulative growth
-    factors so no per-path python loop is needed.
-    """
-    dt = np.diff(times)
     g = 1.0 + r * dt
-    growth = np.concatenate(([1.0], np.cumprod(g)))  # P_k = prod_{j<k} g_j
-    c = theta * (np.diff(S, axis=1) - S[:, :-1] * r * dt)
-    a = np.concatenate(
-        (np.full((S.shape[0], 1), y0), c / growth[1:]), axis=1)
-    return np.cumsum(a, axis=1) * growth
+    growth = np.concatenate(([[1.0]], np.cumprod(g, axis=0)))  # P_k = prod_{j<k} g_j
+    c = theta * (np.diff(S, axis=0) - S[:-1] * r * dt)
+    a = np.concatenate((u[:1], c / growth[1:]))
+    return (np.cumsum(a, axis=0) * growth).T, u.T
 
 
 # ---------------------------------------------------------------------------
@@ -751,20 +770,30 @@ def write_path_file(path: SampledPath, dest) -> None:
             fh.write(f"{t:.12g},{v:.12g}\n")
 
 
-def read_path_file(src, positive: bool = False) -> SampledPath:
+def _read_table(src, kind: str) -> np.ndarray:
+    """Rows under a 'time,...' header, (n_rows, n_fields >= 2); errors name ``kind``."""
     with _text_stream(src, "r") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0].strip() != "time":
-        raise ValueError("path file must start with a 'time,value' header")
+        raise ValueError(f"{kind} file must start with a 'time,...' header")
     data = np.array([[float(f) for f in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != 2:
+    if len(data) == 0:
+        raise ValueError(f"{kind} file has no data rows")
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ValueError(f"{kind} file has no value columns")
+    return data
+
+
+def read_path_file(src, positive: bool = False) -> SampledPath:
+    data = _read_table(src, "path")
+    if data.shape[1] != 2:
         raise ValueError("path file rows must have exactly two fields")
     return SampledPath(data[:, 0], data[:, 1], positive=positive)
 
 
 def write_ensemble_file(paths, dest) -> None:
-    """Multi-column variant: header 'time,value_0,...', shared time grid."""
+    """Multi-column variant: header 'time,value_0,...', shared time grid.
+    Takes any sequence of paths (a PathEnsemble or a list of SampledPath)."""
     paths = list(paths)
     if not paths:
         raise ValueError("ensemble must be nonempty")
@@ -780,13 +809,6 @@ def write_ensemble_file(paths, dest) -> None:
             fh.write(f"{t:.12g},{row}\n")
 
 
-def read_ensemble_file(src, positive: bool = False):
-    with _text_stream(src, "r") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("time,"):
-        raise ValueError("ensemble file must start with a 'time,value_0,...' header")
-    data = np.array([[float(f) for f in ln.split(",")] for ln in lines[1:]])
-    times = data[:, 0]
-    return [SampledPath(times, data[:, 1 + j], positive=positive)
-            for j in range(data.shape[1] - 1)]
+def read_ensemble_file(src, positive: bool = False) -> PathEnsemble:
+    data = _read_table(src, "ensemble")
+    return PathEnsemble(data[:, 0], data[:, 1:].T, positive=positive)

@@ -41,7 +41,7 @@ from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
 from .errors import ConsistencyError, NumericalFailure
-from .sublinear import ScalarFunctionSpec, UncertaintyBand, g_drift_vol
+from .sublinear import ScalarFunctionSpec, UncertaintyBand, g_drift_vol, maximal_expectation
 
 __all__ = [
     "GridSpec",
@@ -79,7 +79,8 @@ class PricingProblem:
     """A European claim plus the market data needed to price it.
 
     The payoff must be nonnegative on the spot domain (claims here are
-    nonnegative by assumption); maturity and the domain must be sensible.
+    nonnegative by assumption), checked against its exact minimum there;
+    maturity and the domain must be sensible.
     """
 
     payoff: ScalarFunctionSpec
@@ -100,9 +101,9 @@ class PricingProblem:
             raise ValueError(f"spot_domain lower end {x_min} must be >= 0")
         if x_min >= x_max:
             raise ValueError(f"spot_domain is empty: [{x_min}, {x_max}]")
-        probe = np.linspace(x_min, x_max, 1025)
-        vals = np.asarray(self.payoff(probe))
-        if np.any(vals < -1e-12 * max(1.0, float(np.abs(vals).max()))):
+        lo = -maximal_expectation(self.payoff.negated(), x_min, x_max)
+        hi = maximal_expectation(self.payoff, x_min, x_max)
+        if lo < -1e-12 * max(1.0, abs(lo), abs(hi)):
             raise ValueError("payoff must be nonnegative on the spot domain")
 
 
@@ -170,19 +171,6 @@ class PriceSurface:
         d = self.delta_slice(t)
         out = np.interp(np.asarray(x, dtype=float), self.space_nodes, d)
         return float(out) if np.ndim(out) == 0 else out
-
-    def curvature_sign_slice(self, i: int) -> np.ndarray:
-        """Sign (+1/-1) of the discrete second price-derivative at times[i]."""
-        x = self.space_nodes
-        u = self.values[i]
-        hm = x[1:-1] - x[:-2]
-        hp = x[2:] - x[1:-1]
-        d2 = 2.0 * ((u[2:] - u[1:-1]) / hp - (u[1:-1] - u[:-2]) / hm) / (hm + hp)
-        full = np.empty_like(u)
-        full[1:-1] = d2
-        full[0] = d2[0]
-        full[-1] = d2[-1]
-        return np.where(full >= 0.0, 1.0, -1.0)
 
 
 def _check_dominance(ask: PriceSurface, bid: PriceSurface) -> None:

@@ -210,13 +210,14 @@ class ScalarFunctionSpec:
         slopes = np.abs(np.diff(ys) / np.diff(xs))
         return a * float(slopes.max()) if len(slopes) else 0.0
 
-    def is_convex_on(self, lo: float, hi: float, n: int = 1025, tol: float = 1e-9) -> bool:
-        """Discrete convexity check by second differences on [lo, hi]."""
-        x = np.linspace(lo, hi, n)
+    def is_convex_on(self, lo: float, hi: float) -> bool:
+        """Discrete convexity check by second differences on 1025 equally
+        spaced points of [lo, hi], to 1e-9 of the largest |value| (or 1)."""
+        x = np.linspace(lo, hi, 1025)
         y = np.asarray(self(x))
         d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
         scale = max(np.abs(y).max(), 1.0)
-        return bool(np.all(d2 >= -tol * scale))
+        return bool(np.all(d2 >= -1e-9 * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +275,18 @@ def maximal_expectation(phi: ScalarFunctionSpec, lo: float, hi: float) -> float:
     return float(np.max(phi(np.array([lo, hi, *inner], dtype=float))))
 
 
-def g_normal_expectation(
-    phi: ScalarFunctionSpec,
-    band: UncertaintyBand,
-    t: float,
-    grid=None,
-) -> float:
+def g_normal_expectation(phi: ScalarFunctionSpec, band: UncertaintyBand, t: float) -> float:
     """Upper expectation of phi under zero-mean variance uncertainty at time t.
 
     Defined operationally as u(t, 0) where u solves the nonlinear heat
     equation du/dt = g_vol(d2u/dx2) with u(0, .) = phi (the drift interval
-    collapsed to {0}).  Delegates to the PDE engine.
+    collapsed to {0}).  Delegates to the PDE engine, on a 400 x 400 grid
+    with uniformly spaced nodes.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"horizon must be positive, got {t!r}")
     from . import pde  # local import: pde depends on this module
 
-    if grid is None:
-        grid = pde.GridSpec(n_space=400, n_time=400, stretching="uniform_price")
+    grid = pde.GridSpec(n_space=400, n_time=400, stretching="uniform_price")
     surface = pde.solve_g_heat(phi, band.zero_drift(), t, grid)
     return surface.value_at(t, 0.0)

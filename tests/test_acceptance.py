@@ -35,7 +35,7 @@ from bidask import (
     solve_bsb_pair,
 )
 from bidask.cli import main
-from bidask.paths import _scenario_paths, _self_financing_wealth
+from bidask.paths import _delta_hedge, _scenario_paths
 
 S0 = 100.0
 K = 100.0
@@ -168,17 +168,8 @@ def _batch_surplus(surface, times, S, r):
 
     The hedge starts from the surface value at the first spot.
     """
-    n_paths, n_steps = S.shape[0], S.shape[1] - 1
-    nodes = surface.space_nodes
-    theta = np.empty((n_paths, n_steps))
-    for i in range(n_steps):
-        sl = surface.value_slice(times[i])
-        du = np.gradient(sl, nodes)
-        theta[:, i] = np.interp(S[:, i], nodes, du)
-    y0 = surface.value_at(0.0, float(S[0, 0]))
-    wealth = _self_financing_wealth(times, S, theta, r, y0)
-    payoff = np.interp(S[:, -1], nodes, surface.values[-1])
-    return wealth[:, -1] - payoff
+    wealth, u = _delta_hedge(surface, times, S, r)
+    return wealth[:, -1] - u[:, -1]
 
 
 def test_criterion_5_superhedging_shortfall():

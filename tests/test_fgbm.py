@@ -259,6 +259,29 @@ class TestSimulation:
         assert abs(np.mean(ests) - 0.8) < 0.1
 
 
+class TestSimulatorsReturnTheirMatrix:
+    @pytest.mark.parametrize("grid, method", [
+        (tuple(np.linspace(0.0, 1.0, 33)), "factorization"),   # circulant
+        ((0.0, 0.1, 0.25, 0.5, 0.6, 1.0), "factorization"),    # Cholesky
+        (tuple(np.linspace(0.0, 1.0, 17)), "volterra"),
+    ])
+    def test_noise(self, grid, method):
+        spec = FgbmSpec(0.3, BAND, grid)
+        ens = simulate_fgbm(spec, 0.2, seed=8, n_paths=20, method=method)
+        assert isinstance(ens, bidask.PathEnsemble)
+        assert np.array_equal(ens.times, spec.grid_array)
+        assert np.array_equal(ens.values, bidask.fgbm._noise_matrix(spec, 0.2, 8, 20, method))
+
+    def test_asset(self):
+        spec = FgbmSpec(0.7, BAND, tuple(np.linspace(0.0, 1.0, 33)))
+        ens = simulate_fgbm_asset(spec, 0.02, 50.0, 0.2, seed=9, n_paths=20)
+        noise = bidask.fgbm._noise_matrix(spec, 0.2, 9, 20, "factorization")
+        log_inc = np.full(32, 0.02) * np.diff(spec.grid_array) + np.diff(noise, axis=1)
+        assert isinstance(ens, bidask.PathEnsemble) and ens.positive
+        assert np.all(ens.values[:, 0] == 50.0)
+        assert np.array_equal(ens.values[:, 1:], 50.0 * np.exp(np.cumsum(log_inc, axis=1)))
+
+
 class TestCirculantEmbedding:
     @pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("n", [1, 2, 16, 1024])

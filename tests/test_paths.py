@@ -11,6 +11,7 @@ from bidask import (
     DomainExitError,
     GridSpec,
     McEstimate,
+    PathEnsemble,
     PricingProblem,
     SampledPath,
     ScalarFunctionSpec,
@@ -30,6 +31,7 @@ from bidask import (
     simulate_asset_paths,
     simulate_gbm_increments,
     solve_bsb_ask,
+    solve_bsb_pair,
     write_ensemble_file,
     write_path_file,
 )
@@ -497,6 +499,18 @@ class TestPathFiles:
         with pytest.raises(ValueError, match="time grid"):
             write_ensemble_file([a, b], tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_path_file, "time,value\n", "path file has no data rows"),
+        (read_path_file, "time,value\n0.0\n1.0\n", "path file has no value columns"),
+        (read_ensemble_file, "time,value_0\n", "ensemble file has no data rows"),
+        (read_ensemble_file, "time,value_0\n0.0\n1.0\n", "ensemble file has no value columns"),
+    ])
+    def test_file_without_values_rejected(self, tmp_path, reader, text, message):
+        f = tmp_path / "x.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            reader(f)
+
 
 def butterfly_problem():
     bfly = ScalarFunctionSpec.piecewise_linear(
@@ -642,3 +656,116 @@ class TestOneDrawPerFamily:
                  for c in family]
         assert estimate_tube_capacity(center, 6.0, BAND, family, seed=8,
                                       n_paths=400) == max(alone)
+
+
+def curvature_signs(surface):
+    """The per-row curvature signs the sigma table replaced: the discrete
+    second price-derivative at each time row, end nodes taking their
+    neighbour's, +1 where >= 0 and -1 elsewhere."""
+    x = surface.space_nodes
+    rows = []
+    for u in surface.values:
+        hm = x[1:-1] - x[:-2]
+        hp = x[2:] - x[1:-1]
+        d2 = 2.0 * ((u[2:] - u[1:-1]) / hp - (u[1:-1] - u[:-2]) / hm) / (hm + hp)
+        full = np.empty_like(u)
+        full[1:-1] = d2
+        full[0] = d2[0]
+        full[-1] = d2[-1]
+        rows.append(np.where(full >= 0.0, 1.0, -1.0))
+    return np.array(rows)
+
+
+class TestSigmaTable:
+    @pytest.mark.parametrize("payoff", ["call", "butterfly"])
+    @pytest.mark.parametrize("side", ["ask", "bid"])
+    def test_rows_match_the_per_row_curvature_oracle(self, payoff, side):
+        prob = make_problem(BAND) if payoff == "call" else butterfly_problem()
+        surface = solve_bsb_pair(prob, GridSpec(120, 90))[side == "bid"]
+        rule = bang_bang_control_from_surface(surface)
+        s_pos, s_neg = ((BAND.sigma_hi, BAND.sigma_lo) if side == "ask"
+                        else (BAND.sigma_lo, BAND.sigma_hi))
+        expect = np.where(curvature_signs(surface) >= 0, s_pos, s_neg)
+        assert np.array_equal(rule.sigma_table, expect)
+        if payoff == "butterfly":  # the rule switches: both ends are picked
+            assert set(np.unique(rule.sigma_table)) == {BAND.sigma_lo, BAND.sigma_hi}
+
+
+class TestDeltaHedge:
+    def test_each_row_is_the_one_path_hedge(self):
+        surface = solve_bsb_ask(butterfly_problem(), GridSpec(120, 90))
+        grid = grid_of(150)
+        paths = simulate_asset_paths(ControlProcess.constant(0.03, 0.2, band=BAND), 100.0,
+                                     grid, seed=41, n_paths=50)
+        wealth, u = paths_mod._delta_hedge(surface, grid, paths.values, 0.05)
+        for j, path in enumerate(paths):
+            rep = hedge_verify(surface, path, 0.05)
+            assert np.array_equal(wealth[j], rep.wealth.values)
+            assert np.array_equal(wealth[j] - u[j], rep.cost.values)
+
+
+class TestPathEnsemble:
+    def test_sequence_of_row_views(self):
+        values = np.arange(12.0).reshape(3, 4) + 1.0
+        ens = PathEnsemble(grid_of(3), values, positive=True)
+        assert len(ens) == 3
+        assert isinstance(ens[1], SampledPath)
+        assert np.array_equal(ens[1].values, values[1])
+        assert np.array_equal(ens[-1].values, values[2])
+        assert ens[0].times is ens.times and ens[0].positive
+        assert [p.values[-1] for p in ens] == [4.0, 8.0, 12.0]
+        with pytest.raises(IndexError):
+            ens[3]
+
+    def test_slice_is_an_ensemble(self):
+        ens = PathEnsemble(grid_of(3), np.arange(12.0).reshape(3, 4), positive=False)
+        part = ens[1:]
+        assert isinstance(part, PathEnsemble)
+        assert len(part) == 2 and np.array_equal(part.values, ens.values[1:])
+        assert part.times is ens.times
+
+    def test_one_point_grid(self):
+        ens = PathEnsemble([0.0], [[1.0], [2.0]])
+        assert len(ens) == 2 and len(ens[0]) == 1 and ens[1].horizon == 0.0
+
+    @pytest.mark.parametrize("times, values, positive, message", [
+        (grid_of(3), np.ones(4), False, "2-d"),
+        (grid_of(3), np.ones((2, 5)), False, "one value per time"),
+        (np.ones((1, 4)), np.ones((2, 4)), False, "1-d"),
+        (np.array([0.5, 1.0]), np.ones((2, 2)), False, "start at 0"),
+        (np.array([0.0, 1.0, 1.0]), np.ones((2, 3)), False, "strictly increasing"),
+        (grid_of(2), np.array([[1.0, 2.0, 3.0], [1.0, 0.0, 1.0]]), True, "nonpositive"),
+    ])
+    def test_checked_once_as_a_sampled_path_is(self, times, values, positive, message):
+        with pytest.raises(ValueError, match=message):
+            PathEnsemble(times, values, positive=positive)
+
+
+class TestSimulatorsReturnTheirMatrix:
+    @pytest.mark.parametrize("control", [
+        ControlProcess((0.0, 0.25), (0.1, 0.3), (0.01, 0.05), band=BAND),
+        "rule",
+    ])
+    def test_asset_paths(self, control):
+        control = butterfly_rule() if control == "rule" else control
+        grid = grid_of(64)
+        ens = simulate_asset_paths(control, 100.0, grid, seed=5, n_paths=40)
+        S = paths_mod._scenario_paths(control, 100.0, grid, 5, 40)[0]
+        assert isinstance(ens, PathEnsemble)
+        assert np.array_equal(ens.times, grid) and np.array_equal(ens.values, S)
+
+    def test_driving_increments(self):
+        control = ControlProcess((0.0, 0.5), (0.3, 0.1), (0.01, 0.03), band=BAND)
+        grid = grid_of(32)
+        ens = simulate_gbm_increments(control, grid, seed=6, n_paths=30)
+        dB = paths_mod._scenario_paths(control, 100.0, grid, 6, 30)[1]
+        assert isinstance(ens, PathEnsemble)
+        assert np.all(ens.values[:, 0] == 0.0)
+        assert np.array_equal(ens.values[:, 1:], np.cumsum(dB, axis=1))
+
+    def test_ensemble_file(self, tmp_path):
+        ens = simulate_asset_paths(ControlProcess.constant(0.05, 0.2), 100.0, grid_of(8),
+                                   seed=2, n_paths=3)
+        write_ensemble_file(ens, tmp_path / "e.csv")
+        got = read_ensemble_file(tmp_path / "e.csv", positive=True)
+        assert isinstance(got, PathEnsemble) and got.values.shape == (3, 9) and got.positive

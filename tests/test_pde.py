@@ -99,6 +99,14 @@ class TestValidation:
             PricingProblem(ScalarFunctionSpec.call(100.0), 0.0, 0.05, BAND_FLAT,
                            (1.0, 200.0))
 
+    def test_payoff_dip_between_probe_points_rejected(self):
+        # negative only on (500.35, 500.65): no point of a 1025-point probe
+        # of [1, 1025] lands there, the exact minimum does
+        dip = ScalarFunctionSpec.piecewise_linear(
+            [(1.0, 1.0), (500.2, 1.0), (500.5, -1.0), (500.8, 1.0), (1025.0, 1.0)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            PricingProblem(dip, 1.0, 0.05, BAND_FLAT, (1.0, 1025.0))
+
     def test_log_grid_needs_positive_domain(self):
         prob = PricingProblem(ScalarFunctionSpec.call(100.0), 1.0, 0.05, BAND_FLAT,
                               (0.0, 400.0))
