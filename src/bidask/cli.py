@@ -1,13 +1,15 @@
 """Config-driven command line front end with deterministic reports.
 
 Configs are strict JSON: unknown keys are fatal, every violation is
-collected and reported with its field path (not just the first), and the
+collected (not just the first) and each error names the path of its field,
+such as ``pricing.grid.n_space``.  A null optional section (``grid``,
+``scenario``, ``asset``, ``pricing``) is the same as an absent one.  The
 effective config after defaulting is echoed into the report so any result
-is reproducible from its own output.  Reports are rendered with fixed
-12-significant-digit floats and deterministic key order, so identical
-configs produce byte-identical reports; the timing section therefore
-carries deterministic work counters (grid sizes, draw counts), not wall
-clocks.
+is reproducible from its own output: ``parse(emit(c)) == c``.  Reports are
+rendered with fixed 12-significant-digit floats and deterministic key
+order, so identical configs produce byte-identical reports; the timing
+section therefore carries deterministic work counters (grid sizes, draw
+counts), not wall clocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -109,6 +111,8 @@ def _scalar_text(v, quote_strings=True):
         v = float(v)
         if math.isnan(v) or math.isinf(v):
             return "null"
+        if v == 0.0:
+            v = 0.0  # "-0" would read back as the integer 0, not as -0.0
         return format(v, ".12g")
     if isinstance(v, str):
         return json.dumps(v) if quote_strings else v
@@ -135,7 +139,7 @@ def _render_json(obj, indent=0) -> str:
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}." if not prefix else f"{prefix}{k}.")
+            yield from _flatten(v, f"{prefix}{k}.")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
@@ -162,14 +166,28 @@ class _Reader:
     def fail(self, path, msg):
         self.errors.append(f"{path}: {msg}")
 
-    def section(self, d, path, known):
+    def reject_unknown(self, d, path, known):
         for key in d:
             if key not in known:
-                self.fail(f"{path}{key}" if path else key, "unknown key (strict mode)")
+                self.fail(path + key, "unknown key (strict mode)")
+
+    def section(self, cfg, key, known, *, prefix="", required=False):
+        """``cfg[key]`` checked as an object with keys in ``known``, or None
+        when absent or null (an error only when ``required``)."""
+        path = f"{prefix}{key}"
+        d = cfg.get(key)
+        if d is None and not required:
+            return None
+        if not isinstance(d, dict):
+            self.fail(path, "expected an object" if key in cfg else
+                      "required section is missing")
+            return None
+        self.reject_unknown(d, path + ".", known)
+        return d
 
     def get(self, d, key, path, *, required=False, default=None, kind=None,
-            check=None, expect=""):
-        full = f"{path}{key}" if path else key
+            check=None):
+        full = path + key
         if key not in d or d[key] is None:
             if required:
                 self.fail(full, "required key is missing")
@@ -178,15 +196,15 @@ class _Reader:
         if kind is not None:
             if kind is float:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    self.fail(full, f"expected a number{expect}, got {v!r}")
+                    self.fail(full, f"expected a number, got {v!r}")
                     return default
                 v = float(v)
             elif kind is int:
                 if isinstance(v, bool) or not isinstance(v, int):
-                    self.fail(full, f"expected an integer{expect}, got {v!r}")
+                    self.fail(full, f"expected an integer, got {v!r}")
                     return default
             elif not isinstance(v, kind):
-                self.fail(full, f"expected {kind.__name__}{expect}, got {v!r}")
+                self.fail(full, f"expected {kind.__name__}, got {v!r}")
                 return default
         if check is not None:
             msg = check(v)
@@ -196,19 +214,35 @@ class _Reader:
         return v
 
 
-def _read_band(r, cfg, path="band."):
-    d = cfg.get("band")
-    if not isinstance(d, dict):
-        r.fail("band", "required section is missing")
+def _positive(v):
+    return None if v > 0 else "must be positive"
+
+
+def _at_least_one(v):
+    return None if v >= 1 else "must be >= 1"
+
+
+def _at_least_16(v):
+    return None if v >= 16 else "must be >= 16"
+
+
+def _spot_interval(v):
+    if len(v) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in v):
+        return None
+    return "expected [x_min, x_max]"
+
+
+def _read_band(r, cfg):
+    d = r.section(cfg, "band", {"mu_lo", "mu_hi", "sigma_lo", "sigma_hi"},
+                  required=True)
+    if d is None:
         return None, {}
-    r.section(d, path, {"mu_lo", "mu_hi", "sigma_lo", "sigma_hi"})
-    mu_lo = r.get(d, "mu_lo", path, required=True, kind=float, default=0.0)
-    mu_hi = r.get(d, "mu_hi", path, required=True, kind=float, default=0.0)
-    sigma_lo = r.get(d, "sigma_lo", path, required=True, kind=float, default=0.0)
-    sigma_hi = r.get(d, "sigma_hi", path, required=True, kind=float, default=1.0)
-    echo = {"mu_lo": mu_lo, "mu_hi": mu_hi, "sigma_lo": sigma_lo, "sigma_hi": sigma_hi}
+    echo = {key: r.get(d, key, "band.", required=True, kind=float)
+            for key in ("mu_lo", "mu_hi", "sigma_lo", "sigma_hi")}
     if None in echo.values():
         return None, echo
+    mu_lo, mu_hi, sigma_lo, sigma_hi = echo.values()
     if mu_lo > mu_hi:
         r.fail("band.mu_lo/band.mu_hi", f"mu_lo={mu_lo:g} exceeds mu_hi={mu_hi:g}")
         return None, echo
@@ -225,12 +259,11 @@ def _read_band(r, cfg, path="band."):
 
 def _read_payoff(r, cfg, prefix=""):
     key = prefix + "payoff"
-    d = cfg.get("payoff")
-    if not isinstance(d, dict):
-        r.fail(key, "required section is missing")
+    d = r.section(cfg, "payoff", {"kind", "strike", "exponent", "knots"},
+                  prefix=prefix, required=True)
+    if d is None:
         return None, {}
     path = key + "."
-    r.section(d, path, {"kind", "strike", "exponent", "knots"})
     kind = r.get(d, "kind", path, required=True, kind=str)
     strike = r.get(d, "strike", path, kind=float)
     exponent = r.get(d, "exponent", path, kind=float)
@@ -268,84 +301,97 @@ def _read_payoff(r, cfg, prefix=""):
 
 
 def _read_grid(r, cfg, prefix=""):
-    key = prefix + "grid"
-    path = key + "."
-    d = cfg.get("grid") or {}
-    if not isinstance(d, dict):
-        r.fail(key, "expected an object")
-        d = {}
-    r.section(d, path, {"n_space", "n_time", "stretching"})
-    n_space = r.get(d, "n_space", path, kind=int, default=400,
-                    check=lambda v: None if v >= 16 else "must be >= 16")
-    n_time = r.get(d, "n_time", path, kind=int, default=400,
-                   check=lambda v: None if v >= 16 else "must be >= 16")
-    stretching = r.get(d, "stretching", path, kind=str, default="uniform_log",
-                       check=lambda v: None if v in ("uniform_log", "uniform_price")
-                       else "must be 'uniform_log' or 'uniform_price'")
-    echo = {"n_space": n_space, "n_time": n_time, "stretching": stretching}
+    path = prefix + "grid."
+    d = r.section(cfg, "grid", {"n_space", "n_time", "stretching"}, prefix=prefix) or {}
+    return GridSpec(
+        r.get(d, "n_space", path, kind=int, default=400, check=_at_least_16),
+        r.get(d, "n_time", path, kind=int, default=400, check=_at_least_16),
+        r.get(d, "stretching", path, kind=str, default="uniform_log",
+              check=lambda v: None if v in ("uniform_log", "uniform_price")
+              else "must be 'uniform_log' or 'uniform_price'"))
+
+
+def _read_pricing(r, cfg, band, built, prefix="", spot=False):
+    """Echo of payoff, maturity, rate, spot (if ``spot``), spot_domain and
+    grid; builds ``built["problem"]`` and ``built["grid"]``.  Without a spot
+    the domain is required, with one it defaults to spot*exp(+-8 sigma_hi
+    sqrt(maturity))."""
+    payoff, payoff_echo = _read_payoff(r, cfg, prefix)
+    maturity = r.get(cfg, "maturity", prefix, required=True, kind=float, check=_positive)
+    rate = r.get(cfg, "rate", prefix, kind=float, default=0.0)
+    echo = {"payoff": payoff_echo, "maturity": maturity, "rate": rate}
+    s0 = None
+    if spot:
+        s0 = echo["spot"] = r.get(cfg, "spot", prefix, required=True, kind=float,
+                                  check=_positive)
+    grid = _read_grid(r, cfg, prefix)
+    domain = r.get(cfg, "spot_domain", prefix, required=not spot, kind=list,
+                   check=_spot_interval)
+    if domain is not None:
+        domain = [float(domain[0]), float(domain[1])]
+    elif cfg.get("spot_domain") is None and None not in (s0, maturity, band):
+        half = 8.0 * band.sigma_hi * math.sqrt(maturity)
+        try:
+            domain = [s0 * math.exp(-half), s0 * math.exp(half)]
+        except OverflowError:
+            r.fail(prefix + "spot_domain", "the default domain "
+                   "spot*exp(+-8*sigma_hi*sqrt(maturity)) overflows; give a spot_domain")
+    echo["spot_domain"] = domain
+    echo["grid"] = asdict(grid)
+    if None not in (band, payoff, maturity, domain):
+        try:
+            built["problem"] = PricingProblem(payoff, maturity, rate, band, tuple(domain))
+        except ValueError as e:
+            r.fail(f"{prefix}payoff/{prefix}spot_domain", str(e))
+        built["grid"] = grid
+    return echo
+
+
+def _read_control(r, cfg, band):
+    raw = cfg.get("control")
+    piecewise = isinstance(raw, dict) and "breakpoints" in raw
+    fields = ("breakpoints", "sigma_levels", "mu_levels") if piecewise else ("mu", "sigma")
+    d = r.section(cfg, "control", set(fields), required=True)
+    if d is None:
+        return None, {}
+    echo = {key: r.get(d, key, "control.", required=True,
+                       kind=list if piecewise else float) for key in fields}
+    if None in echo.values():
+        return None, echo
+    levels = echo.values() if piecewise else ([0.0], [echo["sigma"]], [echo["mu"]])
     try:
-        return GridSpec(n_space, n_time, stretching), echo
-    except ValueError as e:
-        r.fail(key, str(e))
+        return ControlProcess(*(tuple(map(float, v)) for v in levels), band=band), echo
+    except (TypeError, ValueError) as e:
+        r.fail("control", str(e))
         return None, echo
 
 
-def _read_domain(r, cfg, prefix="", required=False):
-    domain = r.get(cfg, "spot_domain", prefix, required=required, kind=list)
-    if domain is None:
-        return None
-    if len(domain) != 2 or not all(isinstance(v, (int, float))
-                                   and not isinstance(v, bool) for v in domain):
-        r.fail(prefix + "spot_domain", "expected [x_min, x_max]")
-        return None
-    return [float(domain[0]), float(domain[1])]
-
-
-def _read_control(r, cfg, band, key="control"):
-    d = cfg.get(key)
-    if not isinstance(d, dict):
-        r.fail(key, "required section is missing")
-        return None, {}
-    path = key + "."
-    if "breakpoints" in d:
-        r.section(d, path, {"breakpoints", "sigma_levels", "mu_levels"})
-        bp = r.get(d, "breakpoints", path, required=True, kind=list)
-        sg = r.get(d, "sigma_levels", path, required=True, kind=list)
-        mu = r.get(d, "mu_levels", path, required=True, kind=list)
-        echo = {"breakpoints": bp, "sigma_levels": sg, "mu_levels": mu}
-        if None in (bp, sg, mu):
-            return None, echo
-        try:
-            return ControlProcess(tuple(map(float, bp)), tuple(map(float, sg)),
-                                  tuple(map(float, mu)), band=band), echo
-        except (TypeError, ValueError) as e:
-            r.fail(key, str(e))
-            return None, echo
-    r.section(d, path, {"mu", "sigma"})
+def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
+                           n_steps=None):
+    """The {mu, sigma} section ``cfg[key]`` as a constant control inside
+    ``band``, built at parse time, and its echo (None when absent); a level
+    outside the band fails at ``{prefix}{key}.sigma`` or ``{prefix}{key}.mu``.
+    With an ``n_steps`` default the section also takes a step count."""
+    known = {"mu", "sigma"} if n_steps is None else {"mu", "sigma", "n_steps"}
+    d = r.section(cfg, key, known, prefix=prefix, required=required)
+    if d is None:
+        return None, None
+    path = f"{prefix}{key}."
     mu = r.get(d, "mu", path, required=True, kind=float)
     sigma = r.get(d, "sigma", path, required=True, kind=float)
     echo = {"mu": mu, "sigma": sigma}
-    if None in (mu, sigma):
+    if n_steps is not None:
+        echo["n_steps"] = r.get(d, "n_steps", path, kind=int, default=n_steps,
+                                check=_at_least_one)
+    if band is None or None in (mu, sigma):
         return None, echo
     try:
         return ControlProcess.constant(mu, sigma, band=band), echo
     except ValueError as e:
-        r.fail(key, str(e))
-        return None, echo
-
-
-def _constant_control(r, band, mu, sigma, path):
-    """The constant control (mu, sigma) inside ``band``, built at parse
-    time; a level outside the band fails at ``{path}sigma`` or ``{path}mu``."""
-    if band is None or None in (mu, sigma):
-        return None
-    try:
-        return ControlProcess.constant(mu, sigma, band=band)
-    except ValueError as e:
         # ControlProcess checks sigma before mu
         bad_sigma = sigma < 0.0 or not band.contains_sigma(sigma)
         r.fail(path + ("sigma" if bad_sigma else "mu"), str(e))
-        return None
+        return None, echo
 
 
 _COMMON_KEYS = {"command", "seed", "format", "output", "band"}
@@ -382,7 +428,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     if r.errors:
         raise ConfigError(r.errors)
 
-    r.section(cfg, "", _COMMON_KEYS | _COMMAND_KEYS[cmd])
+    r.reject_unknown(cfg, "", _COMMON_KEYS | _COMMAND_KEYS[cmd])
     seed = r.get(cfg, "seed", "", kind=int, default=0,
                  check=lambda v: None if 0 <= v < 2**64 else "must fit in 64 bits")
     fmt = r.get(cfg, "format", "", kind=str, default="json",
@@ -394,53 +440,21 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     eff["band"] = band_echo
     built = {"band": band}
 
-    pos = lambda v: None if v > 0 else "must be positive"
-    pos_int = lambda v: None if v >= 1 else "must be >= 1"
-
     if cmd == "price" or cmd == "hedge":
-        payoff, payoff_echo = _read_payoff(r, cfg)
-        maturity = r.get(cfg, "maturity", "", required=True, kind=float, check=pos)
-        rate = r.get(cfg, "rate", "", kind=float, default=0.0)
-        spot = r.get(cfg, "spot", "", required=True, kind=float, check=pos)
-        grid, grid_echo = _read_grid(r, cfg)
-        domain = _read_domain(r, cfg)
-        if domain is None and None not in (spot, maturity) and band is not None:
-            half = 8.0 * band.sigma_hi * math.sqrt(maturity)
-            domain = [spot * math.exp(-half), spot * math.exp(half)]
-        eff.update({"payoff": payoff_echo, "maturity": maturity, "rate": rate,
-                    "spot": spot, "spot_domain": domain, "grid": grid_echo})
+        eff.update(_read_pricing(r, cfg, band, built, spot=True))
         if cmd == "hedge":
             path_file = r.get(cfg, "path_file", "", kind=str)
-            scen, scen_echo = (None, None)
-            if "scenario" in cfg:
-                d = cfg["scenario"]
-                if isinstance(d, dict):
-                    r.section(d, "scenario.", {"mu", "sigma", "n_steps"})
-                    mu = r.get(d, "mu", "scenario.", required=True, kind=float)
-                    sg = r.get(d, "sigma", "scenario.", required=True, kind=float)
-                    ns = r.get(d, "n_steps", "scenario.", kind=int, default=1000,
-                               check=pos_int)
-                    scen = {"mu": mu, "sigma": sg, "n_steps": ns}
-                    scen_echo = scen
-                    built["scenario"] = _constant_control(r, band, mu, sg, "scenario.")
-                else:
-                    r.fail("scenario", "expected an object")
-            if path_file is None and scen is None:
+            built["scenario"], scenario = _read_constant_control(
+                r, cfg, "scenario", band, n_steps=1000)
+            if scenario is None and path_file is None:
                 r.fail("path_file", "hedge needs either path_file or scenario")
-            eff.update({"path_file": path_file, "scenario": scen_echo})
-        if not r.errors and band is not None and payoff is not None:
-            try:
-                built["problem"] = PricingProblem(payoff, maturity, rate, band,
-                                                  tuple(domain))
-            except ValueError as e:
-                r.fail("payoff/spot_domain", str(e))
-            built["grid"] = grid
+            eff.update({"path_file": path_file, "scenario": scenario})
 
     elif cmd == "simulate":
-        s0 = r.get(cfg, "s0", "", required=True, kind=float, check=pos)
-        horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=pos)
-        n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=pos_int)
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=pos_int)
+        s0 = r.get(cfg, "s0", "", required=True, kind=float, check=_positive)
+        horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=_positive)
+        n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least_one)
+        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least_one)
         built["control"], control_echo = _read_control(r, cfg, band)
         paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
         eff.update({"s0": s0, "horizon": horizon, "n_steps": n_steps,
@@ -458,57 +472,32 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         hurst = r.get(cfg, "hurst", "", required=True, kind=float,
                       check=lambda v: None if 0 < v < 1 else "must lie in (0, 1)")
         sigma = r.get(cfg, "sigma", "", required=True, kind=float, check=in_band)
-        horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=pos)
-        n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=pos_int)
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=pos_int)
+        horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=_positive)
+        n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least_one)
+        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least_one)
         method = r.get(cfg, "method", "", kind=str, default="factorization",
                        check=lambda v: None if v in ("factorization", "volterra")
                        else "must be 'factorization' or 'volterra'")
         paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
         asset_echo = None
-        if "asset" in cfg and cfg["asset"] is not None:
-            d = cfg["asset"]
-            if isinstance(d, dict):
-                r.section(d, "asset.", {"s0", "drift"})
-                a_s0 = r.get(d, "s0", "asset.", required=True, kind=float, check=pos)
-                a_dr = r.get(d, "drift", "asset.", kind=float, default=0.0)
-                asset_echo = {"s0": a_s0, "drift": a_dr}
-                if method == "volterra":
-                    r.fail("method", "asset paths are sampled exactly; "
-                           "'volterra' cannot drive them")
-            else:
-                r.fail("asset", "expected an object")
+        d = r.section(cfg, "asset", {"s0", "drift"})
+        if d is not None:
+            asset_echo = {
+                "s0": r.get(d, "s0", "asset.", required=True, kind=float, check=_positive),
+                "drift": r.get(d, "drift", "asset.", kind=float, default=0.0),
+            }
+            if method == "volterra":
+                r.fail("method", "asset paths are sampled exactly; "
+                       "'volterra' cannot drive them")
         eff.update({"hurst": hurst, "sigma": sigma, "horizon": horizon,
                     "n_steps": n_steps, "n_paths": n_paths, "method": method,
                     "asset": asset_echo, "paths_out": paths_out})
 
     elif cmd == "cps":
         path_file = r.get(cfg, "path_file", "", required=True, kind=str)
-        epsilon = r.get(cfg, "epsilon", "", required=True, kind=float, check=pos)
-        pricing_echo = None
-        if "pricing" in cfg and cfg["pricing"] is not None:
-            d = cfg["pricing"]
-            if isinstance(d, dict):
-                r.section(d, "pricing.", {"payoff", "maturity", "rate",
-                                          "spot_domain", "grid"})
-                payoff, payoff_echo = _read_payoff(r, d, "pricing.")
-                maturity = r.get(d, "maturity", "pricing.", required=True,
-                                 kind=float, check=pos)
-                rate = r.get(d, "rate", "pricing.", kind=float, default=0.0)
-                grid, grid_echo = _read_grid(r, d, "pricing.")
-                domain = _read_domain(r, d, "pricing.", required=True)
-                pricing_echo = {"payoff": payoff_echo, "maturity": maturity,
-                                "rate": rate, "spot_domain": domain,
-                                "grid": grid_echo}
-                if None not in (band, payoff, maturity, rate, domain, grid):
-                    try:
-                        built["problem"] = PricingProblem(payoff, maturity, rate, band,
-                                                          tuple(domain))
-                    except ValueError as e:
-                        r.fail("pricing.payoff/pricing.spot_domain", str(e))
-                    built["grid"] = grid
-            else:
-                r.fail("pricing", "expected an object")
+        epsilon = r.get(cfg, "epsilon", "", required=True, kind=float, check=_positive)
+        d = r.section(cfg, "pricing", {"payoff", "maturity", "rate", "spot_domain", "grid"})
+        pricing_echo = None if d is None else _read_pricing(r, d, band, built, "pricing.")
         eff.update({"path_file": path_file, "epsilon": epsilon,
                     "pricing": pricing_echo})
 
@@ -516,28 +505,17 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         center_file = r.get(cfg, "center_file", "", required=True, kind=str)
         eta = r.get(cfg, "eta", "", required=True, kind=float,
                     check=lambda v: None if v >= 0 else "must be nonnegative")
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1000, check=pos_int)
+        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1000, check=_at_least_one)
+        items = r.get(cfg, "controls", "", check=lambda v: None if isinstance(v, list)
+                      else "expected a list of {mu, sigma} objects")
         controls_echo = None
-        if "controls" in cfg and cfg["controls"] is not None:
-            lst = cfg["controls"]
-            if not isinstance(lst, list):
-                r.fail("controls", "expected a list of {mu, sigma} objects")
-            else:
-                controls_echo, controls = [], []
-                for i, d in enumerate(lst):
-                    sub = _Reader()
-                    if isinstance(d, dict):
-                        sub.section(d, f"controls.{i}.", {"mu", "sigma"})
-                        mu = sub.get(d, "mu", f"controls.{i}.", required=True, kind=float)
-                        sg = sub.get(d, "sigma", f"controls.{i}.", required=True, kind=float)
-                        controls_echo.append({"mu": mu, "sigma": sg})
-                        controls.append(_constant_control(sub, band, mu, sg,
-                                                          f"controls.{i}."))
-                    else:
-                        sub.fail(f"controls.{i}", "expected an object")
-                    r.errors.extend(sub.errors)
-                built["controls"] = controls
-        if controls_echo is None and band is not None:
+        if items is not None:
+            by_index = dict(enumerate(items))
+            read = [_read_constant_control(r, by_index, i, band, prefix="controls.",
+                                           required=True) for i in by_index]
+            built["controls"] = [control for control, _ in read]
+            controls_echo = [echo for _, echo in read]
+        elif band is not None:
             built["controls"] = default_control_family(band)
         eff.update({"center_file": center_file, "eta": eta,
                     "n_paths": n_paths, "controls": controls_echo})

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainExitError, SingularControlError
-from .pde import PriceSurface, PricingProblem, _text_stream
+from .pde import PriceSurface, PricingProblem, _text_stream, _write_table
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -764,10 +764,7 @@ def _delta_hedge(surface: PriceSurface, times, S, r):
 
 def write_path_file(path: SampledPath, dest) -> None:
     """Two-column text: header 'time,value', one row per grid point."""
-    with _text_stream(dest, "w") as fh:
-        fh.write("time,value\n")
-        for t, v in zip(path.times, path.values):
-            fh.write(f"{t:.12g},{v:.12g}\n")
+    _write_table(dest, "time,value", path.times, path.values[:, None])
 
 
 def _read_table(src, kind: str) -> np.ndarray:
@@ -776,10 +773,15 @@ def _read_table(src, kind: str) -> np.ndarray:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0].strip() != "time":
         raise ValueError(f"{kind} file must start with a 'time,...' header")
-    data = np.array([[float(f) for f in ln.split(",")] for ln in lines[1:]])
-    if len(data) == 0:
+    rows = [[float(f) for f in ln.split(",")] for ln in lines[1:]]
+    if not rows:
         raise ValueError(f"{kind} file has no data rows")
-    if data.ndim != 2 or data.shape[1] < 2:
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{kind} file row {i + 1} has {len(row)} fields, "
+                             f"expected {len(rows[0])}")
+    data = np.array(rows)
+    if data.shape[1] < 2:
         raise ValueError(f"{kind} file has no value columns")
     return data
 
@@ -802,11 +804,8 @@ def write_ensemble_file(paths, dest) -> None:
         if len(p.times) != len(times) or not np.array_equal(p.times, times):
             raise ValueError("ensemble paths must share one time grid")
 
-    with _text_stream(dest, "w") as fh:
-        fh.write("time," + ",".join(f"value_{j}" for j in range(len(paths))) + "\n")
-        for i, t in enumerate(times):
-            row = ",".join(f"{p.values[i]:.12g}" for p in paths)
-            fh.write(f"{t:.12g},{row}\n")
+    header = "time," + ",".join(f"value_{j}" for j in range(len(paths)))
+    _write_table(dest, header, times, np.array([p.values for p in paths]).T)
 
 
 def read_ensemble_file(src, positive: bool = False) -> PathEnsemble:

@@ -529,9 +529,18 @@ def _text_stream(target, mode: str):
         yield target
 
 
+def _write_table(dest, header: str, first_col, rows) -> None:
+    """Comma-separated text: the ``header`` line, then one line per entry of
+    ``first_col`` followed by its row of ``rows``, each number at 12
+    significant digits."""
+    line = ",".join(["{:.12g}"] * (rows.shape[1] + 1)) + "\n"
+    with _text_stream(dest, "w") as fh:
+        fh.write(header + "\n")
+        for t, row in zip(first_col.tolist(), rows.tolist()):
+            fh.write(line.format(t, *row))
+
+
 def write_surface_file(surface: PriceSurface, dest) -> None:
     """Matrix text format: header row of space nodes, first column of times."""
-    with _text_stream(dest, "w") as fh:
-        fh.write("time\\space," + ",".join(format(v, ".12g") for v in surface.space_nodes) + "\n")
-        for t, row in zip(surface.times, surface.values):
-            fh.write(format(t, ".12g") + "," + ",".join(format(v, ".12g") for v in row) + "\n")
+    header = "time\\space," + ",".join(format(v, ".12g") for v in surface.space_nodes)
+    _write_table(dest, header, surface.times, surface.values)

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidask
 from bidask import ConfigError, emit_config, parse_config, run
-from bidask.cli import main
+from bidask.cli import COMMANDS, main
 
 
 def price_config(**overrides):
@@ -152,6 +154,206 @@ class TestParseConfig:
         explicit = price_config(spot_domain=[20.0, 500.0])
         c3 = parse_config(json.dumps(explicit))
         assert parse_config(emit_config(c3)).effective == c3.effective
+
+
+BAND = {"mu_lo": 0.01, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3}
+
+
+def hedge_config(**overrides):
+    cfg = price_config(command="hedge", band=dict(BAND),
+                       scenario={"mu": 0.03, "sigma": 0.2})
+    cfg.update(overrides)
+    return cfg
+
+
+def cps_pricing_config(**pricing):
+    d = {"payoff": {"kind": "call", "strike": 100.0}, "maturity": 1.0,
+         "spot_domain": [20.0, 500.0]}
+    d.update(pricing)
+    return {"command": "cps", "band": dict(BAND), "path_file": "unused.csv",
+            "epsilon": 0.05, "pricing": d}
+
+
+def config_errors(cfg):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(cfg))
+    return exc.value.errors
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("band, maturity", [
+        ({"mu_lo": 0.01, "mu_hi": 0.05, "sigma_lo": 0.2, "sigma_hi": 0.2}, 1e9),
+        ({"mu_lo": 0.01, "mu_hi": 0.05, "sigma_lo": 0.2, "sigma_hi": 1e9}, 1.0),
+    ])
+    @pytest.mark.parametrize("command", ["price", "hedge"])
+    def test_default_domain_overflow_is_a_config_error(self, tmp_path, capsys, band,
+                                                        maturity, command):
+        cfg = price_config(command=command, band=band, maturity=maturity)
+        if command == "hedge":
+            cfg["scenario"] = {"mu": 0.03, "sigma": 0.2}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(f)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("bidask: error")
+        assert err[1:] == ["  - spot_domain: the default domain "
+                           "spot*exp(+-8*sigma_hi*sqrt(maturity)) overflows; "
+                           "give a spot_domain"]
+
+    def test_missing_band_field_has_no_follow_on_error(self):
+        band = {k: v for k, v in BAND.items() if k != "mu_hi"}
+        assert config_errors(price_config(band=band)) == [
+            "band.mu_hi: required key is missing"]
+
+    def test_empty_band_builds_no_phantom_band(self):
+        assert config_errors(hedge_config(band={})) == [
+            f"band.{k}: required key is missing"
+            for k in ("mu_lo", "mu_hi", "sigma_lo", "sigma_hi")]
+
+    def test_path_file_hedge_round_trips(self):
+        cfg = price_config(command="hedge", path_file="path.csv")
+        emitted = emit_config(parse_config(json.dumps(cfg)))
+        assert json.loads(emitted)["scenario"] is None
+        assert emit_config(parse_config(emitted)) == emitted
+
+    def test_signed_zero_round_trips(self):
+        cfg = price_config(band={"mu_lo": -0.0, "mu_hi": 0.0, "sigma_lo": 0.2,
+                                 "sigma_hi": 0.2}, rate=-0.0)
+        emitted = emit_config(parse_config(json.dumps(cfg)))
+        assert emit_config(parse_config(emitted)) == emitted
+
+    def test_null_scenario_counts_as_absent(self):
+        assert config_errors(hedge_config(scenario=None)) == [
+            "path_file: hedge needs either path_file or scenario"]
+
+    @pytest.mark.parametrize("grid", [0, [], "", False])
+    def test_falsy_grid_is_not_an_object(self, grid):
+        assert config_errors(price_config(grid=grid)) == ["grid: expected an object"]
+        assert config_errors(cps_pricing_config(grid=grid)) == [
+            "pricing.grid: expected an object"]
+
+
+def _optional(key, values):
+    """``key`` absent, null or drawn from ``values``, as a one-key dict."""
+    return st.one_of(st.just({}), st.just({key: None}),
+                     values.map(lambda v: {key: v}))
+
+
+def _merged(*parts):
+    return st.tuples(*parts).map(lambda ds: {k: v for d in ds for k, v in d.items()})
+
+
+def _between(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _bands(draw):
+    mu = sorted(draw(st.lists(_between(-0.2, 0.2), min_size=2, max_size=2)))
+    sigma = sorted(draw(st.lists(_between(0.0, 0.8), min_size=2, max_size=2)))
+    sigma[1] = max(sigma[1], 0.01)
+    return {"mu_lo": mu[0], "mu_hi": mu[1], "sigma_lo": sigma[0], "sigma_hi": sigma[1]}
+
+
+def _inside(lo, hi):
+    return st.floats(0.0, 1.0).map(lambda u: min(max(lo + u * (hi - lo), lo), hi))
+
+
+def _levels(band):
+    return st.fixed_dictionaries({"mu": _inside(band["mu_lo"], band["mu_hi"]),
+                                  "sigma": _inside(band["sigma_lo"], band["sigma_hi"])})
+
+
+_payoffs = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["call", "put"]),
+                           "strike": _between(1.0, 500.0)}),
+    st.just({"kind": "identity"}),
+    st.fixed_dictionaries({"kind": st.just("power"), "exponent": _between(0.5, 3.0)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["piecewise_linear", "table"]),
+                           "knots": st.just([[50.0, 10.0], [100.0, 0.0], [150.0, 10.0]])}),
+)
+_grids = _merged(
+    _optional("n_space", st.integers(16, 10**6)),
+    _optional("n_time", st.integers(16, 10**6)),
+    _optional("stretching", st.sampled_from(["uniform_log", "uniform_price"])))
+_domains = st.tuples(_between(0.5, 50.0), _between(200.0, 5000.0)).map(list)
+_counts = st.integers(1, 10**6)
+
+
+def _pricing(spot):
+    parts = [st.fixed_dictionaries({"payoff": _payoffs, "maturity": _between(0.01, 5.0)}),
+             _optional("rate", _between(-0.1, 0.2)), _optional("grid", _grids)]
+    if spot:
+        parts += [st.fixed_dictionaries({"spot": _between(60.0, 150.0)}),
+                  _optional("spot_domain", _domains)]
+    else:
+        parts.append(st.fixed_dictionaries({"spot_domain": _domains}))
+    return _merged(*parts)
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    band = draw(_bands())
+    cfg = {"command": command, "band": band}
+    cfg.update(draw(_merged(
+        _optional("seed", st.integers(0, 2**64 - 1)),
+        _optional("format", st.sampled_from(["json", "csv"])),
+        _optional("output", st.just("report.json")))))
+    if command in ("price", "hedge"):
+        cfg.update(draw(_pricing(spot=True)))
+    if command == "hedge":
+        scenario = _levels(band).flatmap(
+            lambda d: _optional("n_steps", _counts).map(lambda n: {**d, **n}))
+        cfg.update(draw(_optional("scenario", scenario)))
+        if cfg.get("scenario") is None or draw(st.booleans()):
+            cfg["path_file"] = "path.csv"
+    elif command == "simulate":
+        piecewise = st.lists(st.sampled_from([0.25, 0.5, 0.75]), unique=True).flatmap(
+            lambda bps: st.lists(_levels(band), min_size=len(bps) + 1,
+                                 max_size=len(bps) + 1).map(
+                lambda lv: {"breakpoints": [0.0, *sorted(bps)],
+                            "sigma_levels": [d["sigma"] for d in lv],
+                            "mu_levels": [d["mu"] for d in lv]}))
+        cfg.update(draw(_merged(
+            st.fixed_dictionaries({"s0": _between(1.0, 500.0),
+                                   "horizon": _between(0.01, 5.0),
+                                   "control": st.one_of(_levels(band), piecewise)}),
+            _optional("n_steps", _counts), _optional("n_paths", _counts),
+            _optional("paths_out", st.just("paths.csv")))))
+    elif command == "fgbm":
+        cfg.update(draw(_merged(
+            st.fixed_dictionaries({"hurst": _between(0.01, 0.99),
+                                   "sigma": _inside(band["sigma_lo"], band["sigma_hi"]),
+                                   "horizon": _between(0.01, 5.0)}),
+            _optional("n_steps", _counts), _optional("n_paths", _counts),
+            _optional("paths_out", st.just("paths.csv")),
+            _optional("asset", _merged(st.fixed_dictionaries({"s0": _between(1.0, 500.0)}),
+                                       _optional("drift", _between(-0.5, 0.5)))))))
+        if cfg.get("asset") is None:
+            cfg.update(draw(_optional("method", st.sampled_from(["factorization",
+                                                                 "volterra"]))))
+    elif command == "cps":
+        cfg.update(draw(_merged(
+            st.fixed_dictionaries({"path_file": st.just("path.csv"),
+                                   "epsilon": _between(1e-4, 1.0)}),
+            _optional("pricing", _pricing(spot=False)))))
+    elif command == "capacity":
+        cfg.update(draw(_merged(
+            st.fixed_dictionaries({"center_file": st.just("center.csv"),
+                                   "eta": _between(0.0, 100.0)}),
+            _optional("n_paths", _counts),
+            _optional("controls", st.lists(_levels(band), max_size=4)))))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_configs())
+def test_emitted_config_is_a_fixed_point(cfg):
+    # the first emission canonicalises (defaults filled, floats at 12
+    # significant digits); parsing it again must reproduce it byte for byte
+    emitted = emit_config(parse_config(json.dumps(cfg)))
+    assert emit_config(parse_config(emitted)) == emitted
 
 
 class TestRun:

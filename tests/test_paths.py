@@ -1,5 +1,6 @@
 """Scenario simulation, deflator, MC pricing, integration, hedging tests."""
 
+import io
 import math
 
 import numpy as np
@@ -510,6 +511,29 @@ class TestPathFiles:
         f.write_text(text)
         with pytest.raises(ValueError, match=message):
             reader(f)
+
+    @pytest.mark.parametrize("reader, kind", [(read_path_file, "path"),
+                                              (read_ensemble_file, "ensemble")])
+    def test_ragged_rows_name_the_row(self, tmp_path, reader, kind):
+        f = tmp_path / "x.csv"
+        f.write_text("time,value_0,value_1\n0.0,1.0,2.0\n1.0,3.0\n")
+        with pytest.raises(ValueError) as exc:
+            reader(f)
+        assert str(exc.value) == f"{kind} file row 2 has 2 fields, expected 3"
+
+    def test_writers_format_each_value_at_12_digits(self):
+        # reference: the value-by-value formatting the writers must keep
+        paths = simulate_asset_paths(ControlProcess.constant(0.05, 0.2), 100.0,
+                                     grid_of(8), seed=2, n_paths=3)
+        buf = io.StringIO()
+        write_ensemble_file(paths, buf)
+        assert buf.getvalue() == "time,value_0,value_1,value_2\n" + "".join(
+            f"{t:.12g}," + ",".join(f"{p.values[i]:.12g}" for p in paths) + "\n"
+            for i, t in enumerate(paths.times))
+        buf = io.StringIO()
+        write_path_file(paths[1], buf)
+        assert buf.getvalue() == "time,value\n" + "".join(
+            f"{t:.12g},{v:.12g}\n" for t, v in zip(paths.times, paths[1].values))
 
 
 def butterfly_problem():

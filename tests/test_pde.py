@@ -347,6 +347,16 @@ class TestSurfaceLookup:
         got = np.array([float(v) for v in row[1:]])
         assert np.allclose(got, ask.values[-1], rtol=1e-11)
 
+    def test_surface_file_formats_each_value_at_12_digits(self):
+        # reference: the value-by-value formatting the writer must keep
+        ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(32, 16))
+        buf = io.StringIO()
+        write_surface_file(ask, buf)
+        assert buf.getvalue() == (
+            "time\\space," + ",".join(format(v, ".12g") for v in ask.space_nodes) + "\n"
+            + "".join(format(t, ".12g") + "," + ",".join(format(v, ".12g") for v in row)
+                      + "\n" for t, row in zip(ask.times, ask.values)))
+
     def test_surface_file_written_to_a_path_matches_the_buffer(self, tmp_path):
         ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(32, 16))
         buf = io.StringIO()
