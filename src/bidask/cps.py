@@ -24,7 +24,6 @@ crossings cancel exactly.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -81,30 +80,6 @@ class ConsistentPriceSystem:
     def crossing_times(self) -> np.ndarray:
         return self.source.times[self.tau_indices]
 
-    def to_report(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"epsilon: {self.epsilon:.12g}\n")
-        buf.write(f"sandwich_ratio_min: {self.ratio_min:.12g}\n")
-        buf.write(f"sandwich_ratio_max: {self.ratio_max:.12g}\n")
-        bound = (1.0 + self.epsilon) ** 3
-        ok = 1.0 / bound <= self.ratio_min and self.ratio_max <= bound
-        buf.write(f"sandwich_ok: {str(ok).lower()}\n")
-        st = self.delta_stats
-        buf.write(f"delta1_within_eps: {st.frac_delta1_within:.12g}\n")
-        buf.write(f"delta2_within_2eps: {st.frac_delta2_within:.12g}\n")
-        buf.write(f"flagged_steps: {st.flagged_steps}\n")
-        buf.write("crossings: index,time,sign,level,overshoot\n")
-        times = self.crossing_times()
-        for i in range(len(self.tau_indices)):
-            buf.write(f"{self.tau_indices[i]},{times[i]:.12g},{self.signs[i]:+d},"
-                      f"{self.levels[i]:.12g},{self.overshoots[i]:.12g}\n")
-        return buf.getvalue()
-
-
-def _require_positive(path: SampledPath) -> None:
-    if np.any(path.values <= 0.0):
-        raise ValueError("source path must be strictly positive")
-
 
 def extract_stopping_times(path: SampledPath, eps: float):
     """Grid crossing times of the relative band ((1+eps)^-1, 1+eps).
@@ -115,32 +90,24 @@ def extract_stopping_times(path: SampledPath, eps: float):
     detected at the first grid point at or past the band edge (sampled
     paths overshoot; magnitudes are available via build_shadow_path).
     """
-    _require_positive(path)
+    if np.any(path.values <= 0.0):
+        raise ValueError("source path must be strictly positive")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps!r}")
     log_s = np.log(path.values)
-    step = math.log1p(eps)
     # grazing the band edge within ~1 ulp counts as an exit, so a path that
     # is already a walk skeleton reproduces its own crossings exactly
-    edge = step * (1.0 - 1e-12)
+    edge = math.log1p(eps) * (1.0 - 1e-12)
     last = len(log_s) - 1
 
-    taus, signs = [], []
-    anchor = 0
-    while anchor < last:
-        rel = np.abs(log_s[anchor + 1:] - log_s[anchor])
-        hits = np.flatnonzero(rel >= edge)
-        if len(hits) == 0:
-            taus.append(last)
-            signs.append(0)
-            break
-        nxt = anchor + 1 + int(hits[0])
-        taus.append(nxt)
-        # a crossing recorded exactly at the horizon retires the walk
+    taus, signs, anchor = [], [], 0
+    while not taus or anchor < last:
+        hits = np.flatnonzero(np.abs(log_s[anchor + 1:] - log_s[anchor]) >= edge)
+        nxt = anchor + 1 + int(hits[0]) if len(hits) else last
+        # a crossing at the horizon, or none before it, retires the walk
         signs.append(0 if nxt == last else int(np.sign(log_s[nxt] - log_s[anchor])))
+        taus.append(nxt)
         anchor = nxt
-    if not taus:  # single-point path: retire immediately
-        taus, signs = [last], [0]
     return np.asarray(taus, dtype=int), np.asarray(signs, dtype=int)
 
 
@@ -172,21 +139,15 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
     ratio diagnostics.  A sandwich violation raises rather than returning a
     broken record.
     """
-    _require_positive(path)
     taus, signs = extract_stopping_times(path, eps)
     X0 = float(path.values[0])
     levels = retirement_walk(signs, X0, eps)
 
     log_s = np.log(path.values)
-    step = math.log1p(eps)
-
     # overshoot beyond the band edge per interior crossing (0 at retirement)
-    overshoots = np.zeros(len(taus))
-    prev = 0
-    for k, (tau, sg) in enumerate(zip(taus, signs)):
-        if sg != 0:
-            overshoots[k] = max(0.0, abs(log_s[tau] - log_s[prev]) - step)
-        prev = tau
+    prev = log_s[np.concatenate(([0], taus[:-1]))]
+    overshoots = np.where(signs != 0, np.maximum(
+        0.0, np.abs(log_s[taus] - prev) - math.log1p(eps)), 0.0)
 
     anchor_idx = np.concatenate(([0], taus))
     anchor_log_ratio = np.concatenate(

@@ -172,13 +172,6 @@ class TestShadowPath:
         with pytest.raises(ConsistencyError, match="sandwich"):
             build_shadow_path(SampledPath(t, vals, positive=True), 0.1)
 
-    def test_report_text(self):
-        cps = build_shadow_path(exp_path(n=257), 0.1)
-        text = cps.to_report()
-        assert "sandwich_ok: true" in text
-        assert "crossings: index,time,sign,level,overshoot" in text
-        assert text.count("\n") >= len(cps.tau_indices)
-
 
 class TestDeltaProcesses:
     def test_identity_ratio_case(self):
