@@ -1,11 +1,12 @@
 """Shadow price systems within a relative band of a rough price path.
 
 Given a positive sampled path S and a relative width eps, the construction
-walks the classical three steps:
+walks the classical three steps (Guasoni, Rasonyi & Schachermayer, 2010):
 
 1. stopping times: tau_{n+1} is the first grid time after tau_n at which
-   S / S_{tau_n} leaves ((1+eps)^-1, 1+eps), capped at the horizon;
-2. signs R_n = sign(S_{tau_n} - S_{tau_{n-1}}) at interior crossings, 0 at
+   S / X_n leaves ((1+eps)^-1, 1+eps), capped at the horizon, where X_n is
+   the walk level of step 2;
+2. signs R_n = sign(S_{tau_n} / X_{n-1} - 1) at interior crossings, 0 at
    the horizon (retirement), driving an exact geometric walk
    X_n = X_{n-1} (1+eps)^{R_n} started at X_0 = S_0;
 3. a continuous shadow path anchored at the walk levels,
@@ -15,11 +16,17 @@ walks the classical three steps:
 The ratio interpolation is the one modelling choice the data does not
 force: a conditional-expectation shadow is not computable from a single
 realised path, while interpolating log(S~/S) linearly in time keeps the
-shadow continuous, positive, exact at the anchors, and inside the
-guaranteed sandwich (1+eps)^-3 <= S~/S <= (1+eps)^3 (crossings on a grid
-overshoot the band edge by at most one step, and the overshoot per
-crossing is recorded).  All ratio arithmetic is done in log space so +1/-1
-crossings cancel exactly.
+shadow continuous, positive and exact at the anchors.  Because exits are
+measured from the walk level, not from the last sampled price, the anchor
+gaps do not accumulate: if every grid step has |d log S| <= log(1+eps),
+each interior anchor has |log(X_n / S_{tau_n})| < log(1+eps), and the
+horizon anchor (where a crossing on the last step retires the walk) has
+< 2 log(1+eps).  The interpolation keeps those bounds, so on such grids
+the sandwich (1+eps)^-3 <= S~/S <= (1+eps)^3 holds by construction.  A
+coarser grid can jump past several levels in one step; the sandwich is
+checked there and a violation raises.  The overshoot past the band edge
+per crossing is recorded.  All ratio arithmetic is done in log space so
++1/-1 crossings cancel exactly.
 """
 
 from __future__ import annotations
@@ -86,28 +93,34 @@ def extract_stopping_times(path: SampledPath, eps: float):
 
     Returns (tau_indices, signs): tau_indices are indices into the source
     grid; each sign is the crossing direction, 0 for retirement at the
-    horizon.  The final entry is always the last grid index.  Exits are
-    detected at the first grid point at or past the band edge (sampled
-    paths overshoot; magnitudes are available via build_shadow_path).
+    horizon.  The final entry is always the last grid index.  Each exit
+    is measured from the current walk level log X_n = log S_0 + k_n
+    log(1+eps), with the integer k_n moved by each sign, and detected at
+    the first grid point at or past the band edge (sampled paths
+    overshoot; magnitudes are available via build_shadow_path).  If every
+    step has |d log S| <= log(1+eps), each interior crossing has
+    |log(X_n / S_{tau_n})| < log(1+eps), and the horizon < 2 log(1+eps).
     """
     if np.any(path.values <= 0.0):
         raise ValueError("source path must be strictly positive")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps!r}")
     log_s = np.log(path.values)
+    step = math.log1p(eps)
     # grazing the band edge within ~1 ulp counts as an exit, so a path that
     # is already a walk skeleton reproduces its own crossings exactly
-    edge = math.log1p(eps) * (1.0 - 1e-12)
+    edge = step * (1.0 - 1e-12)
     last = len(log_s) - 1
 
-    taus, signs, anchor = [], [], 0
+    taus, signs, anchor, k = [], [], 0, 0
     while not taus or anchor < last:
-        hits = np.flatnonzero(np.abs(log_s[anchor + 1:] - log_s[anchor]) >= edge)
+        level = log_s[0] + k * step
+        hits = np.flatnonzero(np.abs(log_s[anchor + 1:] - level) >= edge)
         nxt = anchor + 1 + int(hits[0]) if len(hits) else last
         # a crossing at the horizon, or none before it, retires the walk
-        signs.append(0 if nxt == last else int(np.sign(log_s[nxt] - log_s[anchor])))
+        signs.append(0 if nxt == last else int(np.sign(log_s[nxt] - level)))
         taus.append(nxt)
-        anchor = nxt
+        anchor, k = nxt, k + signs[-1]
     return np.asarray(taus, dtype=int), np.asarray(signs, dtype=int)
 
 
@@ -136,18 +149,21 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
 
     Anchors the shadow at the walk levels, interpolates log(S~/S) linearly
     in time between anchors, verifies the sandwich bound, and attaches the
-    ratio diagnostics.  A sandwich violation raises rather than returning a
-    broken record.
+    ratio diagnostics.  The bound holds by construction when every step
+    has |d log S| <= log(1+eps) (see extract_stopping_times); on coarser
+    grids a violation raises rather than returning a broken record.
     """
     taus, signs = extract_stopping_times(path, eps)
     X0 = float(path.values[0])
     levels = retirement_walk(signs, X0, eps)
 
     log_s = np.log(path.values)
-    # overshoot beyond the band edge per interior crossing (0 at retirement)
-    prev = log_s[np.concatenate(([0], taus[:-1]))]
+    step = math.log1p(eps)
+    # overshoot past the band edge around X_{n-1} per interior crossing
+    # (0 at retirement)
+    prev = log_s[0] + (np.cumsum(signs) - signs) * step
     overshoots = np.where(signs != 0, np.maximum(
-        0.0, np.abs(log_s[taus] - prev) - math.log1p(eps)), 0.0)
+        0.0, np.abs(log_s[taus] - prev) - step), 0.0)
 
     anchor_idx = np.concatenate(([0], taus))
     anchor_log_ratio = np.concatenate(
@@ -162,9 +178,12 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
     bound = (1.0 + eps) ** 3
     r_min, r_max = float(ratio.min()), float(ratio.max())
     if r_min < 1.0 / bound * (1.0 - 1e-12) or r_max > bound * (1.0 + 1e-12):
+        jump = float(np.max(np.abs(np.diff(log_s)))) / step
         raise ConsistencyError(
             f"shadow/source ratio [{r_min:.6g}, {r_max:.6g}] violates the "
-            f"sandwich bound (1+eps)^-3..(1+eps)^3 = [{1.0 / bound:.6g}, {bound:.6g}]")
+            f"sandwich bound (1+eps)^-3..(1+eps)^3 = [{1.0 / bound:.6g}, {bound:.6g}]; "
+            f"the largest step |d log S| is {jump:.6g} log(1+eps), and the bound "
+            f"is guaranteed only for steps up to 1 log(1+eps)")
 
     shadow = SampledPath(path.times, shadow_vals, positive=True)
     stats = _delta_stats(path, shadow, eps)

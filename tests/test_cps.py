@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidask import (
     ConsistencyError,
@@ -171,6 +173,38 @@ class TestShadowPath:
         vals = np.array([100.0, 100.0 * 1.1**6, 100.0 * 1.1**6])
         with pytest.raises(ConsistencyError, match="sandwich"):
             build_shadow_path(SampledPath(t, vals, positive=True), 0.1)
+
+    def test_gross_jump_error_names_the_step_in_walk_units(self):
+        t = np.array([0.0, 0.5, 1.0])
+        vals = np.array([100.0, 100.0 * 1.1**6, 100.0 * 1.1**6])
+        with pytest.raises(ConsistencyError, match=r"largest step \|d log S\| is 6 log"):
+            build_shadow_path(SampledPath(t, vals, positive=True), 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.sampled_from([0.005, 0.01, 0.05, 0.2]),
+           unit_steps=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300))
+    def test_anchor_gap_bound_when_steps_stay_within_one_level(self, eps, unit_steps):
+        # every |d log S| <= log(1+eps): interior anchors lie within one
+        # level of the source, the horizon within two, so the sandwich holds
+        step = math.log1p(eps)
+        log_s = np.concatenate(([0.0], np.cumsum(unit_steps))) * step
+        path = SampledPath(np.linspace(0.0, 1.0, len(log_s)), 50.0 * np.exp(log_s),
+                           positive=True)
+        cps = build_shadow_path(path, eps)
+        gap = np.abs(np.log(cps.levels) - np.log(path.values[cps.tau_indices])) / step
+        assert np.all(gap[:-1] < 1.0 + 1e-9)
+        assert gap[-1] < 2.0 + 1e-9
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.7])
+    def test_criterion7_paths_build_at_eps_one_percent(self, hurst):
+        # exits measured from the walk level keep the anchor gaps from
+        # accumulating, so these fine paths build at a band below criterion 7's
+        spec = FgbmSpec(hurst, BAND, tuple(np.linspace(0.0, 1.0, 1025)))
+        paths = simulate_fgbm_asset(spec, 0.0, 100.0, 0.2, seed=4242, n_paths=25)
+        bound = 1.01**3
+        for p in paths:
+            cps = build_shadow_path(p, 0.01)
+            assert 1.0 / bound <= cps.ratio_min and cps.ratio_max <= bound
 
 
 class TestDeltaProcesses:
