@@ -767,19 +767,29 @@ def write_path_file(path: SampledPath, dest) -> None:
     _write_table(dest, "time,value", path.times, path.values[:, None])
 
 
+def _number(field: str, kind: str, row: int, col: int) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise ValueError(f"{kind} file row {row} field {col} is not a number: "
+                         f"{field.strip()!r}") from None
+
+
 def _read_table(src, kind: str) -> np.ndarray:
     """Rows under a 'time,...' header, (n_rows, n_fields >= 2); errors name ``kind``."""
     with _text_stream(src, "r") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0].strip() != "time":
         raise ValueError(f"{kind} file must start with a 'time,...' header")
-    rows = [[float(f) for f in ln.split(",")] for ln in lines[1:]]
+    rows = []
+    for i, ln in enumerate(lines[1:], start=1):
+        fields = ln.split(",")
+        if rows and len(fields) != len(rows[0]):
+            raise ValueError(f"{kind} file row {i} has {len(fields)} fields, "
+                             f"expected {len(rows[0])}")
+        rows.append([_number(f, kind, i, j) for j, f in enumerate(fields, start=1)])
     if not rows:
         raise ValueError(f"{kind} file has no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"{kind} file row {i + 1} has {len(row)} fields, "
-                             f"expected {len(rows[0])}")
     data = np.array(rows)
     if data.shape[1] < 2:
         raise ValueError(f"{kind} file has no value columns")

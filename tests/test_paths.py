@@ -521,6 +521,15 @@ class TestPathFiles:
             reader(f)
         assert str(exc.value) == f"{kind} file row 2 has 2 fields, expected 3"
 
+    @pytest.mark.parametrize("reader, kind", [(read_path_file, "path"),
+                                              (read_ensemble_file, "ensemble")])
+    def test_bad_number_names_the_row_and_field(self, tmp_path, reader, kind):
+        f = tmp_path / "x.csv"
+        f.write_text("time,value_0\n0.0,1.0\n1.0,abc\n")
+        with pytest.raises(ValueError) as exc:
+            reader(f)
+        assert str(exc.value) == f"{kind} file row 2 field 2 is not a number: 'abc'"
+
     def test_writers_format_each_value_at_12_digits(self):
         # reference: the value-by-value formatting the writers must keep
         paths = simulate_asset_paths(ControlProcess.constant(0.05, 0.2), 100.0,
