@@ -404,7 +404,7 @@ _COMMAND_KEYS = {
     "cps": {"path_file", "epsilon", "pricing"},
     "hedge": {"payoff", "maturity", "rate", "spot", "spot_domain", "grid",
               "path_file", "scenario"},
-    "capacity": {"center_file", "eta", "n_paths", "n_steps", "controls"},
+    "capacity": {"center_file", "eta", "n_paths", "controls"},
 }
 
 
@@ -448,6 +448,8 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                 r, cfg, "scenario", band, n_steps=1000)
             if scenario is None and path_file is None:
                 r.fail("path_file", "hedge needs either path_file or scenario")
+            elif scenario is not None and path_file is not None:
+                r.fail("path_file/scenario", "hedge takes path_file or scenario, not both")
             eff.update({"path_file": path_file, "scenario": scenario})
 
     elif cmd == "simulate":

@@ -226,6 +226,16 @@ class TestConfigSections:
         assert config_errors(hedge_config(scenario=None)) == [
             "path_file: hedge needs either path_file or scenario"]
 
+    def test_hedge_rejects_both_path_file_and_scenario(self):
+        assert config_errors(hedge_config(path_file="path.csv")) == [
+            "path_file/scenario: hedge takes path_file or scenario, not both"]
+
+    def test_capacity_has_no_step_count(self):
+        # the centre path fixes the grid; a step count would be dropped unread
+        cfg = {"command": "capacity", "band": dict(BAND), "center_file": "c.csv",
+               "eta": 5.0, "n_steps": "x"}
+        assert config_errors(cfg) == ["n_steps: unknown key (strict mode)"]
+
     @pytest.mark.parametrize("grid", [0, [], "", False])
     def test_falsy_grid_is_not_an_object(self, grid):
         assert config_errors(price_config(grid=grid)) == ["grid: expected an object"]
@@ -306,7 +316,7 @@ def _configs(draw):
         scenario = _levels(band).flatmap(
             lambda d: _optional("n_steps", _counts).map(lambda n: {**d, **n}))
         cfg.update(draw(_optional("scenario", scenario)))
-        if cfg.get("scenario") is None or draw(st.booleans()):
+        if cfg.get("scenario") is None:
             cfg["path_file"] = "path.csv"
     elif command == "simulate":
         piecewise = st.lists(st.sampled_from([0.25, 0.5, 0.75]), unique=True).flatmap(
