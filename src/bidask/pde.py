@@ -287,7 +287,7 @@ def _monotone_rows(stencils, a, b, c):
     return np.where(bad, _upwind_rows(stencils, a, b, c), rows), bad
 
 
-def _march(u0, rows, pick, dt, n_time, boundary_of, record_forward, context):
+def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     """Implicit march with Howard policy iteration over fixed candidate rows.
 
     ``rows[:, k]`` holds the (lo, di, hi) rows of the discrete operator L_k
@@ -303,8 +303,8 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, record_forward, context):
     iterate then solves its own selection) or when successive iterates
     agree to POLICY_RESIDUAL_TOL (round-off ties); otherwise
     NumericalFailure reports the last change between iterates, the step,
-    the grid and ``context``.  Returns the stack of slices, u0 first if
-    ``record_forward`` and last otherwise.
+    the grid and ``context``.  Returns the stack of slices in march order,
+    u0 first.
     """
     n = len(u0)
     cols = np.arange(n - 2)
@@ -347,9 +347,6 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, record_forward, context):
             )
         u = u_new
         out[step + 1] = u
-
-    if not record_forward:
-        out = out[::-1]
     return out
 
 
@@ -414,9 +411,8 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
 
     pick = np.argmax if side == "ask" else np.argmin
     context = {"side": side, "stretching": grid.stretching}
-    values = _march(terminal, rows, pick, dt, grid.n_time, boundary_of,
-                    record_forward=False, context=context)
-    values[-1] = terminal  # exact payoff on the terminal slice
+    # marched backward from the payoff, so reversed the stack ends on it
+    values = _march(terminal, rows, pick, dt, grid.n_time, boundary_of, context)[::-1]
     times = np.linspace(0.0, T, grid.n_time + 1)
     return PriceSurface(times, x, values, side, band=problem.band, rate=r)
 
@@ -483,8 +479,7 @@ def solve_g_heat(
         return lo, hi
 
     context = {"side": "heat", "stretching": grid.stretching}
-    values = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of,
-                    record_forward=True, context=context)
+    values = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of, context)
     times = np.linspace(0.0, horizon, grid.n_time + 1)
     return PriceSurface(times, w, values, "heat", band=band, rate=0.0)
 
