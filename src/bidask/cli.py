@@ -639,7 +639,7 @@ def _run_cps(eff, built):
 def _run_hedge(eff, built):
     band, grid = built["band"], built["grid"]
     surface = solve_bsb_ask(built["problem"], grid)
-    if eff["path_file"]:
+    if eff["path_file"] is not None:
         path = read_path_file(eff["path_file"], positive=True)
     else:
         tgrid = np.linspace(0.0, eff["maturity"], eff["scenario"]["n_steps"] + 1)

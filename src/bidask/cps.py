@@ -159,15 +159,13 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
 
     log_s = np.log(path.values)
     step = math.log1p(eps)
-    # overshoot past the band edge around X_{n-1} per interior crossing
-    # (0 at retirement)
+    # overshoot past the band edge around X_{n-1} (0 at retirement)
     prev = log_s[0] + (np.cumsum(signs) - signs) * step
     overshoots = np.where(signs != 0, np.maximum(
         0.0, np.abs(log_s[taus] - prev) - step), 0.0)
 
     anchor_idx = np.concatenate(([0], taus))
-    anchor_log_ratio = np.concatenate(
-        ([0.0], np.log(levels) - log_s[taus]))
+    anchor_log_ratio = np.concatenate(([0.0], np.log(levels) - log_s[taus]))
     log_ratio = np.interp(path.times, path.times[anchor_idx], anchor_log_ratio)
     # multiply the source by the interpolated ratio (exp(0) == 1 exactly,
     # so stretches of unit ratio reproduce the source bit for bit)

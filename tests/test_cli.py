@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bidask
 from bidask import ConfigError, emit_config, parse_config, run
-from bidask.cli import COMMANDS, main
+from bidask.cli import COMMANDS, CommandFailure, main
 
 
 def price_config(**overrides):
@@ -412,6 +412,14 @@ class TestRun:
         }
         report = run(parse_config(json.dumps(cfg)))
         assert report.outputs["terminal_mean"] > 0
+
+    def test_empty_hedge_path_file_is_a_file_name(self):
+        # an empty path_file names a file that is not there; it does not
+        # fall back to the absent scenario
+        cfg = price_config(command="hedge", path_file="",
+                           grid={"n_space": 16, "n_time": 16})
+        with pytest.raises(CommandFailure, match="No such file"):
+            run(parse_config(json.dumps(cfg)))
 
 
 def sample_path_file():
