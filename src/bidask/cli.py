@@ -9,7 +9,7 @@ is reproducible from its own output: ``parse(emit(c)) == c``.  Reports are
 rendered with fixed 12-significant-digit floats and deterministic key
 order, so identical configs produce byte-identical reports; the timing
 section therefore carries deterministic work counters (grid sizes, draw
-counts), not wall clocks.
+counts, the linear solves of each PDE march), not wall clocks.
 """
 
 from __future__ import annotations
@@ -532,6 +532,13 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _solve_counts(*surfaces):
+    """The linear solves of each surface's march, in all and in its busiest
+    step, keyed by side."""
+    return {"pde_linear_solves": {s.side: s.linear_solves for s in surfaces},
+            "pde_max_step_solves": {s.side: s.max_step_solves for s in surfaces}}
+
+
 def _run_price(eff, built):
     grid = built["grid"]
     ask, bid = solve_bsb_pair(built["problem"], grid)
@@ -544,7 +551,8 @@ def _run_price(eff, built):
         "spot": spot,
     }
     timing = {"pde_solves": 2, "pde_time_steps": grid.n_time,
-              "grid_points": (grid.n_space + 1) * (grid.n_time + 1)}
+              "grid_points": (grid.n_space + 1) * (grid.n_time + 1),
+              **_solve_counts(ask, bid)}
     return outputs, timing
 
 
@@ -654,7 +662,7 @@ def _run_hedge(eff, built):
         "n_rebalances": len(path) - 1,
     }
     timing = {"pde_solves": 1, "pde_time_steps": grid.n_time,
-              "hedge_steps": len(path) - 1}
+              "hedge_steps": len(path) - 1, **_solve_counts(surface)}
     return outputs, timing
 
 

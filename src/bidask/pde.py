@@ -10,20 +10,24 @@ Three closely related problems are solved on one implicit backbone:
   time, which defines worst-case expectations under zero-mean variance
   uncertainty (and drift uncertainty when the interval is not {0}).
 
-Scheme: an implicit tridiagonal solve per step with Howard policy
-iteration.  Each control value (a volatility, for the heat equation a
-drift and a volatility) has its own operator row at every node: central
-differences where that row is an M-matrix, upwinded drift otherwise.  The
-rows depend on the control alone, not on time or on the solution, so
-they are built once per solve; each iteration picks, node by node, the
-candidate row with the largest (ask, heat) or smallest (bid) value on the
-current iterate.  For the BSB pair the candidates make that pick the
-exact extremum over the whole variance band: on either side of a node's
-admissibility threshold the row is affine in sigma^2, so besides the two
-band ends only the threshold itself (its central row and its upwind
-limit row) can be extremal.  Every row is monotone, so ask >= bid and
-band monotonicity follow from the comparison principle of the scheme.
-Payoff kinks get a grid node placed exactly on them.
+Scheme: an implicit tridiagonal march with Howard policy iteration.  Each
+control value (a volatility, for the heat equation a drift and a
+volatility) has its own operator row at every node: central differences
+where that row is an M-matrix, upwinded drift otherwise.  The rows depend
+on the control alone, not on time or on the solution, so they are built
+once per solve; each iteration picks, node by node, the candidate row
+with the largest (ask, heat) or smallest (bid) value on the current
+iterate and solves the system of that selection.  A pick that repeats
+the last selection ends the step without a solve (the iterate already
+solves that system), and it is the next step's first pick;
+POLICY_MAX_ITERS bounds the picks of one step.  For the BSB pair the
+candidates make that pick the exact extremum over the whole variance
+band: on either side of a node's admissibility threshold the row is
+affine in sigma^2, so besides the two band ends only the threshold itself
+(its central row and its upwind limit row) can be extremal.  Every row is
+monotone, so ask >= bid and band monotonicity follow from the comparison
+principle of the scheme.  Payoff kinks get a grid node placed exactly on
+them.
 
 Boundary conditions are Dirichlet from the payoff's linear extrapolation
 at the domain ends: the linear part grows at the riskless rate under the
@@ -37,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from .errors import ConsistencyError, NumericalFailure
@@ -115,7 +119,9 @@ class PriceSurface:
     backward problems the last slice is the payoff sampled exactly on the
     nodes.  ``band`` and ``rate`` record the generating problem so rules
     derived from the surface (state-feedback scenarios, hedges) don't need
-    it re-supplied.
+    it re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
+    tridiagonal solves of the march that built the surface, in all and in
+    its busiest step (zero for a surface not built by a solver).
     """
 
     times: np.ndarray
@@ -124,6 +130,8 @@ class PriceSurface:
     side: str
     band: UncertaintyBand | None = None
     rate: float = 0.0
+    linear_solves: int = 0
+    max_step_solves: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -299,60 +307,99 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     (I - dt L) u_new = u_old with the Dirichlet values
     ``boundary_of(step) -> (lo, hi)``, where L takes at each node the row
     that ``pick`` (``np.argmax`` or ``np.argmin`` over k) selects exactly on
-    the current iterate.  Iteration stops when the selection repeats (the
-    iterate then solves its own selection) or when successive iterates
-    agree to POLICY_RESIDUAL_TOL (round-off ties); otherwise
+    the current iterate, by one LAPACK ``gtsv`` call.
+
+    A step ends when a new pick repeats the last selection: the iterate
+    already solves that selection, so it is the step's value and no solve
+    is made.  That pick was made on the step's final value, so it is also
+    the next step's first pick.  A step also ends when successive iterates
+    agree to POLICY_RESIDUAL_TOL (round-off ties); the next step then picks
+    afresh.  POLICY_MAX_ITERS bounds the picks of one step; past it,
     NumericalFailure reports the last change between iterates, the step,
-    the grid and ``context``.  Returns the stack of slices in march order,
-    u0 first.
+    the grid and ``context``.  So does a non-finite operator or initial
+    slice, and an iterate that is not finite or a solve that fails.
+
+    Returns the stack of slices in march order, u0 first, the number of
+    linear solves and the largest number made in one step.
     """
     n = len(u0)
-    cols = np.arange(n - 2)
-    # banded rows of I - dt L_k: superdiagonal, diagonal, subdiagonal
-    system = np.stack([-dt * rows[2], 1.0 - dt * rows[1], -dt * rows[0]])
+    m = n - 2
+    cols = np.arange(m)
+    diagnostics = {"n_space": n - 1, "n_time": n_time, **context}
+    # rows of I - dt L_k below, on and above the diagonal; candidate k's
+    # entry at interior node i sits at k * m + i
+    lower = (-dt * rows[0]).ravel()
+    middle = (1.0 - dt * rows[1]).ravel()
+    upper = (-dt * rows[2]).ravel()
+    if not all(np.isfinite(a).all() for a in (lower, middle, upper, u0)):
+        raise NumericalFailure("operator or initial slice is not finite", **diagnostics)
+    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
     out = np.empty((n_time + 1, n))
     out[0] = u0
-    u = out[0].copy()
+    u = out[0]
+    solves = max_step_solves = 0
+    sel = None
+
+    def select(v):
+        return pick(rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:], axis=0)
 
     for step in range(n_time):
         bc_lo, bc_hi = boundary_of(step)
-        sel = None
+        if sel is None:
+            sel = select(u)
         u_iter = u
-        for _ in range(POLICY_MAX_ITERS):
-            sel_new = pick(rows[0] * u_iter[:-2] + rows[1] * u_iter[1:-1]
-                           + rows[2] * u_iter[2:], axis=0)
-            chosen = system[:, sel_new, cols]
-            ab = np.zeros((3, n))
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 2:] = chosen[0]
-            ab[1, 1:-1] = chosen[1]
-            ab[2, :-2] = chosen[2]
+        solves_before = solves
+        for it in range(POLICY_MAX_ITERS):
+            if it:
+                sel_new = select(u_new)
+                if np.array_equal(sel_new, sel):
+                    break
+                sel, u_iter = sel_new, u_new
+            # gtsv overwrites its bands, so every solve gathers them afresh
+            at = sel * m + cols
+            lower.take(at, out=dl[:-1])
+            middle.take(at, out=d[1:-1])
+            upper.take(at, out=du[1:])
+            dl[-1] = du[0] = 0.0
+            d[0] = d[-1] = 1.0
             rhs = u.copy()
             rhs[0] = bc_lo
             rhs[-1] = bc_hi
-            u_new = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-            change = float(np.max(np.abs(u_new - u_iter)))
-            if change < POLICY_RESIDUAL_TOL or (sel is not None and np.array_equal(sel_new, sel)):
+            *_, u_new, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+            solves += 1
+            change = float(np.abs(u_new - u_iter).max())
+            if info != 0 or not math.isfinite(change):
+                raise NumericalFailure("implicit step has no finite solution", step=step,
+                                       info=info, residual=change, **diagnostics)
+            if change < POLICY_RESIDUAL_TOL:
+                sel = None
                 break
-            sel, u_iter = sel_new, u_new
         else:
             raise NumericalFailure(
                 "policy iteration did not stabilise",
                 step=step,
                 max_iters=POLICY_MAX_ITERS,
                 residual=change,
-                n_space=n - 1,
-                n_time=n_time,
-                **context,
+                **diagnostics,
             )
+        max_step_solves = max(max_step_solves, solves - solves_before)
         u = u_new
         out[step + 1] = u
-    return out
+    return out, solves, max_step_solves
 
 
 # ---------------------------------------------------------------------------
 # The three solvers
 # ---------------------------------------------------------------------------
+
+
+def _variance(sigma):
+    """sigma**2, or inf past the float range, which ``_march`` then reports
+    as a non-finite operator."""
+    try:
+        return sigma**2
+    except OverflowError:
+        return math.inf
 
 
 def _bsb_rows(x, w, stretching, r, band, side):
@@ -386,8 +433,8 @@ def _bsb_rows(x, w, stretching, r, band, side):
     alpha = _central_rows(stencils, *coeffs(1.0)) - beta
     v_star = np.maximum(-beta[0] / alpha[0], -beta[2] / alpha[2])
 
-    rows_lo, bad_lo = _monotone_rows(stencils, *coeffs(band.sigma_lo**2))
-    rows_hi, bad_hi = _monotone_rows(stencils, *coeffs(band.sigma_hi**2))
+    rows_lo, bad_lo = _monotone_rows(stencils, *coeffs(_variance(band.sigma_lo)))
+    rows_hi, bad_hi = _monotone_rows(stencils, *coeffs(_variance(band.sigma_hi)))
     first, second = (rows_hi, rows_lo) if side == "ask" else (rows_lo, rows_hi)
     straddle = bad_lo & ~bad_hi
     at_star = [np.where(straddle, build(stencils, *coeffs(v_star)), first)
@@ -410,11 +457,13 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
         return a_lo * x[0] + b_lo * disc, a_hi * x[-1] + b_hi * disc
 
     pick = np.argmax if side == "ask" else np.argmin
-    context = {"side": side, "stretching": grid.stretching}
-    # marched backward from the payoff, so reversed the stack ends on it
-    values = _march(terminal, rows, pick, dt, grid.n_time, boundary_of, context)[::-1]
+    context = {"side": side, "stretching": grid.stretching, "band": problem.band}
+    values, solves, max_step = _march(terminal, rows, pick, dt, grid.n_time, boundary_of,
+                                      context)
     times = np.linspace(0.0, T, grid.n_time + 1)
-    return PriceSurface(times, x, values, side, band=problem.band, rate=r)
+    # marched backward from the payoff, so reversed the stack ends on it
+    return PriceSurface(times, x, values[::-1], side, band=problem.band, rate=r,
+                        linear_solves=solves, max_step_solves=max_step)
 
 
 def solve_bsb_ask(problem: PricingProblem, grid: GridSpec) -> PriceSurface:
@@ -467,7 +516,7 @@ def solve_g_heat(
     # its own; mu_hi and sigma_hi first, so they win exact ties
     stencils = _nonuniform_stencils(w)
     rows = np.stack([
-        _monotone_rows(stencils, 0.5 * sigma**2, mu, 0.0)[0]
+        _monotone_rows(stencils, 0.5 * _variance(sigma), mu, 0.0)[0]
         for mu in (band.mu_hi, band.mu_lo)
         for sigma in (band.sigma_hi, band.sigma_lo)
     ], axis=1)
@@ -478,10 +527,12 @@ def solve_g_heat(
         hi = a_hi * w[-1] + b_hi + t * g_drift_vol(a_hi, 0.0, band)
         return lo, hi
 
-    context = {"side": "heat", "stretching": grid.stretching}
-    values = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of, context)
+    context = {"side": "heat", "stretching": grid.stretching, "band": band}
+    values, solves, max_step = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of,
+                                      context)
     times = np.linspace(0.0, horizon, grid.n_time + 1)
-    return PriceSurface(times, w, values, "heat", band=band, rate=0.0)
+    return PriceSurface(times, w, values, "heat", band=band, rate=0.0,
+                        linear_solves=solves, max_step_solves=max_step)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,33 @@ class TestRun:
         with pytest.raises(CommandFailure, match="No such file"):
             run(parse_config(json.dumps(cfg)))
 
+    @pytest.mark.parametrize("sigma_hi", [1e153, 1e200])
+    def test_overflowing_band_is_a_numerical_failure(self, sigma_hi):
+        # 1e153 gives an infinite operator row, 1e200 a variance past the
+        # float range
+        band = {"mu_lo": 0.0, "mu_hi": 0.0, "sigma_lo": 0.1, "sigma_hi": sigma_hi}
+        cfg = price_config(band=band, spot_domain=[50.0, 200.0],
+                           grid={"n_space": 32, "n_time": 32})
+        with pytest.raises(CommandFailure) as exc, np.errstate(all="ignore"):
+            run(parse_config(json.dumps(cfg)))
+        cause = exc.value.__cause__
+        assert isinstance(cause, bidask.NumericalFailure)
+        diag = cause.diagnostics
+        assert (diag["side"], diag["stretching"]) == ("ask", "uniform_log")
+        assert (diag["n_space"], diag["n_time"]) == (32, 32)
+        assert diag["band"].sigma_hi == sigma_hi
+
+    def test_flat_band_takes_one_solve_per_step(self):
+        # a flat band has one candidate row, so every first pick repeats
+        grid = {"n_space": 64, "n_time": 48, "stretching": "uniform_log"}
+        price = run(parse_config(json.dumps(price_config(grid=grid)))).timing
+        assert price["pde_linear_solves"] == {"ask": 48, "bid": 48}
+        assert price["pde_max_step_solves"] == {"ask": 1, "bid": 1}
+        hedge_cfg = hedge_config(band=price_config()["band"], grid=grid)
+        hedge = run(parse_config(json.dumps(hedge_cfg))).timing
+        assert hedge["pde_linear_solves"] == {"ask": 48}
+        assert hedge["pde_max_step_solves"] == {"ask": 1}
+
 
 def sample_path_file():
     from importlib import resources

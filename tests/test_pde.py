@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from bidask import (
     GridSpec,
@@ -284,6 +285,93 @@ class TestPolicyIteration:
         assert (diag["n_space"], diag["n_time"]) == (64, 48)
 
 
+def reference_march(u0, rows, pick, dt, n_time, boundary_of, context):
+    """The march as ``scipy.linalg.solve_banded`` ran it: a banded matrix
+    rebuilt on every iterate, every step picking on its start value, and
+    a solve of a repeated selection before the step ends.  Its solve
+    counts read zero."""
+    n = len(u0)
+    cols = np.arange(n - 2)
+    system = np.stack([-dt * rows[2], 1.0 - dt * rows[1], -dt * rows[0]])
+    out = np.empty((n_time + 1, n))
+    out[0] = u0
+    u = out[0].copy()
+    for step in range(n_time):
+        bc_lo, bc_hi = boundary_of(step)
+        sel = None
+        u_iter = u
+        for _ in range(pde.POLICY_MAX_ITERS):
+            sel_new = pick(rows[0] * u_iter[:-2] + rows[1] * u_iter[1:-1]
+                           + rows[2] * u_iter[2:], axis=0)
+            chosen = system[:, sel_new, cols]
+            ab = np.zeros((3, n))
+            ab[1, 0] = ab[1, -1] = 1.0
+            ab[0, 2:] = chosen[0]
+            ab[1, 1:-1] = chosen[1]
+            ab[2, :-2] = chosen[2]
+            rhs = u.copy()
+            rhs[0] = bc_lo
+            rhs[-1] = bc_hi
+            u_new = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+            change = float(np.max(np.abs(u_new - u_iter)))
+            if change < pde.POLICY_RESIDUAL_TOL or (
+                    sel is not None and np.array_equal(sel_new, sel)):
+                break
+            sel, u_iter = sel_new, u_new
+        else:
+            raise NumericalFailure("policy iteration did not stabilise", step=step,
+                                   residual=change)
+        u = u_new
+        out[step + 1] = u
+    return out, 0, 0
+
+
+class TestMarchOracle:
+    """The march is bitwise equal to the banded reference above."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    @pytest.mark.parametrize("side", ["ask", "bid"])
+    def test_bsb_matches_reference(self, monkeypatch, side, stretching, rate):
+        # problem 10 of criterion 3 on its widened band, which straddles the
+        # admissibility threshold of many nodes when the rate is positive
+        payoff, maturity, _, base = PUT_10
+        band = widened(base)
+        prob = PricingProblem(payoff, maturity, rate, band,
+                              log_domain(band.sigma_hi, maturity))
+        solve = solve_bsb_ask if side == "ask" else solve_bsb_bid
+        grid = GridSpec(96, 80, stretching)
+        got = solve(prob, grid)
+        monkeypatch.setattr(pde, "_march", reference_march)
+        assert np.array_equal(got.values, solve(prob, grid).values)
+
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (-0.02, 0.05)], ids=["no_drift", "drift"])
+    def test_g_heat_matches_reference(self, monkeypatch, mu):
+        band = UncertaintyBand(*mu, 0.1, 0.3)
+        phi = ScalarFunctionSpec.call(0.05)
+        got = solve_g_heat(phi, band, 1.0, GridSpec(96, 80))
+        monkeypatch.setattr(pde, "_march", reference_march)
+        assert np.array_equal(got.values, solve_g_heat(phi, band, 1.0, GridSpec(96, 80)).values)
+
+    def test_counts_solves_per_step(self):
+        # a wide band switches selection in some steps, each switch one
+        # more solve in its step
+        ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(64, 48))
+        assert ask.max_step_solves > 1
+        assert 48 < ask.linear_solves < 48 * ask.max_step_solves
+
+    def test_singular_step_is_a_numerical_failure(self):
+        # rows with L = I / dt leave the interior of I - dt L all zero
+        rows = np.zeros((3, 1, 4))
+        rows[1] = 1.0
+        with pytest.raises(NumericalFailure) as info:
+            pde._march(np.ones(6), rows, np.argmax, 1.0, 3, lambda step: (1.0, 1.0),
+                       {"side": "heat"})
+        diag = info.value.diagnostics
+        assert diag["info"] > 0 and diag["step"] == 0
+        assert (diag["n_space"], diag["n_time"], diag["side"]) == (5, 3, "heat")
+
+
 class TestGHeat:
     def test_linear_data_zero_drift_is_invariant(self):
         band = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
@@ -310,6 +398,13 @@ class TestGHeat:
         surf = solve_g_heat(ScalarFunctionSpec.power(2), band, 1.0,
                             GridSpec(200, 200))
         assert surf.value_at(1.0, 0.0) == pytest.approx(0.09, rel=1e-6)
+
+    def test_variance_past_float_range_is_a_numerical_failure(self):
+        band = UncertaintyBand(0.0, 0.0, 0.1, 1e200)
+        with pytest.raises(NumericalFailure) as info, np.errstate(all="ignore"):
+            solve_g_heat(ScalarFunctionSpec.call(0.0), band, 1.0, GridSpec(32, 32))
+        diag = info.value.diagnostics
+        assert (diag["side"], diag["n_space"], diag["band"]) == ("heat", 32, band)
 
     def test_rejects_nonpositive_horizon(self):
         band = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
