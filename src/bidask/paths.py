@@ -196,9 +196,11 @@ class BangBangRule:
 
     ``sigma_table[i, j]`` is the band end the rule picks at the surface's
     time row i and node j.  At (t, x) the volatility is read at the last
-    row at or before t and the node nearest x; the drift is a constant
-    inside the band.  Usable wherever a ControlProcess is (simulation
-    steps forward in time, reading the volatility off the table).
+    row i at or before t and the node nearest x * scale[i], which carries
+    a spot at that row's time onto the surface's nodes; the drift is a
+    constant inside the band.  Usable wherever a ControlProcess is
+    (simulation steps forward in time, reading the volatility off the
+    table).
     """
 
     times: np.ndarray
@@ -206,9 +208,11 @@ class BangBangRule:
     sigma_table: np.ndarray
     mu_value: float
     label: str
+    scale: np.ndarray
 
     def sigma_state(self, t: float, s):
-        return self.sigma_table[_in_force(self.times, t), _nearest_node(self.nodes, s)]
+        i = _in_force(self.times, t)
+        return self.sigma_table[i, _nearest_node(self.nodes, np.asarray(s) * self.scale[i])]
 
     def mu_state(self, t: float, s):
         return np.full(np.shape(np.asarray(s)), self.mu_value)
@@ -254,6 +258,7 @@ def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = Non
         sigma_table=np.where(d2 >= 0.0, s_pos, s_neg),
         mu_value=float(mu),
         label=f"bang_bang_{surface.side}",
+        scale=surface.forward_factor(surface.times),
     )
 
 
@@ -382,7 +387,8 @@ def _paths_from_normals(control, S0, grid, z, band=None):
         dB = np.empty((n_steps, n_paths))
         sig_used = np.empty((n_steps, n_paths))
         for i in range(n_steps):
-            sg = control.sigma_table[rows[i]][_nearest_node(control.nodes, S[i])]
+            sg = control.sigma_table[rows[i]][_nearest_node(control.nodes,
+                                                            S[i] * control.scale[rows[i]])]
             dB[i] = sg * math.sqrt(dt[i]) * z[:, i]
             S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i] + dB[i])
             sig_used[i] = sg
@@ -714,12 +720,13 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
     times = asset_path.times
     s = asset_path.values
     nodes = surface.space_nodes
-    outside = (s < nodes[0]) | (s > nodes[-1])
+    scale = surface.forward_factor(times)
+    outside = (s * scale < nodes[0]) | (s * scale > nodes[-1])
     if np.any(outside):
         k = int(np.argmax(outside))
-        raise DomainExitError(
-            f"path exits the surface domain [{nodes[0]:g}, {nodes[-1]:g}] at t={times[k]:g}",
-            exit_time=float(times[k]))
+        lo, hi = nodes[[0, -1]] / scale[k]
+        raise DomainExitError(f"path exits the surface domain [{lo:g}, {hi:g}] at "
+                              f"t={times[k]:g}", exit_time=float(times[k]))
 
     (wealth,), (u_on_path,) = _delta_hedge(surface, times, s[None, :], r)
     cost = wealth - u_on_path
@@ -736,18 +743,20 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
 
 def _delta_hedge(surface: PriceSurface, times, S, r):
     """Wealth of the surface's delta hedge and u(t_i, S_i) along each row
-    of S (n_paths, n_steps+1), each step's slice and gradient taken once.
-    The recursion Y_{i+1} = g_i Y_i + c_i is unrolled with cumulative
-    growth factors, so no per-path python loop is needed."""
+    of S (n_paths, n_steps+1), each step's slice, gradient and scale taken
+    once.  The recursion Y_{i+1} = g_i Y_i + c_i is unrolled with
+    cumulative growth factors, so no per-path python loop is needed."""
     nodes = surface.space_nodes
     S = np.ascontiguousarray(S.T)  # time-major: each step reads and writes one row
+    scale = surface.forward_factor(times)
     dt = np.diff(times)[:, None]
     theta = np.empty((len(dt), S.shape[1]))
     u = np.empty(S.shape)
     for i in range(len(dt)):
         sl = surface.value_slice(times[i])
-        theta[i] = np.interp(S[i], nodes, np.gradient(sl, nodes))
-        u[i] = np.interp(S[i], nodes, sl)
+        x = S[i] * scale[i]
+        theta[i] = np.interp(x, nodes, np.gradient(sl, nodes) * scale[i])
+        u[i] = np.interp(x, nodes, sl)
     u[-1] = np.interp(S[-1], nodes, surface.values[-1])
 
     g = 1.0 + r * dt

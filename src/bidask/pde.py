@@ -10,28 +10,31 @@ Three closely related problems are solved on one implicit backbone:
   time, which defines worst-case expectations under zero-mean variance
   uncertainty (and drift uncertainty when the interval is not {0}).
 
-Scheme: an implicit tridiagonal march with Howard policy iteration.  Each
-control value (a volatility, for the heat equation a drift and a
-volatility) has its own operator row at every node: central differences
-where that row is an M-matrix, upwinded drift otherwise.  The rows depend
-on the control alone, not on time or on the solution, so they are built
-once per solve; each iteration picks, node by node, the candidate row
-with the largest (ask, heat) or smallest (bid) value on the current
-iterate and solves the system of that selection.  A pick that repeats
-the last selection ends the step without a solve (the iterate already
-solves that system), and it is the next step's first pick;
-POLICY_MAX_ITERS bounds the picks of one step.  For the BSB pair the
-candidates make that pick the exact extremum over the whole variance
-band: on either side of a node's admissibility threshold the row is
-affine in sigma^2, so besides the two band ends only the threshold itself
-(its central row and its upwind limit row) can be extremal.  Every row is
-monotone, so ask >= bid and band monotonicity follow from the comparison
-principle of the scheme.  Payoff kinks get a grid node placed exactly on
-them.
+Scheme: an implicit tridiagonal march with Howard policy iteration over
+operator rows fixed per control.  The BSB pair is solved in forward
+coordinates: with F = x exp(r (T - t)) and V = exp(r (T - t)) u it reads
+V_tau = g_vol(F^2 V_FF) (ask) or -g_vol(-F^2 V_FF) (bid), with no rate
+term, so the row of a volatility sigma is sigma^2 / 2 times one fixed
+stencil D and the band ends are the only candidates.  D is the
+exponentially fitted stencil of d2/dy2 - d/dy in y = log F on uniform_log
+grids and central F^2 d2/dF2 on uniform_price grids; both have positive
+weights at every spacing and are exact on claims linear in F.  The nodes
+are fixed in F and anchored at t = 0, so slice 0 sits on the spot
+domain's nodes; payoff kinks are snapped onto nodes in the maturity
+frame.  The heat equation's drift is a real control: each corner of its
+(drift, volatility) box has its own row, central where that row is an
+M-matrix and upwinded otherwise.  Each iteration picks, node by node, the
+candidate row with the largest (ask, heat) or smallest (bid) product with
+the iterate, keeping the selected row unless another beats it by more
+than a round-off bound, and solves the system of that selection; a pick
+that repeats the selection ends the step.  Every row is monotone, so
+ask >= bid and band monotonicity follow from the comparison principle of
+the scheme.
 
 Boundary conditions are Dirichlet from the payoff's linear extrapolation
-at the domain ends: the linear part grows at the riskless rate under the
-pricing PDEs, so u(boundary) = slope*x + intercept*exp(-r tau).
+a F + b at the domain ends.  It solves the forward BSB equation exactly,
+so V keeps the payoff's end values; the heat equation's boundary follows
+its exact solution for linear data.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ __all__ = [
 ]
 
 POLICY_MAX_ITERS = 50
-POLICY_RESIDUAL_TOL = 1e-10
+# relative to |u|_inf, so scaling the data scales every decision of the
+# march; an iterate that moves less only reflects picks flipping in round-off
+POLICY_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,9 @@ class GridSpec:
 class PricingProblem:
     """A European claim plus the market data needed to price it.
 
-    The payoff must be nonnegative on the spot domain (claims here are
-    nonnegative by assumption), checked against its exact minimum there;
-    maturity and the domain must be sensible.
+    The payoff must be nonnegative on ``maturity_domain``, where it is
+    sampled (claims here are nonnegative by assumption), checked against
+    its exact minimum there; maturity and the domain must be sensible.
     """
 
     payoff: ScalarFunctionSpec
@@ -105,21 +110,39 @@ class PricingProblem:
             raise ValueError(f"spot_domain lower end {x_min} must be >= 0")
         if x_min >= x_max:
             raise ValueError(f"spot_domain is empty: [{x_min}, {x_max}]")
-        lo = -maximal_expectation(self.payoff.negated(), x_min, x_max)
-        hi = maximal_expectation(self.payoff, x_min, x_max)
+        try:
+            f_min, f_max = self.maturity_domain
+        except OverflowError:
+            f_min = f_max = math.inf
+        if not f_min < f_max < math.inf:
+            raise ValueError(f"spot_domain carried to maturity at rate {self.rate} "
+                             "leaves the float range")
+        lo = -maximal_expectation(self.payoff.negated(), f_min, f_max)
+        hi = maximal_expectation(self.payoff, f_min, f_max)
         if lo < -1e-12 * max(1.0, abs(lo), abs(hi)):
             raise ValueError("payoff must be nonnegative on the spot domain")
+
+    @property
+    def maturity_domain(self) -> tuple:
+        """The spot domain carried to maturity at the riskless rate, x e^{rT}:
+        where the BSB nodes are fixed and the payoff is sampled."""
+        growth = math.exp(self.rate * self.maturity)
+        return self.spot_domain[0] * growth, self.spot_domain[1] * growth
 
 
 @dataclass
 class PriceSurface:
     """Discretized solution u(t, x) of one of the pricing problems.
 
-    ``values[i, j]`` is the value at ``times[i]``, ``space_nodes[j]``.  For
-    backward problems the last slice is the payoff sampled exactly on the
-    nodes.  ``band`` and ``rate`` record the generating problem so rules
-    derived from the surface (state-feedback scenarios, hedges) don't need
-    it re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
+    ``values[i, j]`` is the value at ``times[i]`` and the spot
+    ``space_nodes[j] * exp(-rate * (times[-1] - times[i]))``: the nodes are
+    the spots at maturity, fixed forward prices, and a spot x at time t is
+    read at x * ``forward_factor(t)``.  For the BSB pair slice 0 sits on the
+    spot domain's nodes and the last slice is the payoff sampled exactly on
+    the nodes; at rate 0, as for every heat surface, the spot is the node.
+    ``band`` and ``rate`` record the generating problem so rules derived
+    from the surface (state-feedback scenarios, hedges) don't need it
+    re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
     tridiagonal solves of the march that built the surface, in all and in
     its busiest step (zero for a surface not built by a solver).
     """
@@ -159,6 +182,11 @@ class PriceSurface:
         w = (t - times[k]) / (times[k + 1] - times[k])
         return k, k + 1, float(w)
 
+    def forward_factor(self, t):
+        """exp(rate * (T - t)), T = times[-1]: the factor that carries a
+        spot at time t to the nodes' forward prices (1 at rate 0)."""
+        return np.exp(self.rate * (self.times[-1] - np.asarray(t, dtype=float)))
+
     def value_slice(self, t: float) -> np.ndarray:
         """Values on the space nodes at time t (linear in time)."""
         k0, k1, w = self._time_weights(t)
@@ -168,16 +196,18 @@ class PriceSurface:
 
     def value_at(self, t: float, x) -> float:
         sl = self.value_slice(t)
-        out = np.interp(np.asarray(x, dtype=float), self.space_nodes, sl)
+        out = np.interp(np.asarray(x, dtype=float) * self.forward_factor(t),
+                        self.space_nodes, sl)
         return float(out) if np.ndim(out) == 0 else out
 
     def delta_slice(self, t: float) -> np.ndarray:
-        """Discrete du/dx on the space nodes at time t."""
-        return np.gradient(self.value_slice(t), self.space_nodes)
+        """Discrete du/dx at time t, at the spots the space nodes stand for."""
+        return np.gradient(self.value_slice(t), self.space_nodes) * self.forward_factor(t)
 
     def delta_at(self, t: float, x) -> float:
         d = self.delta_slice(t)
-        out = np.interp(np.asarray(x, dtype=float), self.space_nodes, d)
+        out = np.interp(np.asarray(x, dtype=float) * self.forward_factor(t),
+                        self.space_nodes, d)
         return float(out) if np.ndim(out) == 0 else out
 
 
@@ -220,30 +250,32 @@ def _snap_nodes(w: np.ndarray, knots, to_w=float) -> list:
 
 
 def _build_space_nodes(problem: PricingProblem, grid: GridSpec):
-    """Spatial nodes in price units plus the working coordinate array.
+    """Forward-price nodes F plus the working coordinate array.
 
-    uniform_log works in w = log(x) (constant diffusion coefficient per
-    volatility regime); uniform_price works in w = x.  Kink abscissae of
-    the payoff are snapped onto the nearest interior node.
+    The nodes span ``problem.maturity_domain``, so at t = 0 they stand for
+    the spot domain's nodes.  uniform_log works in w = log(F) (constant
+    diffusion coefficient per volatility regime); uniform_price works in
+    w = F.  Kink abscissae of the payoff, a function of F at maturity, are
+    snapped onto the nearest interior node.
     """
-    x_min, x_max = problem.spot_domain
+    f_min, f_max = problem.maturity_domain
     if grid.stretching == "uniform_log":
-        if x_min <= 0.0:
+        if f_min <= 0.0:
             raise ValueError("uniform_log grids need a strictly positive lower domain end")
-        w = np.linspace(math.log(x_min), math.log(x_max), grid.n_space + 1)
+        w = np.linspace(math.log(f_min), math.log(f_max), grid.n_space + 1)
         to_w = math.log
     else:
-        w = np.linspace(x_min, x_max, grid.n_space + 1)
+        w = np.linspace(f_min, f_max, grid.n_space + 1)
         to_w = float
 
-    # x_min > 0 on log grids, so every knot kept here has a logarithm
-    knots = [k for k in problem.payoff.knot_points() if x_min < k < x_max]
+    # f_min > 0 on log grids, so every knot kept here has a logarithm
+    knots = [k for k in problem.payoff.knot_points() if f_min < k < f_max]
     snapped = _snap_nodes(w, knots, to_w)
 
-    x = np.exp(w) if grid.stretching == "uniform_log" else w.copy()
+    f = np.exp(w) if grid.stretching == "uniform_log" else w.copy()
     for j, knot in snapped:
-        x[j] = knot  # exact in price, not just in exp(log(price))
-    return x, w
+        f[j] = knot  # exact in price, not just in exp(log(price))
+    return f, w
 
 
 def _edge_asymptotes(payoff, x: np.ndarray):
@@ -256,68 +288,70 @@ def _edge_asymptotes(payoff, x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Implicit policy-iteration stepper
+# Operator rows and the implicit policy-iteration stepper
 # ---------------------------------------------------------------------------
 
 
-def _nonuniform_stencils(w: np.ndarray):
+def _forward_stencil(f: np.ndarray, w: np.ndarray, stretching: str) -> np.ndarray:
+    """Rows (lo, di, hi) of the BSB stencil D, V_tau = sigma^2 / 2 D V, at
+    the interior nodes.  uniform_log: the exponentially fitted stencil of
+    d2/dw2 - d/dw in w = log F, exact on 1, w and e^w; with rho =
+    expm1(h+) / -expm1(-h-) its upper weight is 1 / (rho h- - h+) > 0 and
+    its lower weight rho times that.  uniform_price: central F^2 d2/dF2.
+    The diagonal is minus the other two, so both are exact on constants."""
     hm = w[1:-1] - w[:-2]
     hp = w[2:] - w[1:-1]
-    c2 = (2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp)))
-    c1 = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)))
-    return hm, hp, c1, c2
+    if stretching == "uniform_log":
+        rho = np.expm1(hp) / -np.expm1(-hm)
+        hi = 1.0 / (rho * hm - hp)
+        lo = rho * hi
+    else:
+        f2 = 2.0 * f[1:-1] ** 2 / (hm + hp)
+        lo = f2 / hm
+        hi = f2 / hp
+    return np.array([lo, -(lo + hi), hi])
 
 
-def _central_rows(stencils, a, b, c):
-    """Rows (lo, di, hi) of L = a d2/dw2 + b d/dw + c, drift centrally differenced."""
-    _, _, c1, c2 = stencils
-    return np.array([a * c2[0] + b * c1[0], a * c2[1] + b * c1[1] + c, a * c2[2] + b * c1[2]])
-
-
-def _upwind_rows(stencils, a, b, c):
-    """Rows of the same operator with the drift upwinded (always an M-matrix)."""
-    hm, hp, _, c2 = stencils
-    fwd = b >= 0.0
-    return np.array([
-        a * c2[0] - np.where(fwd, 0.0, b / hm),
-        a * c2[1] + np.where(fwd, -b / hp, b / hm) + c,
-        a * c2[2] + np.where(fwd, b / hp, 0.0),
-    ])
-
-
-def _monotone_rows(stencils, a, b, c):
-    """Central rows where they form an M-matrix, upwinded ones elsewhere.
-
-    Returns the rows and the mask of the nodes that were upwinded.
-    """
-    rows = _central_rows(stencils, a, b, c)
-    bad = (rows[0] < 0.0) | (rows[2] < 0.0)
-    return np.where(bad, _upwind_rows(stencils, a, b, c), rows), bad
+def _monotone_rows(w: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Rows (lo, di, hi) of a d2/dw2 + b d/dw at the interior nodes of w:
+    central differences where that row is an M-matrix, the drift upwinded
+    elsewhere."""
+    hm = w[1:-1] - w[:-2]
+    hp = w[2:] - w[1:-1]
+    lo = (2.0 * a - b * hp) / (hm * (hm + hp))
+    hi = (2.0 * a + b * hm) / (hp * (hm + hp))
+    upwind = (lo < 0.0) | (hi < 0.0)
+    lo = np.where(upwind, 2.0 * a / (hm * (hm + hp)) + max(-b, 0.0) / hm, lo)
+    hi = np.where(upwind, 2.0 * a / (hp * (hm + hp)) + max(b, 0.0) / hp, hi)
+    return np.array([lo, -(lo + hi), hi])
 
 
 def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     """Implicit march with Howard policy iteration over fixed candidate rows.
 
     ``rows[:, k]`` holds the (lo, di, hi) rows of the discrete operator L_k
-    of candidate control k at every interior node.  Each candidate's rows
-    are built from that control alone (central or upwinded, whichever is
-    monotone), so they are the same at every step and every iterate; for
-    the BSB pair the candidates are the band ends plus the rows at each
-    node's admissibility threshold (see ``_bsb_rows``).  A step solves
-    (I - dt L) u_new = u_old with the Dirichlet values
-    ``boundary_of(step) -> (lo, hi)``, where L takes at each node the row
-    that ``pick`` (``np.argmax`` or ``np.argmin`` over k) selects exactly on
-    the current iterate, by one LAPACK ``gtsv`` call.
+    of candidate control k at every interior node, the same at every step
+    and iterate.  A step solves (I - dt L) u_new = u_old with the Dirichlet
+    values ``boundary_of(step) -> (lo, hi)``, where L takes at each node the
+    row of the current selection, by one LAPACK ``gtsv`` call.
 
-    A step ends when a new pick repeats the last selection: the iterate
-    already solves that selection, so it is the step's value and no solve
-    is made.  That pick was made on the step's final value, so it is also
-    the next step's first pick.  A step also ends when successive iterates
-    agree to POLICY_RESIDUAL_TOL (round-off ties); the next step then picks
-    afresh.  POLICY_MAX_ITERS bounds the picks of one step; past it,
-    NumericalFailure reports the last change between iterates, the step,
-    the grid and ``context``.  So does a non-finite operator or initial
-    slice, and an iterate that is not finite or a solve that fails.
+    A pick on an iterate v moves a node to the best candidate product
+    L_k v (largest for ``np.argmax``, smallest for ``np.argmin``) only
+    where it beats the selected row's product by more than the round-off
+    bound 32 eps max_k sum|L_k| |v|_inf, the row sums taken once per march.
+    So candidates that tie up to round-off keep the selection.  Every node
+    starts at candidate 0; with two candidates a pick is the sign of one
+    product, on the difference of their rows.
+
+    A step ends when a pick repeats the selection: the iterate already
+    solves it, so it is the step's value, and the pick, made on that value,
+    is the next step's first.  A step also ends when successive iterates
+    agree to POLICY_RESIDUAL_TOL |u|_inf; the next step's first pick is then
+    made on its final value.  POLICY_MAX_ITERS bounds the solves of one
+    step; past it, NumericalFailure reports the last change between
+    iterates, the step, the grid and ``context``.  So does a non-finite
+    operator or initial slice, and an iterate that is not finite or a
+    solve that fails.
 
     Returns the stack of slices in march order, u0 first, the number of
     linear solves and the largest number made in one step.
@@ -338,20 +372,31 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     out[0] = u0
     u = out[0]
     solves = max_step_solves = 0
-    sel = None
+    # products to maximise; a tie bound per unit of |v|_inf
+    gain = rows if pick is np.argmax else -rows
+    tie = 32.0 * np.finfo(float).eps * float(np.abs(rows).sum(axis=0).max())
 
-    def select(v):
-        return pick(rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:], axis=0)
+    if rows.shape[1] == 2:
+        diff = gain[:, 1] - gain[:, 0]
 
+        def select(v, v_max, sel):
+            g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
+            bound = tie * v_max
+            return (g > bound) | (sel & (g >= -bound))
+    else:
+        def select(v, v_max, sel):
+            g = gain[0] * v[:-2] + gain[1] * v[1:-1] + gain[2] * v[2:]
+            best = g.argmax(axis=0)
+            return np.where(g[best, cols] - g[sel, cols] > tie * v_max, best, sel)
+
+    sel = select(u, float(np.abs(u).max()), np.zeros(m, dtype=np.intp))
     for step in range(n_time):
         bc_lo, bc_hi = boundary_of(step)
-        if sel is None:
-            sel = select(u)
         u_iter = u
         solves_before = solves
         for it in range(POLICY_MAX_ITERS):
             if it:
-                sel_new = select(u_new)
+                sel_new = select(u_new, u_max, sel)
                 if np.array_equal(sel_new, sel):
                     break
                 sel, u_iter = sel_new, u_new
@@ -371,8 +416,9 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
             if info != 0 or not math.isfinite(change):
                 raise NumericalFailure("implicit step has no finite solution", step=step,
                                        info=info, residual=change, **diagnostics)
-            if change < POLICY_RESIDUAL_TOL:
-                sel = None
+            u_max = float(np.abs(u_new).max())
+            if change < POLICY_RESIDUAL_TOL * u_max:
+                sel = select(u_new, u_max, sel)
                 break
         else:
             raise NumericalFailure(
@@ -402,67 +448,28 @@ def _variance(sigma):
         return math.inf
 
 
-def _bsb_rows(x, w, stretching, r, band, side):
-    """Candidate rows of the BSB operator, shape (3, 4, interior nodes).
-
-    With variance v the operator is a(v) d2/dw2 + b(v) d/dw - r, with a and
-    b affine in v: a = v/2, b = r - v/2 in log coordinates, a = v x^2 / 2,
-    b = r x in price coordinates.  A node's central row is an M-matrix for
-    v >= v*, its admissibility threshold, and the row used below v* is
-    upwinded in one fixed direction (b keeps its sign there; both hold
-    while log spacings stay below 2).  So the row is affine in v on
-    [v_lo, v*) and on [v*, v_hi], and the extremum of row . u over the band
-    is attained at v_lo, at v_hi, or at v* by its central row or by its
-    upwind limit row.  The last two are candidates only where v* lies in
-    the band; elsewhere they repeat the first candidate.  The first
-    candidate is sigma_hi for the ask and sigma_lo for the bid, which
-    ``np.argmax`` / ``np.argmin`` keep where the discrete gamma is zero.
-    """
-    stencils = _nonuniform_stencils(w)
-    if stretching == "uniform_log":
-        def coeffs(v):
-            return 0.5 * v, r - 0.5 * v, -r
-    else:
-        xi = x[1:-1]
-
-        def coeffs(v):
-            return 0.5 * v * xi * xi, r * xi, -r
-
-    # central rows are affine in v: rows(v) = beta + v alpha
-    beta = _central_rows(stencils, *coeffs(0.0))
-    alpha = _central_rows(stencils, *coeffs(1.0)) - beta
-    v_star = np.maximum(-beta[0] / alpha[0], -beta[2] / alpha[2])
-
-    rows_lo, bad_lo = _monotone_rows(stencils, *coeffs(_variance(band.sigma_lo)))
-    rows_hi, bad_hi = _monotone_rows(stencils, *coeffs(_variance(band.sigma_hi)))
-    first, second = (rows_hi, rows_lo) if side == "ask" else (rows_lo, rows_hi)
-    straddle = bad_lo & ~bad_hi
-    at_star = [np.where(straddle, build(stencils, *coeffs(v_star)), first)
-               for build in (_central_rows, _upwind_rows)]
-    return np.stack([first, second, *at_star], axis=1)
-
-
 def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurface:
-    x, w = _build_space_nodes(problem, grid)
+    f, w = _build_space_nodes(problem, grid)
     r = problem.rate
     T = problem.maturity
-    dt = T / grid.n_time
+    band = problem.band
 
-    terminal = np.asarray(problem.payoff(x), dtype=float)
-    (a_lo, b_lo), (a_hi, b_hi) = _edge_asymptotes(problem.payoff, x)
-    rows = _bsb_rows(x, w, grid.stretching, r, problem.band, side)
-
-    def boundary_of(step):
-        disc = math.exp(-r * (step + 1) * dt)
-        return a_lo * x[0] + b_lo * disc, a_hi * x[-1] + b_hi * disc
-
+    terminal = np.asarray(problem.payoff(f), dtype=float)
+    stencil = _forward_stencil(f, w, grid.stretching)
+    # in band order: every node starts at sigma_lo and leaves it once its
+    # discrete gamma clears the round-off bound
+    rows = np.stack([0.5 * _variance(s) * stencil for s in (band.sigma_lo, band.sigma_hi)],
+                    axis=1)
     pick = np.argmax if side == "ask" else np.argmin
-    context = {"side": side, "stretching": grid.stretching, "band": problem.band}
-    values, solves, max_step = _march(terminal, rows, pick, dt, grid.n_time, boundary_of,
-                                      context)
+    context = {"side": side, "stretching": grid.stretching, "band": band,
+               "payoff": problem.payoff}
+    # V = a F + b solves the forward equation, so V keeps its end values
+    values, solves, max_step = _march(terminal, rows, pick, T / grid.n_time, grid.n_time,
+                                      lambda step: (terminal[0], terminal[-1]), context)
     times = np.linspace(0.0, T, grid.n_time + 1)
-    # marched backward from the payoff, so reversed the stack ends on it
-    return PriceSurface(times, x, values[::-1], side, band=problem.band, rate=r,
+    # V was marched backward from the payoff; u = exp(-r (T - t)) V
+    values = values[::-1] * np.exp(-r * (T - times))[:, None]
+    return PriceSurface(times, f, values, side, band=band, rate=r,
                         linear_solves=solves, max_step_solves=max_step)
 
 
@@ -512,13 +519,12 @@ def solve_g_heat(
     u0 = np.asarray(phi(w), dtype=float)
     (a_lo, b_lo), (a_hi, b_hi) = _edge_asymptotes(phi, w)
 
-    # one row set per corner of the (drift, variance) box, each monotone on
-    # its own; mu_hi and sigma_hi first, so they win exact ties
-    stencils = _nonuniform_stencils(w)
+    # one row set per distinct corner of the (drift, variance) box, each
+    # monotone on its own; mu_hi and sigma_hi first, so they keep ties
     rows = np.stack([
-        _monotone_rows(stencils, 0.5 * _variance(sigma), mu, 0.0)[0]
-        for mu in (band.mu_hi, band.mu_lo)
-        for sigma in (band.sigma_hi, band.sigma_lo)
+        _monotone_rows(w, 0.5 * _variance(sigma), mu)
+        for mu in dict.fromkeys((band.mu_hi, band.mu_lo))
+        for sigma in dict.fromkeys((band.sigma_hi, band.sigma_lo))
     ], axis=1)
 
     def boundary_of(step):
@@ -527,7 +533,7 @@ def solve_g_heat(
         hi = a_hi * w[-1] + b_hi + t * g_drift_vol(a_hi, 0.0, band)
         return lo, hi
 
-    context = {"side": "heat", "stretching": grid.stretching, "band": band}
+    context = {"side": "heat", "stretching": grid.stretching, "band": band, "payoff": phi}
     values, solves, max_step = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of,
                                       context)
     times = np.linspace(0.0, horizon, grid.n_time + 1)
@@ -587,6 +593,9 @@ def _write_table(dest, header: str, first_col, rows) -> None:
 
 
 def write_surface_file(surface: PriceSurface, dest) -> None:
-    """Matrix text format: header row of space nodes, first column of times."""
+    """Matrix text format: header row of space nodes, first column of times.
+
+    Row i's value under node x sits at the spot x exp(-rate (T - t_i)),
+    T the last time (see ``PriceSurface``); at rate 0 the spot is x."""
     header = "time\\space," + ",".join(format(v, ".12g") for v in surface.space_nodes)
     _write_table(dest, header, surface.times, surface.values)

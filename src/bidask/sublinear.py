@@ -196,29 +196,6 @@ class ScalarFunctionSpec:
             return tuple(k[0] for k in self.knots)
         return ()
 
-    def lipschitz_bound(self, lo: float, hi: float) -> float:
-        """An upper bound for |f'| on [lo, hi] (finite for every kind)."""
-        a = abs(self.scale)
-        if self.kind in ("call", "put", "identity", "negation"):
-            return a
-        if self.kind == "power":
-            p = self.exponent
-            m = max(abs(lo), abs(hi), 1e-300)
-            return a * abs(p) * m ** (p - 1.0) if p != 0 else 0.0
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
-        slopes = np.abs(np.diff(ys) / np.diff(xs))
-        return a * float(slopes.max()) if len(slopes) else 0.0
-
-    def is_convex_on(self, lo: float, hi: float) -> bool:
-        """Discrete convexity check by second differences on 1025 equally
-        spaced points of [lo, hi], to 1e-9 of the largest |value| (or 1)."""
-        x = np.linspace(lo, hi, 1025)
-        y = np.asarray(self(x))
-        d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
-        scale = max(np.abs(y).max(), 1.0)
-        return bool(np.all(d2 >= -1e-9 * scale))
-
 
 # ---------------------------------------------------------------------------
 # Sublinear G-functions

@@ -2,9 +2,13 @@
 
 import io
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from bidask import (
@@ -108,6 +112,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             PricingProblem(dip, 1.0, 0.05, BAND_FLAT, (1.0, 1025.0))
 
+    def test_problem_rejects_rate_past_float_range(self):
+        # the domain carried to maturity, x e^{rT}, must stay a float range
+        for rate in (800.0, -800.0):
+            with pytest.raises(ValueError, match="float range"):
+                PricingProblem(ScalarFunctionSpec.call(100.0), 1.0, rate, BAND_FLAT,
+                               (1.0, 200.0))
+
     def test_log_grid_needs_positive_domain(self):
         prob = PricingProblem(ScalarFunctionSpec.call(100.0), 1.0, 0.05, BAND_FLAT,
                               (0.0, 400.0))
@@ -183,12 +194,14 @@ class TestConvexEndpoints:
 
 class TestStructure:
     def test_linear_payoff_is_forward_value(self):
-        # d2u/dx2 = 0 makes the equation linear; u(t, x) = x at every time
+        # d2u/dx2 = 0 makes the equation linear; u(t, x) = x at every time,
+        # read on slice i's own spots
         prob = PricingProblem(ScalarFunctionSpec.identity(), T, R, BAND_WIDE,
                               log_domain(0.3))
         ask = solve_bsb_ask(prob, GridSpec(200, 200))
         for i in (0, 77, 200):
-            assert np.allclose(ask.values[i], ask.space_nodes, rtol=1e-5)
+            spots = ask.space_nodes * np.exp(-R * (T - ask.times[i]))
+            assert np.allclose(ask.values[i], spots, rtol=1e-12, atol=0.0)
 
     def test_zero_payoff_stays_zero(self):
         zero = ScalarFunctionSpec.piecewise_linear([(1.0, 0.0), (1000.0, 0.0)])
@@ -284,6 +297,19 @@ class TestPolicyIteration:
         assert (diag["side"], diag["stretching"]) == ("bid", "uniform_price")
         assert (diag["n_space"], diag["n_time"]) == (64, 48)
 
+    def test_failure_carries_the_payoff(self, monkeypatch):
+        # the diagnostics alone rebuild the failing call
+        monkeypatch.setattr(pde, "POLICY_MAX_ITERS", 1)
+        put = ScalarFunctionSpec.put(K)
+        with pytest.raises(NumericalFailure) as info:
+            solve_bsb_ask(PricingProblem(put, T, R, BAND_WIDE, log_domain(0.3)),
+                          GridSpec(64, 48))
+        assert info.value.diagnostics["payoff"] == put
+        phi = ScalarFunctionSpec.call(0.1)
+        with pytest.raises(NumericalFailure) as info:
+            solve_g_heat(phi, UncertaintyBand(0.0, 0.0, 0.1, 0.3), 1.0, GridSpec(32, 32))
+        assert info.value.diagnostics["payoff"] == phi
+
 
 def reference_march(u0, rows, pick, dt, n_time, boundary_of, context):
     """The march as ``scipy.linalg.solve_banded`` ran it: a banded matrix
@@ -326,8 +352,15 @@ def reference_march(u0, rows, pick, dt, n_time, boundary_of, context):
     return out, 0, 0
 
 
+def assert_matches_reference(got, ref):
+    """The march agrees with the reference to 1e-12 of the surface's size:
+    the two pick differently only where candidates tie up to round-off."""
+    scale = float(np.abs(ref.values).max())
+    assert np.abs(got.values - ref.values).max() <= 1e-12 * scale
+
+
 class TestMarchOracle:
-    """The march is bitwise equal to the banded reference above."""
+    """The march agrees with the banded reference above."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.05])
     @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
@@ -343,7 +376,7 @@ class TestMarchOracle:
         grid = GridSpec(96, 80, stretching)
         got = solve(prob, grid)
         monkeypatch.setattr(pde, "_march", reference_march)
-        assert np.array_equal(got.values, solve(prob, grid).values)
+        assert_matches_reference(got, solve(prob, grid))
 
     @pytest.mark.parametrize("mu", [(0.0, 0.0), (-0.02, 0.05)], ids=["no_drift", "drift"])
     def test_g_heat_matches_reference(self, monkeypatch, mu):
@@ -351,7 +384,7 @@ class TestMarchOracle:
         phi = ScalarFunctionSpec.call(0.05)
         got = solve_g_heat(phi, band, 1.0, GridSpec(96, 80))
         monkeypatch.setattr(pde, "_march", reference_march)
-        assert np.array_equal(got.values, solve_g_heat(phi, band, 1.0, GridSpec(96, 80)).values)
+        assert_matches_reference(got, solve_g_heat(phi, band, 1.0, GridSpec(96, 80)))
 
     def test_counts_solves_per_step(self):
         # a wide band switches selection in some steps, each switch one
@@ -370,6 +403,77 @@ class TestMarchOracle:
         diag = info.value.diagnostics
         assert diag["info"] > 0 and diag["step"] == 0
         assert (diag["n_space"], diag["n_time"], diag["side"]) == (5, 3, "heat")
+
+
+AFFINE = ScalarFunctionSpec.piecewise_linear([(1.0, 3.0), (2000.0, 1002.5)])  # 2.5 + x/2
+
+
+class TestLinearClaims:
+    """A claim a x + b is worth a x + b exp(-r (T - t)); the forward
+    stencils are exact on it, so the scheme prices it to round-off."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    @pytest.mark.parametrize("payoff, a, b", [(ScalarFunctionSpec.identity(), 1.0, 0.0),
+                                              (AFFINE, 0.5, 2.5)],
+                             ids=["identity", "affine"])
+    def test_priced_exactly(self, payoff, a, b, stretching, rate):
+        # AFFINE's knots lie outside the domain, so none is snapped
+        prob = PricingProblem(payoff, T, rate, BAND_WIDE, log_domain(0.3))
+        for surface in solve_bsb_pair(prob, GridSpec(200, 200, stretching)):
+            disc = np.exp(-rate * (T - surface.times))[:, None]
+            exact = a * surface.space_nodes * disc + b * disc
+            np.testing.assert_allclose(surface.values, exact, rtol=1e-12, atol=0.0)
+            assert surface.value_at(0.0, S0) == pytest.approx(
+                a * S0 + b * math.exp(-rate * T), rel=1e-12)
+
+
+HEAT_BANDS = (UncertaintyBand(0.0, 0.0, 0.1, 0.3), UncertaintyBand(-0.02, 0.05, 0.1, 0.3),
+              UncertaintyBand(0.0, 0.0, 1e5, 3e5))
+
+
+@lru_cache(maxsize=None)
+def heat_surface(band, scale=1.0):
+    phi = replace(ScalarFunctionSpec.call(0.0), scale=scale)
+    return solve_g_heat(phi, band, 1.0, GridSpec(128, 128)).values
+
+
+@lru_cache(maxsize=None)
+def bsb_surfaces(stretching, scale=1.0):
+    payoff, maturity, rate, base = PUT_10
+    band = widened(base)
+    prob = PricingProblem(replace(payoff, scale=scale), maturity, rate, band,
+                          log_domain(band.sigma_hi, maturity))
+    return [s.values for s in solve_bsb_pair(prob, GridSpec(96, 80, stretching))]
+
+
+def assert_scaled(got, base, lam):
+    assert np.abs(got - lam * base).max() <= 1e-10 * lam * np.abs(base).max()
+
+
+class TestScaleInvariance:
+    """Payoff x lambda gives surface x lambda: the pick's round-off bound
+    and the march's exit scale with the solution.  The widest G-heat band
+    is one whose solution near 1e5 once failed the absolute exit."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(exponent=st.floats(-6.0, 6.0))
+    @example(exponent=-6.0)
+    @example(exponent=6.0)
+    def test_g_heat(self, exponent):
+        lam = 10.0 ** exponent
+        for band in HEAT_BANDS:
+            assert_scaled(heat_surface(band, lam), heat_surface(band), lam)
+
+    @settings(max_examples=12, deadline=None)
+    @given(exponent=st.floats(-6.0, 6.0))
+    @example(exponent=-6.0)
+    @example(exponent=6.0)
+    def test_bsb_pair(self, exponent):
+        lam = 10.0 ** exponent
+        for stretching in ("uniform_log", "uniform_price"):
+            for got, base in zip(bsb_surfaces(stretching, lam), bsb_surfaces(stretching)):
+                assert_scaled(got, base, lam)
 
 
 class TestGHeat:
@@ -405,6 +509,13 @@ class TestGHeat:
             solve_g_heat(ScalarFunctionSpec.call(0.0), band, 1.0, GridSpec(32, 32))
         diag = info.value.diagnostics
         assert (diag["side"], diag["n_space"], diag["band"]) == ("heat", 32, band)
+
+    def test_call_takes_at_most_1_2_solves_per_step(self):
+        # the selection holds where the candidates tie up to round-off, so
+        # the linear wings do not cost a second solve per step
+        surf = solve_g_heat(ScalarFunctionSpec.call(0.0), UncertaintyBand(0.0, 0.0, 0.1, 0.3),
+                            1.0, GridSpec(400, 400, "uniform_price"))
+        assert surf.linear_solves <= 1.2 * 400
 
     def test_rejects_nonpositive_horizon(self):
         band = UncertaintyBand(0.0, 0.0, 0.1, 0.3)

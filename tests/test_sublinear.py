@@ -136,15 +136,6 @@ class TestScalarFunctionSpec:
         x = np.linspace(0.0, 100.0, 11)
         assert np.allclose(g(x), -f(x))
 
-    def test_lipschitz_bound(self):
-        assert ScalarFunctionSpec.call(5.0).lipschitz_bound(0.0, 10.0) == 1.0
-        assert ScalarFunctionSpec.power(2).lipschitz_bound(-3.0, 2.0) == pytest.approx(6.0)
-
-    def test_convexity_detection(self):
-        assert ScalarFunctionSpec.call(1.0).is_convex_on(0.0, 3.0)
-        assert ScalarFunctionSpec.power(2).is_convex_on(-2.0, 2.0)
-        assert not ScalarFunctionSpec.power(2).negated().is_convex_on(-2.0, 2.0)
-
     def test_knot_points(self):
         assert ScalarFunctionSpec.call(7.0).knot_points() == (7.0,)
         assert ScalarFunctionSpec.identity().knot_points() == ()
