@@ -534,8 +534,9 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 
 def _solve_counts(*surfaces):
     """The linear solves of each surface's march, in all and in its busiest
-    step, keyed by side."""
+    step, and the factorisations they used, keyed by side."""
     return {"pde_linear_solves": {s.side: s.linear_solves for s in surfaces},
+            "pde_factorizations": {s.side: s.factorizations for s in surfaces},
             "pde_max_step_solves": {s.side: s.max_step_solves for s in surfaces}}
 
 

@@ -741,24 +741,40 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
     )
 
 
+def _hedge_ratios(surface: PriceSurface, times, S):
+    """The surface's delta theta_i and value u_i at (t_i, S_i) along the
+    time-major paths S (n_steps+1, n_paths); theta at every date but the
+    last.  The gradient in space is taken once for the whole surface, and
+    each date blends rows k and k+1 of it with the time weights of its
+    value slice, as ``value_slice`` blends the values."""
+    nodes = surface.space_nodes
+    values = surface.values
+    grad = np.gradient(values, nodes, axis=1)
+    scale = surface.forward_factor(times)
+    theta = np.empty((len(times) - 1, S.shape[1]))
+    u = np.empty(S.shape)
+    for i in range(len(theta)):
+        k0, k1, w = surface._time_weights(times[i])
+        if w == 0.0:
+            sl, d_sl = values[k0], grad[k0]
+        else:
+            sl = (1.0 - w) * values[k0] + w * values[k1]
+            d_sl = (1.0 - w) * grad[k0] + w * grad[k1]
+        x = S[i] * scale[i]
+        theta[i] = np.interp(x, nodes, d_sl * scale[i])
+        u[i] = np.interp(x, nodes, sl)
+    u[-1] = np.interp(S[-1], nodes, values[-1])
+    return theta, u
+
+
 def _delta_hedge(surface: PriceSurface, times, S, r):
     """Wealth of the surface's delta hedge and u(t_i, S_i) along each row
-    of S (n_paths, n_steps+1), each step's slice, gradient and scale taken
-    once.  The recursion Y_{i+1} = g_i Y_i + c_i is unrolled with
-    cumulative growth factors, so no per-path python loop is needed."""
-    nodes = surface.space_nodes
+    of S (n_paths, n_steps+1), the deltas and values from ``_hedge_ratios``.
+    The recursion Y_{i+1} = g_i Y_i + c_i is unrolled with cumulative
+    growth factors, so no per-path python loop is needed."""
     S = np.ascontiguousarray(S.T)  # time-major: each step reads and writes one row
-    scale = surface.forward_factor(times)
+    theta, u = _hedge_ratios(surface, times, S)
     dt = np.diff(times)[:, None]
-    theta = np.empty((len(dt), S.shape[1]))
-    u = np.empty(S.shape)
-    for i in range(len(dt)):
-        sl = surface.value_slice(times[i])
-        x = S[i] * scale[i]
-        theta[i] = np.interp(x, nodes, np.gradient(sl, nodes) * scale[i])
-        u[i] = np.interp(x, nodes, sl)
-    u[-1] = np.interp(S[-1], nodes, surface.values[-1])
-
     g = 1.0 + r * dt
     growth = np.concatenate(([[1.0]], np.cumprod(g, axis=0)))  # P_k = prod_{j<k} g_j
     c = theta * (np.diff(S, axis=0) - S[:-1] * r * dt)

@@ -23,13 +23,18 @@ are fixed in F and anchored at t = 0, so slice 0 sits on the spot
 domain's nodes; payoff kinks are snapped onto nodes in the maturity
 frame.  The heat equation's drift is a real control: each corner of its
 (drift, volatility) box has its own row, central where that row is an
-M-matrix and upwinded otherwise.  Each iteration picks, node by node, the
-candidate row with the largest (ask, heat) or smallest (bid) product with
-the iterate, keeping the selected row unless another beats it by more
-than a round-off bound, and solves the system of that selection; a pick
-that repeats the selection ends the step.  Every row is monotone, so
-ask >= bid and band monotonicity follow from the comparison principle of
-the scheme.
+M-matrix and upwinded otherwise.  Each iteration solves the system of the
+current selection, then picks, node by node, the candidate row with the
+largest (ask, heat) or smallest (bid) product with the new iterate,
+keeping the selected row unless another beats it by more than a round-off
+bound.  A pick that repeats the selection ends the step; only a pick that
+moves is followed by the residual test between iterates.  The candidates'
+rows of I - dt L sit interleaved in one band array with a Dirichlet
+sentinel column, so a selection's system, boundary rows included, is one
+gather; it is factorised (LAPACK gttrf) only when the selection changes,
+and every solve is one gttrs on those factors.  A selection held over many
+steps is factorised once.  Every row is monotone, so ask >= bid and band
+monotonicity follow from the comparison principle of the scheme.
 
 Boundary conditions are Dirichlet from the payoff's linear extrapolation
 a F + b at the domain ends.  It solves the forward BSB equation exactly,
@@ -44,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import ndtr
 
 from .errors import ConsistencyError, NumericalFailure
@@ -144,7 +149,8 @@ class PriceSurface:
     from the surface (state-feedback scenarios, hedges) don't need it
     re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
     tridiagonal solves of the march that built the surface, in all and in
-    its busiest step (zero for a surface not built by a solver).
+    its busiest step, and ``factorizations`` the tridiagonal factorisations
+    they used (all zero for a surface not built by a solver).
     """
 
     times: np.ndarray
@@ -155,6 +161,7 @@ class PriceSurface:
     rate: float = 0.0
     linear_solves: int = 0
     max_step_solves: int = 0
+    factorizations: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -333,7 +340,13 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     of candidate control k at every interior node, the same at every step
     and iterate.  A step solves (I - dt L) u_new = u_old with the Dirichlet
     values ``boundary_of(step) -> (lo, hi)``, where L takes at each node the
-    row of the current selection, by one LAPACK ``gtsv`` call.
+    row of the current selection.  The rows of I - dt L_k sit interleaved
+    in one band array, candidate k of interior node i in column i K + k,
+    with a last sentinel column (0, 1, 0) for the Dirichlet rows, so a
+    selection's tridiagonal system is one gather.  LAPACK ``gttrf``
+    factorises it only when the selection differs from the one last
+    factorised, and each solve is one ``gttrs`` on those factors; no
+    factors outlive the call.
 
     A pick on an iterate v moves a node to the best candidate product
     L_k v (largest for ``np.argmax``, smallest for ``np.argmin``) only
@@ -343,40 +356,45 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     starts at candidate 0; with two candidates a pick is the sign of one
     product, on the difference of their rows.
 
-    A step ends when a pick repeats the selection: the iterate already
-    solves it, so it is the step's value, and the pick, made on that value,
-    is the next step's first.  A step also ends when successive iterates
-    agree to POLICY_RESIDUAL_TOL |u|_inf; the next step's first pick is then
-    made on its final value.  POLICY_MAX_ITERS bounds the solves of one
-    step; past it, NumericalFailure reports the last change between
-    iterates, the step, the grid and ``context``.  So does a non-finite
-    operator or initial slice, and an iterate that is not finite or a
-    solve that fails.
+    After each solve the pick comes first.  A pick that repeats the
+    selection ends the step: the iterate already solves it, so it is the
+    step's value, and the pick, made on that value, is the next step's
+    first.  Only a pick that moves is followed by the change between
+    successive iterates: below POLICY_RESIDUAL_TOL |u|_inf it also ends
+    the step, with the moved pick as the next step's first.  The
+    POLICY_MAX_ITERS-th solve of a step is judged by that change alone;
+    if it fails, NumericalFailure reports the change, the step, the grid
+    and ``context``.  So does a non-finite operator or initial slice, an
+    iterate that is not finite, or a singular selection (its residual is
+    nan: no iterate was made).
 
     Returns the stack of slices in march order, u0 first, the number of
-    linear solves and the largest number made in one step.
+    linear solves, the largest number made in one step and the number of
+    factorisations.
     """
     n = len(u0)
-    m = n - 2
-    cols = np.arange(m)
+    n_cand = rows.shape[1]
     diagnostics = {"n_space": n - 1, "n_time": n_time, **context}
-    # rows of I - dt L_k below, on and above the diagonal; candidate k's
-    # entry at interior node i sits at k * m + i
-    lower = (-dt * rows[0]).ravel()
-    middle = (1.0 - dt * rows[1]).ravel()
-    upper = (-dt * rows[2]).ravel()
-    if not all(np.isfinite(a).all() for a in (lower, middle, upper, u0)):
+    # rows of I - dt L_k below, on and above the diagonal, interleaved by
+    # node, then the Dirichlet sentinel column
+    bands = np.empty((3, (n - 2) * n_cand + 1))
+    bands[:, :-1] = np.stack([-dt * rows[0], 1.0 - dt * rows[1],
+                              -dt * rows[2]]).transpose(0, 2, 1).reshape(3, -1)
+    bands[:, -1] = (0.0, 1.0, 0.0)
+    if not (np.isfinite(bands).all() and np.isfinite(u0).all()):
         raise NumericalFailure("operator or initial slice is not finite", **diagnostics)
-    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    base = np.arange(n - 2) * n_cand
+    at = np.full(n, bands.shape[1] - 1)
+    band = np.empty((3, n))
     out = np.empty((n_time + 1, n))
     out[0] = u0
     u = out[0]
-    solves = max_step_solves = 0
+    solves = max_step_solves = factorizations = 0
     # products to maximise; a tie bound per unit of |v|_inf
     gain = rows if pick is np.argmax else -rows
     tie = 32.0 * np.finfo(float).eps * float(np.abs(rows).sum(axis=0).max())
 
-    if rows.shape[1] == 2:
+    if n_cand == 2:
         diff = gain[:, 1] - gain[:, 0]
 
         def select(v, v_max, sel):
@@ -384,54 +402,61 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
             bound = tie * v_max
             return (g > bound) | (sel & (g >= -bound))
     else:
+        cols = np.arange(n - 2)
+
         def select(v, v_max, sel):
             g = gain[0] * v[:-2] + gain[1] * v[1:-1] + gain[2] * v[2:]
             best = g.argmax(axis=0)
             return np.where(g[best, cols] - g[sel, cols] > tie * v_max, best, sel)
 
-    sel = select(u, float(np.abs(u).max()), np.zeros(m, dtype=np.intp))
+    sel = select(u, float(np.abs(u).max()), np.zeros(n - 2, dtype=np.intp))
+    factored = None
     for step in range(n_time):
         bc_lo, bc_hi = boundary_of(step)
         u_iter = u
         solves_before = solves
-        for it in range(POLICY_MAX_ITERS):
-            if it:
-                sel_new = select(u_new, u_max, sel)
-                if np.array_equal(sel_new, sel):
-                    break
-                sel, u_iter = sel_new, u_new
-            # gtsv overwrites its bands, so every solve gathers them afresh
-            at = sel * m + cols
-            lower.take(at, out=dl[:-1])
-            middle.take(at, out=d[1:-1])
-            upper.take(at, out=du[1:])
-            dl[-1] = du[0] = 0.0
-            d[0] = d[-1] = 1.0
+        for it in range(1, POLICY_MAX_ITERS + 1):
+            key = sel.tobytes()
+            if key != factored:
+                np.add(base, sel, out=at[1:-1])
+                bands.take(at, axis=1, out=band)
+                *lu, info = dgttrf(band[0, 1:], band[1], band[2, :-1])
+                factorizations += 1
+                if info != 0:
+                    raise NumericalFailure("implicit step has no finite solution", step=step,
+                                           info=info, residual=math.nan, **diagnostics)
+                factored = key
+            # gttrs overwrites only its right-hand side
             rhs = u.copy()
             rhs[0] = bc_lo
             rhs[-1] = bc_hi
-            *_, u_new, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+            u_new, info = dgttrs(*lu, rhs, overwrite_b=1)
             solves += 1
-            change = float(np.abs(u_new - u_iter).max())
-            if info != 0 or not math.isfinite(change):
-                raise NumericalFailure("implicit step has no finite solution", step=step,
-                                       info=info, residual=change, **diagnostics)
             u_max = float(np.abs(u_new).max())
-            if change < POLICY_RESIDUAL_TOL * u_max:
-                sel = select(u_new, u_max, sel)
+            if info != 0 or not math.isfinite(u_max):
+                raise NumericalFailure("implicit step has no finite solution", step=step,
+                                       info=info, residual=float(np.abs(u_new - u_iter).max()),
+                                       **diagnostics)
+            sel_new = select(u_new, u_max, sel)
+            if sel_new.tobytes() == key and it < POLICY_MAX_ITERS:
                 break
-        else:
-            raise NumericalFailure(
-                "policy iteration did not stabilise",
-                step=step,
-                max_iters=POLICY_MAX_ITERS,
-                residual=change,
-                **diagnostics,
-            )
+            change = float(np.abs(u_new - u_iter).max())
+            if change < POLICY_RESIDUAL_TOL * u_max:
+                sel = sel_new
+                break
+            if it == POLICY_MAX_ITERS:
+                raise NumericalFailure(
+                    "policy iteration did not stabilise",
+                    step=step,
+                    max_iters=POLICY_MAX_ITERS,
+                    residual=change,
+                    **diagnostics,
+                )
+            sel, u_iter = sel_new, u_new
         max_step_solves = max(max_step_solves, solves - solves_before)
         u = u_new
         out[step + 1] = u
-    return out, solves, max_step_solves
+    return out, solves, max_step_solves, factorizations
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +489,13 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
     context = {"side": side, "stretching": grid.stretching, "band": band,
                "payoff": problem.payoff}
     # V = a F + b solves the forward equation, so V keeps its end values
-    values, solves, max_step = _march(terminal, rows, pick, T / grid.n_time, grid.n_time,
-                                      lambda step: (terminal[0], terminal[-1]), context)
+    values, *counts = _march(terminal, rows, pick, T / grid.n_time, grid.n_time,
+                             lambda step: (terminal[0], terminal[-1]), context)
     times = np.linspace(0.0, T, grid.n_time + 1)
     # V was marched backward from the payoff; u = exp(-r (T - t)) V
     values = values[::-1] * np.exp(-r * (T - times))[:, None]
-    return PriceSurface(times, f, values, side, band=band, rate=r,
-                        linear_solves=solves, max_step_solves=max_step)
+    # the march's counters come in the order of PriceSurface's last fields
+    return PriceSurface(times, f, values, side, band, r, *counts)
 
 
 def solve_bsb_ask(problem: PricingProblem, grid: GridSpec) -> PriceSurface:
@@ -534,11 +559,9 @@ def solve_g_heat(
         return lo, hi
 
     context = {"side": "heat", "stretching": grid.stretching, "band": band, "payoff": phi}
-    values, solves, max_step = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of,
-                                      context)
+    values, *counts = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of, context)
     times = np.linspace(0.0, horizon, grid.n_time + 1)
-    return PriceSurface(times, w, values, "heat", band=band, rate=0.0,
-                        linear_solves=solves, max_step_solves=max_step)
+    return PriceSurface(times, w, values, "heat", band, 0.0, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,16 @@ class TestRun:
         assert hedge["pde_linear_solves"] == {"ask": 48}
         assert hedge["pde_max_step_solves"] == {"ask": 1}
 
+    def test_flat_band_factorises_once(self):
+        # one candidate row: the selection never changes, so every solve
+        # reuses the first factorisation
+        grid = {"n_space": 64, "n_time": 48, "stretching": "uniform_log"}
+        price = run(parse_config(json.dumps(price_config(grid=grid)))).timing
+        assert price["pde_factorizations"] == {"ask": 1, "bid": 1}
+        hedge_cfg = hedge_config(band=price_config()["band"], grid=grid)
+        hedge = run(parse_config(json.dumps(hedge_cfg))).timing
+        assert hedge["pde_factorizations"] == {"ask": 1}
+
 
 def sample_path_file():
     from importlib import resources

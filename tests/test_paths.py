@@ -736,6 +736,24 @@ class TestDeltaHedge:
             assert np.array_equal(wealth[j], rep.wealth.values)
             assert np.array_equal(wealth[j] - u[j], rep.cost.values)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    def test_ratios_match_the_surface_lookups(self, stretching, rate):
+        # the gradient taken once and blended in time is the gradient of
+        # the blended slice, up to round-off; 150 dates off the surface's
+        # 90 steps exercise the blend
+        bfly = butterfly_problem().payoff
+        surface = solve_bsb_ask(make_problem(BAND, payoff=bfly, rate=rate),
+                                GridSpec(120, 90, stretching))
+        grid = grid_of(150)
+        path = simulate_asset_paths(ControlProcess.constant(0.03, 0.2, band=BAND), 100.0,
+                                    grid, seed=43, n_paths=1)[0]
+        theta, u = paths_mod._hedge_ratios(surface, grid, path.values[:, None])
+        delta = [surface.delta_at(t, s) for t, s in zip(grid[:-1], path.values)]
+        value = [surface.value_at(t, s) for t, s in zip(grid, path.values)]
+        np.testing.assert_allclose(theta[:, 0], delta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(u[:, 0], value, rtol=1e-12, atol=0.0)
+
 
 class TestPathEnsemble:
     def test_sequence_of_row_views(self):

@@ -404,6 +404,59 @@ class TestMarchOracle:
         assert diag["info"] > 0 and diag["step"] == 0
         assert (diag["n_space"], diag["n_time"], diag["side"]) == (5, 3, "heat")
 
+    def test_overflowing_iterate_is_a_numerical_failure(self):
+        # a regular system whose diagonal is one ulp below 1 away from zero
+        # carries data near the float limit past it
+        rows = np.zeros((3, 1, 4))
+        rows[1] = np.nextafter(1.0, 0.0)
+        u0 = np.array([1.0, 1e300, 1e300, 1e300, 1e300, 1.0])
+        with pytest.raises(NumericalFailure) as info, np.errstate(all="ignore"):
+            pde._march(u0, rows, np.argmax, 1.0, 3, lambda step: (1.0, 1.0),
+                       {"side": "heat"})
+        diag = info.value.diagnostics
+        assert str(info.value) == "implicit step has no finite solution"
+        assert diag["info"] == 0 and diag["step"] == 0
+        assert not math.isfinite(diag["residual"])
+
+
+class TestFactorizations:
+    """A selection is factorised once, however many solves reuse it."""
+
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (-0.02, 0.05)], ids=["no_drift", "drift"])
+    def test_g_heat_call_factorises_once(self, mu):
+        # the selection holds through every step of the 400^2 call
+        surf = solve_g_heat(ScalarFunctionSpec.call(0.0), UncertaintyBand(*mu, 0.1, 0.3),
+                            1.0, GridSpec(400, 400, "uniform_price"))
+        assert (surf.factorizations, surf.linear_solves) == (1, 400)
+
+    def test_criterion_2_bid_factorises_once(self):
+        # a convex claim's bid sits at sigma_lo everywhere, where it starts
+        bid = solve_bsb_bid(call_problem(BAND_WIDE), GridSpec(400, 400))
+        assert (bid.factorizations, bid.linear_solves) == (1, 400)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    @pytest.mark.parametrize("side", ["ask", "bid"])
+    def test_bsb_counts_are_bounded_by_solves(self, side, stretching, rate):
+        payoff, maturity, _, base = PUT_10
+        for band in (base, widened(base)):
+            prob = PricingProblem(payoff, maturity, rate, band,
+                                  log_domain(band.sigma_hi, maturity))
+            surf = (solve_bsb_ask if side == "ask" else solve_bsb_bid)(
+                prob, GridSpec(96, 80, stretching))
+            assert 1 <= surf.factorizations <= surf.linear_solves
+
+    def test_switching_selection_refactorises(self):
+        # the wide band's ask switches selection in some steps, and each
+        # switch needs its own factors
+        ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(64, 48))
+        assert 1 < ask.factorizations <= ask.linear_solves
+
+    def test_surface_not_built_by_a_solver_counts_none(self):
+        surf = PriceSurface(np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                            np.zeros((2, 2)), "ask")
+        assert surf.factorizations == 0
+
 
 AFFINE = ScalarFunctionSpec.piecewise_linear([(1.0, 3.0), (2000.0, 1002.5)])  # 2.5 + x/2
 
