@@ -142,9 +142,11 @@ class PriceSurface:
     ``values[i, j]`` is the value at ``times[i]`` and the spot
     ``space_nodes[j] * exp(-rate * (times[-1] - times[i]))``: the nodes are
     the spots at maturity, fixed forward prices, and a spot x at time t is
-    read at x * ``forward_factor(t)``.  For the BSB pair slice 0 sits on the
-    spot domain's nodes and the last slice is the payoff sampled exactly on
-    the nodes; at rate 0, as for every heat surface, the spot is the node.
+    read at x * ``forward_factor(t)`` by ``value_at`` and ``delta_at``, the
+    one reader of the surface at (t, x), for one date or many.  For the BSB
+    pair slice 0 sits on the spot domain's nodes and the last slice is the
+    payoff sampled exactly on the nodes; at rate 0, as for every heat
+    surface, the spot is the node.
     ``band`` and ``rate`` record the generating problem so rules derived
     from the surface (state-feedback scenarios, hedges) don't need it
     re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
@@ -178,44 +180,57 @@ class PriceSurface:
 
     # -- lookup -------------------------------------------------------------
 
-    def _time_weights(self, t: float):
-        times = self.times
-        if t <= times[0]:
-            return 0, 0, 0.0
-        if t >= times[-1]:
-            return len(times) - 1, len(times) - 1, 0.0
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(k, len(times) - 2)
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return k, k + 1, float(w)
-
     def forward_factor(self, t):
         """exp(rate * (T - t)), T = times[-1]: the factor that carries a
         spot at time t to the nodes' forward prices (1 at rate 0)."""
         return np.exp(self.rate * (self.times[-1] - np.asarray(t, dtype=float)))
 
-    def value_slice(self, t: float) -> np.ndarray:
-        """Values on the space nodes at time t (linear in time)."""
-        k0, k1, w = self._time_weights(t)
-        if w == 0.0:
-            return self.values[k0]
-        return (1.0 - w) * self.values[k0] + w * self.values[k1]
+    def _slices(self, t: np.ndarray) -> np.ndarray:
+        """The slice at each date of the 1-d ``t``: rows blended linearly in
+        time, the first row before times[0] and the last after times[-1]."""
+        times, values = self.times, self.values
+        k = np.where(t >= times[-1], len(times) - 1, 0)
+        w = np.zeros(t.shape)
+        inner = ~((t <= times[0]) | (t >= times[-1]))
+        ki = np.minimum(np.searchsorted(times, t[inner], side="right"), len(times) - 1) - 1
+        k[inner] = ki
+        w[inner] = (t[inner] - times[ki]) / (times[ki + 1] - times[ki])
+        out = values[k]
+        mix = w != 0.0  # a date on a row reads the row as it is
+        out[mix] = (1.0 - w[mix, None]) * out[mix] + w[mix, None] * values[k[mix] + 1]
+        return out
 
-    def value_at(self, t: float, x) -> float:
-        sl = self.value_slice(t)
-        out = np.interp(np.asarray(x, dtype=float) * self.forward_factor(t),
-                        self.space_nodes, sl)
-        return float(out) if np.ndim(out) == 0 else out
+    def _read(self, t, x, delta: bool):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        dates, spots = (t, x) if t.ndim == 1 else (t[None], x[None])
+        if dates.ndim != 1 or spots.shape[:1] != dates.shape:
+            raise ValueError("t must be a date, or 1-d dates with x[i] read at t[i]")
+        scale = self.forward_factor(dates)
+        rows = self._slices(dates)
+        if delta:
+            rows = np.gradient(rows, self.space_nodes, axis=1) * scale[:, None]
+        out = np.empty(spots.shape)
+        for i in range(len(dates)):
+            out[i] = np.interp(spots[i] * scale[i], self.space_nodes, rows[i])
+        if t.ndim == 1:
+            return out
+        return float(out[0]) if x.ndim == 0 else out[0]
 
-    def delta_slice(self, t: float) -> np.ndarray:
-        """Discrete du/dx at time t, at the spots the space nodes stand for."""
-        return np.gradient(self.value_slice(t), self.space_nodes) * self.forward_factor(t)
+    def value_at(self, t, x):
+        """u(t, x): the slice at t interpolated linearly at the forward price
+        x * forward_factor(t), held at the end nodes' values beyond them.
 
-    def delta_at(self, t: float, x) -> float:
-        d = self.delta_slice(t)
-        out = np.interp(np.asarray(x, dtype=float) * self.forward_factor(t),
-                        self.space_nodes, d)
-        return float(out) if np.ndim(out) == 0 else out
+        ``t`` is one date and ``x`` a spot (the result a float) or an array
+        of spots, or ``t`` is a 1-d array of dates and ``x[i]`` the spot(s)
+        read at ``t[i]``; each entry equals the read at its one date.  All
+        dates' slices are blended in one step, each then read by np.interp.
+        """
+        return self._read(t, x, delta=False)
+
+    def delta_at(self, t, x):
+        """du/dx at (t, x): the slice's ``np.gradient`` over the nodes times
+        forward_factor(t), read as ``value_at`` reads values."""
+        return self._read(t, x, delta=True)
 
 
 def _check_dominance(ask: PriceSurface, bid: PriceSurface) -> None:
@@ -552,11 +567,13 @@ def solve_g_heat(
         for sigma in dict.fromkeys((band.sigma_hi, band.sigma_lo))
     ], axis=1)
 
+    growth = []  # g(a, 0) at both ends, taken after _march checks the operator
+
     def boundary_of(step):
+        if not growth:
+            growth.extend(g_drift_vol(a, 0.0, band) for a in (a_lo, a_hi))
         t = (step + 1) * dt
-        lo = a_lo * w[0] + b_lo + t * g_drift_vol(a_lo, 0.0, band)
-        hi = a_hi * w[-1] + b_hi + t * g_drift_vol(a_hi, 0.0, band)
-        return lo, hi
+        return a_lo * w[0] + b_lo + t * growth[0], a_hi * w[-1] + b_hi + t * growth[1]
 
     context = {"side": "heat", "stretching": grid.stretching, "band": band, "payoff": phi}
     values, *counts = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of, context)

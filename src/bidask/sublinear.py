@@ -78,7 +78,7 @@ class UncertaintyBand:
 # Test functions / payoffs
 # ---------------------------------------------------------------------------
 
-_KINDS = ("call", "put", "identity", "negation", "power", "piecewise_linear", "table")
+_KINDS = ("call", "put", "identity", "power", "piecewise_linear", "table")
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,12 @@ class ScalarFunctionSpec:
     """A scalar test function / payoff from a closed, checkable family.
 
     Supported kinds: ``call(strike)``, ``put(strike)``, ``identity``,
-    ``negation`` (the map x -> -x), ``power(exponent)``,
-    ``piecewise_linear(knots)`` (linear extrapolation beyond the end knots)
-    and ``table(samples)`` (constant extrapolation).  ``scale`` multiplies
-    the output, so the pointwise negation of any member stays inside the
-    family; it is how lower expectations reuse the upper code path.
+    ``power(exponent)``, ``piecewise_linear(knots)`` (linear extrapolation
+    beyond the end knots) and ``table(samples)`` (constant extrapolation).
+    ``scale`` multiplies the output, so the pointwise negation of any
+    member stays inside the family; it is how lower expectations reuse the
+    upper code path, and ``negation()``, the map x -> -x, is the identity
+    at scale -1.
     """
 
     kind: str
@@ -134,7 +135,7 @@ class ScalarFunctionSpec:
 
     @classmethod
     def negation(cls) -> "ScalarFunctionSpec":
-        return cls("negation")
+        return cls.identity().negated()
 
     @classmethod
     def power(cls, exponent: float) -> "ScalarFunctionSpec":
@@ -162,8 +163,6 @@ class ScalarFunctionSpec:
             out = np.maximum(self.strike - x, 0.0)
         elif self.kind == "identity":
             out = x.copy()
-        elif self.kind == "negation":
-            out = -x
         elif self.kind == "power":
             if not float(self.exponent).is_integer() and np.any(x < 0.0):
                 raise ValueError(f"power({self.exponent:g}) has a non-integer exponent "

@@ -168,8 +168,7 @@ def _batch_surplus(surface, times, S, r):
 
     The hedge starts from the surface value at the first spot.
     """
-    wealth, u = _delta_hedge(surface, times, S, r)
-    return wealth[:, -1] - u[:, -1]
+    return _delta_hedge(surface, times, S, r)[:, -1] - surface.value_at(times[-1], S[:, -1])
 
 
 def test_criterion_5_superhedging_shortfall():

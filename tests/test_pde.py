@@ -585,12 +585,45 @@ class TestSurfaceLookup:
         assert s.value_at(0.5, 1.0) == pytest.approx(1.5)
         assert s.value_at(0.0, 0.5) == pytest.approx(0.5)
 
-    def test_delta_slice_of_linear_surface(self):
+    def test_delta_of_linear_surface(self):
         times = np.array([0.0, 1.0])
         nodes = np.linspace(0.0, 4.0, 9)
         vals = np.vstack([3.0 * nodes, 3.0 * nodes])
         s = PriceSurface(times, nodes, vals, "heat")
-        assert np.allclose(s.delta_slice(0.3), 3.0)
+        assert np.allclose(s.delta_at(0.3, nodes), 3.0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    def test_dated_reads_equal_the_scalar_reads(self, stretching, rate):
+        # dates off and on the surface's 90 rows, before 0 and after T;
+        # spots inside and beyond the domain
+        surface = solve_bsb_ask(call_problem(BAND_WIDE, rate=rate),
+                                GridSpec(120, 90, stretching))
+        t = np.concatenate(([-0.5, -1e-9], np.linspace(0.0, T, 151), surface.times[::7],
+                            [T + 1e-9, T + 0.5]))
+        lo, hi = log_domain(BAND_WIDE.sigma_hi)
+        x = np.random.default_rng(5).uniform(0.5 * lo, 1.5 * hi, size=(len(t), 4))
+        x[:, 0] = S0
+        for read in (surface.value_at, surface.delta_at):
+            many = read(t, x)
+            one = read(t, x[:, 0])
+            assert many.shape == x.shape and one.shape == t.shape
+            for i in range(len(t)):
+                assert np.array_equal(many[i], read(t[i], x[i]))
+                assert one[i] == read(t[i], x[i, 0])
+        # and a scalar read is the slice blended in time, then interpolated
+        nodes, times, values = surface.space_nodes, surface.times, surface.values
+        for ti, xi in zip(t, x):
+            k = min(max(int(np.searchsorted(times, ti, side="right")) - 1, 0), len(times) - 2)
+            w = min(max((ti - times[k]) / (times[k + 1] - times[k]), 0.0), 1.0)
+            sl = values[k] if w == 0.0 else values[k + 1] if w == 1.0 else (
+                (1.0 - w) * values[k] + w * values[k + 1])
+            scale = surface.forward_factor(ti)
+            assert np.array_equal(surface.value_at(ti, xi), np.interp(xi * scale, nodes, sl))
+            assert np.array_equal(surface.delta_at(ti, xi),
+                                  np.interp(xi * scale, nodes, np.gradient(sl, nodes) * scale))
+        with pytest.raises(ValueError, match=r"x\[i\] read at t\[i\]"):
+            surface.value_at(t, x[1:])
 
     def test_matrix_serialization_round_trip(self):
         ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(32, 16))
