@@ -650,6 +650,9 @@ def _run_hedge(eff, built):
     surface = solve_bsb_ask(built["problem"], grid)
     if eff["path_file"] is not None:
         path = read_path_file(eff["path_file"], positive=True)
+        if abs(path.horizon - eff["maturity"]) > 1e-9 * max(1.0, eff["maturity"]):
+            raise ValueError(f"path_file ends at t={path.horizon:g}, not at the "
+                             f"maturity {eff['maturity']:g}")
     else:
         tgrid = np.linspace(0.0, eff["maturity"], eff["scenario"]["n_steps"] + 1)
         path = simulate_asset_paths(built["scenario"], eff["spot"], tgrid, eff["seed"],

@@ -40,7 +40,7 @@ from scipy.special import betainc as _betainc
 from scipy.special import hyp2f1 as _hyp2f1
 
 from .errors import NumericalFailure
-from .paths import PathEnsemble, _as_grid, _draw_normals
+from .paths import PathEnsemble, SampledPath, _as_grid, _draw_normals
 from .sublinear import UncertaintyBand
 
 __all__ = [

@@ -20,7 +20,8 @@ never changes existing paths.  A call that compares a control family
 runs every control on them: common random numbers.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
-grid.  A ``BangBangRule`` holds a table of the band end it picks.
+grid; asset paths come from one kernel, which also gives the volatility
+each step used.  A ``BangBangRule`` holds a table of the band end it picks.
 """
 
 from __future__ import annotations
@@ -359,22 +360,16 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
     if not (math.isfinite(S0) and S0 > 0.0):
         raise ValueError(f"S0 must be positive, got {S0!r}")
     grid = _as_grid(grid)
-    S, _, _, _ = _scenario_paths(control, S0, grid, seed, n_paths, band)
+    S, _ = _paths_from_normals(control, S0, grid,
+                               _draw_normals(seed, n_paths, len(grid) - 1), band)
     return PathEnsemble(grid, S, positive=True)
 
 
-def _scenario_paths(control, S0, grid, seed, n_paths, band=None):
-    """Asset matrix (n_paths, n_grid), driving increments, per-step sigma/mu."""
-    return _paths_from_normals(control, S0, grid,
-                               _draw_normals(seed, n_paths, len(grid) - 1), band)
-
-
 def _paths_from_normals(control, S0, grid, z, band=None):
-    """``_scenario_paths`` on given normals z of shape (n_paths, n_steps).
-
-    Time-based controls are fully vectorised; a BangBangRule steps forward
-    in time, reading each step's volatility off its table.
-    """
+    """The scenario kernel: asset paths (n_paths, n_grid) from the normals
+    z (n_paths, n_steps), and the volatility each step used: a row of
+    n_steps for a time-based control (fully vectorised), one row per path
+    for a BangBangRule (stepped forward in time, reading its table)."""
     dt = np.diff(grid)
     n_paths, n_steps = z.shape
 
@@ -384,7 +379,6 @@ def _paths_from_normals(control, S0, grid, z, band=None):
         # time-major, so every step reads and writes contiguous rows
         S = np.empty((n_steps + 1, n_paths))
         S[0] = S0
-        dB = np.empty((n_steps, n_paths))
         sig_used = np.empty((n_steps, n_paths))
         # BangBangRule.sigma_state inlined, its row index taken for all steps
         # at once: calling it per step gives bitwise-equal paths but is
@@ -392,42 +386,23 @@ def _paths_from_normals(control, S0, grid, z, band=None):
         for i in range(n_steps):
             sg = control.sigma_table[rows[i]][_nearest_node(control.nodes,
                                                             S[i] * control.scale[rows[i]])]
-            dB[i] = sg * math.sqrt(dt[i]) * z[:, i]
-            S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i] + dB[i])
+            S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i]
+                                     + sg * math.sqrt(dt[i]) * z[:, i])
             sig_used[i] = sg
-        return S.T, dB.T, sig_used.T, np.broadcast_to(mu, (n_paths, n_steps))
+        return S.T, sig_used.T
 
     _check_control(control, grid, band)
     sig, mu = _step_levels(control, grid)
-    dB = sig * np.sqrt(dt) * z
-    log_inc = (mu - 0.5 * sig * sig) * dt + dB
+    log_inc = (mu - 0.5 * sig * sig) * dt + sig * np.sqrt(dt) * z
     S = np.empty((n_paths, n_steps + 1))
     S[:, 0] = S0
     S[:, 1:] = S0 * np.exp(np.cumsum(log_inc, axis=1))
-    sig_used = np.broadcast_to(sig, (n_paths, n_steps))
-    mu_used = np.broadcast_to(mu, (n_paths, n_steps))
-    return S, dB, sig_used, mu_used
+    return S, sig
 
 
 # ---------------------------------------------------------------------------
 # Deflator and Monte Carlo pricing
 # ---------------------------------------------------------------------------
-
-
-def _deflator_log_terms(dB, sig, mu, dt, r):
-    """Per-step contributions of the stochastic deflator exponent.
-
-    lambda = (mu - r) / sigma is the market price of the scenario's risk
-    premium; the exponent accumulates lambda dW + lambda^2 dt / 2 against
-    the scenario's standard noise dW = dB / sigma, which tilts the asset
-    drift from mu to r (so deflated expectations of a claim reduce to its
-    riskless-drift value).  A zero-volatility step with nonzero premium
-    cannot be deflated.
-    """
-    sig = np.broadcast_to(sig, np.shape(dB))
-    lam = _market_price_of_risk(np.broadcast_to(mu - r, np.shape(dB)), sig)
-    dw = np.divide(dB, sig, out=np.zeros(np.shape(dB)), where=sig != 0.0)
-    return lam * dw + 0.5 * lam * lam * dt
 
 
 def _market_price_of_risk(theta, sig):
@@ -448,7 +423,8 @@ def deflator_path(control: ControlProcess, r: float, grid,
     the scenario's standard noise: discounting times the exponential
     martingale that removes the scenario's risk premium.  Reduces to plain
     discounting exp(-r t) exactly when mu == r, and e^{rt} H_t has unit
-    expectation under every scenario.
+    expectation under every scenario.  A zero-volatility step with nonzero
+    premium raises SingularControlError.
     """
     grid = _as_grid(grid)
     if len(grid) != len(driving_increments.times) or not np.allclose(
@@ -457,8 +433,9 @@ def deflator_path(control: ControlProcess, r: float, grid,
     dt = np.diff(grid)
     sig, mu = _step_levels(control, grid)
     dB = np.diff(driving_increments.values)
-    terms = _deflator_log_terms(dB, sig, mu, dt, r)
-    log_h = -(r * grid[1:] + np.cumsum(terms))
+    lam = _market_price_of_risk(mu - r, sig)
+    dw = np.divide(dB, sig, out=np.zeros(len(dB)), where=sig != 0.0)
+    log_h = -(r * grid[1:] + np.cumsum(lam * dw + 0.5 * lam * lam * dt))
     vals = np.concatenate(([1.0], np.exp(log_h)))
     return SampledPath(grid, vals, positive=True)
 
@@ -469,12 +446,13 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
 
     Each control yields an estimate of E[H_T payoff(S_T)] (deflated claim
     under that scenario); the ask is the largest estimate over the family
-    and the bid the smallest.  The normals are drawn once per call and
+    and the bid the smallest.  The normals z are drawn once per call and
     every control runs on them, so the comparison is common-random-numbers.
-    A time-based control is priced from two terminal statistics, both
-    linear in the normals z: log S_T = log S_0 + sum (mu - sigma^2/2) dt +
-    z . sigma sqrt(dt), and the deflator exponent r T + z . lambda sqrt(dt)
-    + sum lambda^2 dt / 2.  A BangBangRule is simulated step by step.
+    A time-based control's log S_T = log S_0 + sum (mu - sigma^2/2) dt +
+    z . sigma sqrt(dt) needs no paths; a BangBangRule's come from the
+    kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 dt / 2 +
+    sum lambda sqrt(dt) z)), lambda = (mu - r) / sigma, with sigma the row
+    or, for a rule, the matrix of volatilities the steps used.
     """
     controls = list(controls)
     if not controls:
@@ -490,17 +468,16 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     estimates = []
     for idx, control in enumerate(controls):
         if isinstance(control, BangBangRule):
-            S, dB, sig, mu = _paths_from_normals(control, spot, grid, z)
-            terms = _deflator_log_terms(dB, sig, mu, dt, r)
-            s_T = S[:, -1]
-            h_T = np.exp(-(r * grid[-1] + np.sum(terms, axis=1)))
+            S, sig = _paths_from_normals(control, spot, grid, z)
+            s_T, mu = S[:, -1], control.mu_value
         else:
             _check_control(control, grid, problem.band)
             sig, mu = _step_levels(control, grid)
-            lam = _market_price_of_risk(mu - r, sig)
             s_T = spot * np.exp(np.sum((mu - 0.5 * sig * sig) * dt) + z @ (sig * sqrt_dt))
-            h_T = np.exp(-(r * grid[-1] + 0.5 * np.sum(lam * lam * dt)
-                           + z @ (lam * sqrt_dt)))
+        lam = _market_price_of_risk(mu - r, sig)
+        # einsum: no (n_paths, n_steps) temporary when sigma is a row
+        h_T = np.exp(-(r * grid[-1] + 0.5 * np.sum(lam * lam * dt, axis=-1)
+                       + np.einsum("...j,...j->...", z, lam * sqrt_dt)))
         y = h_T * np.asarray(problem.payoff(s_T))
         value = float(np.mean(y))
         se = float(np.std(y, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -538,7 +515,7 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     z = _draw_normals(seed, n_paths, len(grid) - 1)
     best = 0.0
     for control in controls:
-        S, _, _, _ = _paths_from_normals(control, S0, grid, z, band)
+        S, _ = _paths_from_normals(control, S0, grid, z, band)
         inside = np.all(np.abs(S - center.values[None, :]) < eta, axis=1)
         best = max(best, float(np.mean(inside)))
     return best
@@ -717,11 +694,14 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
     The wealth Y is ``_delta_hedge``'s, the cost C_i = Y_i - u(t_i, S_i)
     with u from ``surface.value_at(times, s)``, and the terminal shortfall
     max(0, u(t_n, S_n) - Y_n), u(t_n, .) the payoff when the path ends at
-    the surface's maturity.  A path leaving the surface's domain raises
-    DomainExitError.
+    the surface's maturity.  A path that runs past the surface's last time
+    raises ValueError, and one leaving the surface's domain DomainExitError.
     """
     times = asset_path.times
     s = asset_path.values
+    if times[-1] - surface.times[-1] > 1e-9 * max(1.0, surface.times[-1]):
+        raise ValueError(f"path ends at t={times[-1]:g}, past the surface's last "
+                         f"time {surface.times[-1]:g}")
     nodes = surface.space_nodes
     scale = surface.forward_factor(times)
     outside = (s * scale < nodes[0]) | (s * scale > nodes[-1])

@@ -15,7 +15,8 @@ operator rows fixed per control.  The BSB pair is solved in forward
 coordinates: with F = x exp(r (T - t)) and V = exp(r (T - t)) u it reads
 V_tau = g_vol(F^2 V_FF) (ask) or -g_vol(-F^2 V_FF) (bid), with no rate
 term, so the row of a volatility sigma is sigma^2 / 2 times one fixed
-stencil D and the band ends are the only candidates.  D is the
+stencil D and the band ends are the only candidates.  The bid is minus
+the ask of the negated payoff, negation being exact in the march.  D is the
 exponentially fitted stencil of d2/dy2 - d/dy in y = log F on uniform_log
 grids and central F^2 d2/dF2 on uniform_price grids; both have positive
 weights at every spacing and are exact on claims linear in F.  The nodes
@@ -25,7 +26,7 @@ frame.  The heat equation's drift is a real control: each corner of its
 (drift, volatility) box has its own row, central where that row is an
 M-matrix and upwinded otherwise.  Each iteration solves the system of the
 current selection, then picks, node by node, the candidate row with the
-largest (ask, heat) or smallest (bid) product with the new iterate,
+largest product with the new iterate (every march maximises),
 keeping the selected row unless another beats it by more than a round-off
 bound.  A pick that repeats the selection ends the step; only a pick that
 moves is followed by the residual test between iterates.  The candidates'
@@ -71,6 +72,8 @@ POLICY_MAX_ITERS = 50
 # relative to |u|_inf, so scaling the data scales every decision of the
 # march; an iterate that moves less only reflects picks flipping in round-off
 POLICY_RESIDUAL_TOL = 1e-12
+# a surface read blends and differentiates the slices of this many dates at a time
+_READ_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -206,12 +209,14 @@ class PriceSurface:
         if dates.ndim != 1 or spots.shape[:1] != dates.shape:
             raise ValueError("t must be a date, or 1-d dates with x[i] read at t[i]")
         scale = self.forward_factor(dates)
-        rows = self._slices(dates)
-        if delta:
-            rows = np.gradient(rows, self.space_nodes, axis=1) * scale[:, None]
         out = np.empty(spots.shape)
-        for i in range(len(dates)):
-            out[i] = np.interp(spots[i] * scale[i], self.space_nodes, rows[i])
+        for lo in range(0, len(dates), _READ_BLOCK):
+            block = slice(lo, lo + _READ_BLOCK)
+            rows = self._slices(dates[block])
+            if delta:
+                rows = np.gradient(rows, self.space_nodes, axis=1) * scale[block, None]
+            for i, row in enumerate(rows, start=lo):
+                out[i] = np.interp(spots[i] * scale[i], self.space_nodes, row)
         if t.ndim == 1:
             return out
         return float(out[0]) if x.ndim == 0 else out[0]
@@ -222,8 +227,8 @@ class PriceSurface:
 
         ``t`` is one date and ``x`` a spot (the result a float) or an array
         of spots, or ``t`` is a 1-d array of dates and ``x[i]`` the spot(s)
-        read at ``t[i]``; each entry equals the read at its one date.  All
-        dates' slices are blended in one step, each then read by np.interp.
+        read at ``t[i]``; each entry equals the read at its one date.  Slices
+        are blended _READ_BLOCK dates at a time, each read by np.interp.
         """
         return self._read(t, x, delta=False)
 
@@ -348,7 +353,7 @@ def _monotone_rows(w: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.array([lo, -(lo + hi), hi])
 
 
-def _march(u0, rows, pick, dt, n_time, boundary_of, context):
+def _march(u0, rows, dt, n_time, boundary_of, context):
     """Implicit march with Howard policy iteration over fixed candidate rows.
 
     ``rows[:, k]`` holds the (lo, di, hi) rows of the discrete operator L_k
@@ -363,13 +368,12 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     factorised, and each solve is one ``gttrs`` on those factors; no
     factors outlive the call.
 
-    A pick on an iterate v moves a node to the best candidate product
-    L_k v (largest for ``np.argmax``, smallest for ``np.argmin``) only
-    where it beats the selected row's product by more than the round-off
-    bound 32 eps max_k sum|L_k| |v|_inf, the row sums taken once per march.
-    So candidates that tie up to round-off keep the selection.  Every node
-    starts at candidate 0; with two candidates a pick is the sign of one
-    product, on the difference of their rows.
+    A pick on an iterate v moves a node to the largest candidate product
+    L_k v only where it beats the selected row's product by more than the
+    round-off bound 32 eps max_k sum|L_k| |v|_inf, the row sums taken once
+    per march.  So candidates that tie up to round-off keep the selection.
+    Every node starts at candidate 0; with two candidates a pick is the
+    sign of one product, on the difference of their rows.
 
     After each solve the pick comes first.  A pick that repeats the
     selection ends the step: the iterate already solves it, so it is the
@@ -405,12 +409,11 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
     out[0] = u0
     u = out[0]
     solves = max_step_solves = factorizations = 0
-    # products to maximise; a tie bound per unit of |v|_inf
-    gain = rows if pick is np.argmax else -rows
+    # a tie bound per unit of |v|_inf
     tie = 32.0 * np.finfo(float).eps * float(np.abs(rows).sum(axis=0).max())
 
     if n_cand == 2:
-        diff = gain[:, 1] - gain[:, 0]
+        diff = rows[:, 1] - rows[:, 0]
 
         def select(v, v_max, sel):
             g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
@@ -420,7 +423,7 @@ def _march(u0, rows, pick, dt, n_time, boundary_of, context):
         cols = np.arange(n - 2)
 
         def select(v, v_max, sel):
-            g = gain[0] * v[:-2] + gain[1] * v[1:-1] + gain[2] * v[2:]
+            g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
             best = g.argmax(axis=0)
             return np.where(g[best, cols] - g[sel, cols] > tie * v_max, best, sel)
 
@@ -494,21 +497,23 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
     T = problem.maturity
     band = problem.band
 
-    terminal = np.asarray(problem.payoff(f), dtype=float)
+    # the bid is -ask(-payoff), so every march maximises
+    sign = 1.0 if side == "ask" else -1.0
+    terminal = sign * np.asarray(problem.payoff(f), dtype=float)
     stencil = _forward_stencil(f, w, grid.stretching)
     # in band order: every node starts at sigma_lo and leaves it once its
     # discrete gamma clears the round-off bound
     rows = np.stack([0.5 * _variance(s) * stencil for s in (band.sigma_lo, band.sigma_hi)],
                     axis=1)
-    pick = np.argmax if side == "ask" else np.argmin
     context = {"side": side, "stretching": grid.stretching, "band": band,
                "payoff": problem.payoff}
     # V = a F + b solves the forward equation, so V keeps its end values
-    values, *counts = _march(terminal, rows, pick, T / grid.n_time, grid.n_time,
+    values, *counts = _march(terminal, rows, T / grid.n_time, grid.n_time,
                              lambda step: (terminal[0], terminal[-1]), context)
     times = np.linspace(0.0, T, grid.n_time + 1)
-    # V was marched backward from the payoff; u = exp(-r (T - t)) V
-    values = values[::-1] * np.exp(-r * (T - times))[:, None]
+    # sign V was marched from sign payoff, u = exp(-r (T - t)) V; adding 0
+    # turns the -0 that negating a zero of the bid's march gives into +0
+    values = (sign * values[::-1] + 0.0) * np.exp(-r * (T - times))[:, None]
     # the march's counters come in the order of PriceSurface's last fields
     return PriceSurface(times, f, values, side, band, r, *counts)
 
@@ -576,7 +581,7 @@ def solve_g_heat(
         return a_lo * w[0] + b_lo + t * growth[0], a_hi * w[-1] + b_hi + t * growth[1]
 
     context = {"side": "heat", "stretching": grid.stretching, "band": band, "payoff": phi}
-    values, *counts = _march(u0, rows, np.argmax, dt, grid.n_time, boundary_of, context)
+    values, *counts = _march(u0, rows, dt, grid.n_time, boundary_of, context)
     times = np.linspace(0.0, horizon, grid.n_time + 1)
     return PriceSurface(times, w, values, "heat", band, 0.0, *counts)
 

@@ -29,13 +29,14 @@ from bidask import (
     parse_config,
     riemann_stieltjes,
     retirement_walk,
+    simulate_asset_paths,
     simulate_fgbm,
     simulate_fgbm_asset,
     solve_bsb_ask,
     solve_bsb_pair,
 )
 from bidask.cli import main
-from bidask.paths import _delta_hedge, _scenario_paths
+from bidask.paths import _delta_hedge
 
 S0 = 100.0
 K = 100.0
@@ -204,7 +205,7 @@ def test_criterion_5_superhedging_shortfall():
     fracs, means, gates, sds = {}, {}, {}, {}
     for n_steps in (1000, 2000):
         times = np.linspace(0.0, T, n_steps + 1)
-        S, _, _, _ = _scenario_paths(rule, S0, times, seed=777, n_paths=10_000)
+        S = simulate_asset_paths(rule, S0, times, seed=777, n_paths=10_000).values
         surplus = _batch_surplus(surface, times, S, R)
         fracs[n_steps] = float(np.mean(np.maximum(-surplus, 0.0) <= tol))
         means[n_steps] = float(surplus.mean())

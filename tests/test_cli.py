@@ -546,6 +546,22 @@ class TestCommandLine:
         assert doc["outputs"]["initial_capital"] > 0
         assert doc["outputs"]["n_rebalances"] == 200
 
+    def test_hedge_path_file_must_end_at_the_maturity(self, tmp_path, capsys):
+        # the bundled path ends at the maturity 1; this one runs on to 1.5
+        cfg = price_config(command="hedge", path_file=str(sample_path_file()),
+                           grid={"n_space": 32, "n_time": 32})
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert main(["hedge", "--config", str(f)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "path.csv"
+        path.write_text("time,value\n0,100\n0.5,104\n1.5,101\n")
+        f.write_text(json.dumps({**cfg, "path_file": str(path)}))
+        assert main(["hedge", "--config", str(f)]) == 1
+        assert capsys.readouterr().err == (
+            "bidask: error: command 'hedge' failed: path_file ends at t=1.5, "
+            "not at the maturity 1\n")
+
     def test_capacity_command(self, tmp_path, capsys):
         cfg = {
             "command": "capacity", "seed": 2,

@@ -468,6 +468,15 @@ class TestHedgeVerify:
             hedge_verify(surf, path, 0.05)
         assert exc.value.exit_time == pytest.approx(0.5)
 
+    def test_path_past_the_surface_is_rejected(self):
+        surf = solve_bsb_ask(make_problem(BAND), GridSpec(64, 64))
+        values = np.array([100.0, 104.0, 98.0, 101.0, 103.0])
+        with pytest.raises(ValueError, match=r"t=1\.5, past the surface's last time 1"):
+            hedge_verify(surf, SampledPath(grid_of(4, 1.5), values, positive=True), 0.05)
+        # a path that ends at the maturity, up to round-off, is hedged
+        end = SampledPath(grid_of(4, 1.0 + 1e-10), values, positive=True)
+        assert hedge_verify(surf, end, 0.05).wealth.horizon == 1.0 + 1e-10
+
 
 class TestPathFiles:
     def test_single_path_round_trip(self, tmp_path):
@@ -562,11 +571,16 @@ class TestTerminalStatistics:
 
     @staticmethod
     def full_path_estimate(prob, control, grid, seed, n_paths):
-        # the full-path route: every path, every deflator term, last column
-        S, dB, sig, mu = paths_mod._scenario_paths(control, 100.0, grid, seed, n_paths,
-                                                   band=prob.band)
-        terms = paths_mod._deflator_log_terms(dB, sig, mu, np.diff(grid), prob.rate)
-        h_T = np.exp(-(prob.rate * grid[-1] + np.sum(terms, axis=1)))
+        # the full-path route: every path, every deflator term from the
+        # driving increments dB and the standard noise dB / sigma
+        S = simulate_asset_paths(control, 100.0, grid, seed, n_paths, band=prob.band).values
+        dB = np.diff(simulate_gbm_increments(control, grid, seed, n_paths,
+                                             band=prob.band).values, axis=1)
+        dt = np.diff(grid)
+        sig, mu = control.sigma_at(grid[:-1]), control.mu_at(grid[:-1])
+        lam = np.divide(mu - prob.rate, sig, out=np.zeros(len(dt)), where=sig != 0.0)
+        dw = np.divide(dB, sig, out=np.zeros(dB.shape), where=sig != 0.0)
+        h_T = np.exp(-(prob.rate * grid[-1] + np.sum(lam * dw + 0.5 * lam * lam * dt, axis=1)))
         y = h_T * prob.payoff(S[:, -1])
         return float(np.mean(y)), float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
@@ -625,25 +639,21 @@ class TestTableDrivenAdversary:
         rule = butterfly_rule()
         grid = grid_of(173)  # steps fall between the surface's time rows
         n_paths, S0 = 600, 100.0
-        S, dB, sig, mu = paths_mod._scenario_paths(rule, S0, grid, seed=31,
-                                                   n_paths=n_paths)
         z = paths_mod._draw_normals(31, n_paths, len(grid) - 1)
+        S, sig = paths_mod._paths_from_normals(rule, S0, grid, z)
         dt = np.diff(grid)
         ref_S = np.empty((n_paths, len(grid)))
         ref_S[:, 0] = S0
-        ref = {k: np.empty((n_paths, len(dt))) for k in ("dB", "sig", "mu")}
+        ref_sig = np.empty((n_paths, len(dt)))
         for i in range(len(dt)):
             s = ref_S[:, i]
             sg = rule.sigma_state(grid[i], s)
             m = rule.mu_state(grid[i], s)
-            ref["dB"][:, i] = sg * math.sqrt(dt[i]) * z[:, i]
-            ref_S[:, i + 1] = s * np.exp((m - 0.5 * sg * sg) * dt[i] + ref["dB"][:, i])
-            ref["sig"][:, i] = sg
-            ref["mu"][:, i] = m
+            ref_S[:, i + 1] = s * np.exp((m - 0.5 * sg * sg) * dt[i]
+                                         + sg * math.sqrt(dt[i]) * z[:, i])
+            ref_sig[:, i] = sg
         assert np.array_equal(S, ref_S)
-        assert np.array_equal(dB, ref["dB"])
-        assert np.array_equal(sig, ref["sig"])
-        assert np.array_equal(mu, ref["mu"])
+        assert np.array_equal(sig, ref_sig)
         # the rule switches: both band ends are used
         share_lo = float(np.mean(sig == BAND.sigma_lo))
         assert 0.5 < share_lo < 0.95
@@ -784,7 +794,8 @@ class TestSimulatorsReturnTheirMatrix:
         control = butterfly_rule() if control == "rule" else control
         grid = grid_of(64)
         ens = simulate_asset_paths(control, 100.0, grid, seed=5, n_paths=40)
-        S = paths_mod._scenario_paths(control, 100.0, grid, 5, 40)[0]
+        S, _ = paths_mod._paths_from_normals(control, 100.0, grid,
+                                             paths_mod._draw_normals(5, 40, 64))
         assert isinstance(ens, PathEnsemble)
         assert np.array_equal(ens.times, grid) and np.array_equal(ens.values, S)
 
@@ -792,10 +803,12 @@ class TestSimulatorsReturnTheirMatrix:
         control = ControlProcess((0.0, 0.5), (0.3, 0.1), (0.01, 0.03), band=BAND)
         grid = grid_of(32)
         ens = simulate_gbm_increments(control, grid, seed=6, n_paths=30)
-        dB = paths_mod._scenario_paths(control, 100.0, grid, 6, 30)[1]
+        z = paths_mod._draw_normals(6, 30, 32)
+        _, sig = paths_mod._paths_from_normals(control, 100.0, grid, z)
         assert isinstance(ens, PathEnsemble)
         assert np.all(ens.values[:, 0] == 0.0)
-        assert np.array_equal(ens.values[:, 1:], np.cumsum(dB, axis=1))
+        assert np.array_equal(ens.values[:, 1:],
+                              np.cumsum(sig * np.sqrt(np.diff(grid)) * z, axis=1))
 
     def test_ensemble_file(self, tmp_path):
         ens = simulate_asset_paths(ControlProcess.constant(0.05, 0.2), 100.0, grid_of(8),

@@ -311,7 +311,7 @@ class TestPolicyIteration:
         assert info.value.diagnostics["payoff"] == phi
 
 
-def reference_march(u0, rows, pick, dt, n_time, boundary_of, context):
+def reference_march(u0, rows, dt, n_time, boundary_of, context):
     """The march as ``scipy.linalg.solve_banded`` ran it: a banded matrix
     rebuilt on every iterate, every step picking on its start value, and
     a solve of a repeated selection before the step ends.  Its solve
@@ -327,8 +327,8 @@ def reference_march(u0, rows, pick, dt, n_time, boundary_of, context):
         sel = None
         u_iter = u
         for _ in range(pde.POLICY_MAX_ITERS):
-            sel_new = pick(rows[0] * u_iter[:-2] + rows[1] * u_iter[1:-1]
-                           + rows[2] * u_iter[2:], axis=0)
+            sel_new = np.argmax(rows[0] * u_iter[:-2] + rows[1] * u_iter[1:-1]
+                                + rows[2] * u_iter[2:], axis=0)
             chosen = system[:, sel_new, cols]
             ab = np.zeros((3, n))
             ab[1, 0] = ab[1, -1] = 1.0
@@ -386,6 +386,13 @@ class TestMarchOracle:
         monkeypatch.setattr(pde, "_march", reference_march)
         assert_matches_reference(got, solve_g_heat(phi, band, 1.0, GridSpec(96, 80)))
 
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    def test_bid_zeros_are_positive(self, stretching):
+        # the bid marches the negated payoff; its zeros, far below the
+        # strike, come back as +0, as a march of the payoff itself gives them
+        bid = solve_bsb_bid(call_problem(BAND_WIDE), GridSpec(64, 48, stretching))
+        assert np.any(bid.values == 0.0) and not np.any(np.signbit(bid.values))
+
     def test_counts_solves_per_step(self):
         # a wide band switches selection in some steps, each switch one
         # more solve in its step
@@ -398,7 +405,7 @@ class TestMarchOracle:
         rows = np.zeros((3, 1, 4))
         rows[1] = 1.0
         with pytest.raises(NumericalFailure) as info:
-            pde._march(np.ones(6), rows, np.argmax, 1.0, 3, lambda step: (1.0, 1.0),
+            pde._march(np.ones(6), rows, 1.0, 3, lambda step: (1.0, 1.0),
                        {"side": "heat"})
         diag = info.value.diagnostics
         assert diag["info"] > 0 and diag["step"] == 0
@@ -411,7 +418,7 @@ class TestMarchOracle:
         rows[1] = np.nextafter(1.0, 0.0)
         u0 = np.array([1.0, 1e300, 1e300, 1e300, 1e300, 1.0])
         with pytest.raises(NumericalFailure) as info, np.errstate(all="ignore"):
-            pde._march(u0, rows, np.argmax, 1.0, 3, lambda step: (1.0, 1.0),
+            pde._march(u0, rows, 1.0, 3, lambda step: (1.0, 1.0),
                        {"side": "heat"})
         diag = info.value.diagnostics
         assert str(info.value) == "implicit step has no finite solution"
@@ -596,21 +603,27 @@ class TestSurfaceLookup:
     @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
     def test_dated_reads_equal_the_scalar_reads(self, stretching, rate):
         # dates off and on the surface's 90 rows, before 0 and after T;
-        # spots inside and beyond the domain
+        # spots inside and beyond the domain.  Then dates in no order, two
+        # read blocks and part of a third
         surface = solve_bsb_ask(call_problem(BAND_WIDE, rate=rate),
                                 GridSpec(120, 90, stretching))
         t = np.concatenate(([-0.5, -1e-9], np.linspace(0.0, T, 151), surface.times[::7],
                             [T + 1e-9, T + 0.5]))
         lo, hi = log_domain(BAND_WIDE.sigma_hi)
-        x = np.random.default_rng(5).uniform(0.5 * lo, 1.5 * hi, size=(len(t), 4))
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.5 * lo, 1.5 * hi, size=(len(t), 4))
         x[:, 0] = S0
-        for read in (surface.value_at, surface.delta_at):
-            many = read(t, x)
-            one = read(t, x[:, 0])
-            assert many.shape == x.shape and one.shape == t.shape
-            for i in range(len(t)):
-                assert np.array_equal(many[i], read(t[i], x[i]))
-                assert one[i] == read(t[i], x[i, 0])
+        n = 2 * pde._READ_BLOCK + 3
+        unordered = (rng.uniform(-0.1, T + 0.1, size=n),
+                     rng.uniform(0.5 * lo, 1.5 * hi, size=(n, 4)))
+        for dates, spots in ((t, x), unordered):
+            for read in (surface.value_at, surface.delta_at):
+                many = read(dates, spots)
+                one = read(dates, spots[:, 0])
+                assert many.shape == spots.shape and one.shape == dates.shape
+                for i in range(len(dates)):
+                    assert np.array_equal(many[i], read(dates[i], spots[i]))
+                    assert one[i] == read(dates[i], spots[i, 0])
         # and a scalar read is the slice blended in time, then interpolated
         nodes, times, values = surface.space_nodes, surface.times, surface.values
         for ti, xi in zip(t, x):
