@@ -12,10 +12,13 @@ time-based control both log S_T and the deflator exponent are linear in
 the path's normals, so Monte Carlo prices such a control from those two
 terminal statistics without building its paths.
 
-Randomness: one named splittable generator (Philox keyed by the seed),
-with path j drawing from counter block j << 128.  Path j's values depend
-only on (seed, j), so growing n_paths or splitting a batch across workers
-never changes existing paths.  A call that compares a control family
+Randomness: one named splittable generator (Philox keyed by the seed).
+Paths come in blocks of ``_RNG_BLOCK``; path j lies in block
+b = j // _RNG_BLOCK, which draws from counter b << 128.  Path j's values
+depend only on (seed, j), so growing n_paths never changes existing paths.
+The blocks are drawn concurrently on the usable CPUs, each into its own
+rows, so the result does not depend on the number of workers; on one
+usable CPU the draw is serial.  A call that compares a control family
 (``mc_ask_bid``, ``estimate_tube_capacity``) draws the normals once and
 runs every control on them: common random numbers.
 
@@ -27,7 +30,9 @@ each step used.  A ``BangBangRule`` holds a table of the band end it picks.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -285,22 +290,41 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard normals, one row per path.
 
     Paths are grouped into fixed blocks of _RNG_BLOCK, each drawn from its
     own counter-offset substream, so row j depends only on (seed, j,
-    n_steps): growing n_paths appends rows without touching existing ones,
-    and blocks can be generated independently (e.g. in parallel) with
-    identical results.
+    n_steps): growing n_paths appends rows without touching existing ones.
+    The blocks are drawn concurrently, one thread per usable CPU (at most
+    one per block), each filling its own rows; numpy releases the GIL while
+    it fills, and the result is the same for any number of workers.  One
+    block, or one usable CPU, is drawn serially.  A block is never split:
+    the ziggurat takes a variable number of raw draws per normal.
     """
     z = np.empty((n_paths, n_steps))
-    for block in range((n_paths + _RNG_BLOCK - 1) // _RNG_BLOCK):
+    n_blocks = (n_paths + _RNG_BLOCK - 1) // _RNG_BLOCK
+
+    def fill(block):
         lo = block * _RNG_BLOCK
-        hi = min(lo + _RNG_BLOCK, n_paths)
         # a partial block is a row prefix of the full one: draws are
         # consumed row-major, so requesting fewer rows changes nothing
-        _block_rng(seed, block).standard_normal(out=z[lo:hi])
+        _block_rng(seed, block).standard_normal(out=z[lo:lo + _RNG_BLOCK])
+
+    workers = min(n_blocks, _usable_cpus()) if n_blocks > 1 else 1
+    if workers == 1:
+        for block in range(n_blocks):
+            fill(block)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(n_blocks)))  # re-raises a block's error
     return z
 
 
@@ -316,16 +340,23 @@ def _as_grid(grid) -> np.ndarray:
     return g
 
 
-def _check_control(control: ControlProcess, grid: np.ndarray,
+def _check_control(control: ControlProcess | BangBangRule, grid: np.ndarray,
                    band: UncertaintyBand | None) -> None:
-    band = band if band is not None else control.band
+    """Reject levels outside the band a control runs under (a
+    ControlProcess without one: its own) and breakpoints off the grid.  A
+    BangBangRule's levels are its sigma table and its drift."""
+    if isinstance(control, BangBangRule):
+        sigma, mu, breakpoints = control.sigma_table, control.mu_value, ()
+    else:
+        band = band if band is not None else control.band
+        sigma, mu, breakpoints = control.sigma_levels, control.mu_levels, control.breakpoints[1:]
     if band is not None:
-        if not band.contains_sigma(control.sigma_levels):
+        if not band.contains_sigma(sigma):
             raise ValueError("control sigma levels leave the uncertainty band")
-        if not band.contains_mu(control.mu_levels):
+        if not band.contains_mu(mu):
             raise ValueError("control mu levels leave the uncertainty band")
     horizon = grid[-1]
-    for b in control.breakpoints[1:]:
+    for b in breakpoints:
         if b < horizon and np.min(np.abs(grid - b)) > 1e-9 * max(1.0, horizon):
             raise ValueError(f"control breakpoint {b} is not aligned with the time grid")
 
@@ -370,6 +401,7 @@ def _paths_from_normals(control, S0, grid, z, band=None):
     z (n_paths, n_steps), and the volatility each step used: a row of
     n_steps for a time-based control (fully vectorised), one row per path
     for a BangBangRule (stepped forward in time, reading its table)."""
+    _check_control(control, grid, band)
     dt = np.diff(grid)
     n_paths, n_steps = z.shape
 
@@ -391,7 +423,6 @@ def _paths_from_normals(control, S0, grid, z, band=None):
             sig_used[i] = sg
         return S.T, sig_used.T
 
-    _check_control(control, grid, band)
     sig, mu = _step_levels(control, grid)
     log_inc = (mu - 0.5 * sig * sig) * dt + sig * np.sqrt(dt) * z
     S = np.empty((n_paths, n_steps + 1))
@@ -424,8 +455,12 @@ def deflator_path(control: ControlProcess, r: float, grid,
     martingale that removes the scenario's risk premium.  Reduces to plain
     discounting exp(-r t) exactly when mu == r, and e^{rt} H_t has unit
     expectation under every scenario.  A zero-volatility step with nonzero
-    premium raises SingularControlError.
+    premium raises SingularControlError.  A BangBangRule raises ValueError:
+    its volatility depends on the asset path, not on the driving path alone.
     """
+    if isinstance(control, BangBangRule):
+        raise ValueError("a state-feedback rule has no deflator path on a driving "
+                         "path alone: its volatility depends on the asset path")
     grid = _as_grid(grid)
     if len(grid) != len(driving_increments.times) or not np.allclose(
             grid, driving_increments.times, rtol=0.0, atol=1e-12):
@@ -468,7 +503,7 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     estimates = []
     for idx, control in enumerate(controls):
         if isinstance(control, BangBangRule):
-            S, sig = _paths_from_normals(control, spot, grid, z)
+            S, sig = _paths_from_normals(control, spot, grid, z, problem.band)
             s_T, mu = S[:, -1], control.mu_value
         else:
             _check_control(control, grid, problem.band)

@@ -402,6 +402,25 @@ class TestRun:
         header = out.read_text().splitlines()[0]
         assert header == "time,value_0,value_1,value_2,value_3"
 
+    def test_two_block_simulate_renders_as_the_serial_draw(self, monkeypatch):
+        # 5000 paths are two blocks of normals, drawn on two threads
+        cfg = json.dumps({
+            "command": "simulate", "seed": 21,
+            "band": {"mu_lo": 0.0, "mu_hi": 0.1, "sigma_lo": 0.1, "sigma_hi": 0.3},
+            "s0": 100.0, "horizon": 1.0, "n_steps": 64, "n_paths": 5000,
+            "control": {"mu": 0.05, "sigma": 0.2},
+        })
+        monkeypatch.setattr(bidask.paths, "_usable_cpus", lambda: 2)
+        threaded = [run(parse_config(cfg)).render("json") for _ in range(2)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(bidask.paths, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(bidask.paths, "ThreadPoolExecutor", refuse)
+        serial = run(parse_config(cfg)).render("json")
+        assert threaded[0] == threaded[1] == serial
+
     def test_piecewise_control_accepted(self):
         cfg = {
             "command": "simulate", "seed": 1,

@@ -2,6 +2,8 @@
 
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -188,6 +190,14 @@ class TestDeflator:
         with pytest.raises(ValueError):
             deflator_path(c, 0.05, grid_of(100), b)
 
+    def test_state_feedback_rule_rejected(self):
+        rule = bang_bang_control_from_surface(solve_bsb_ask(make_problem(BAND),
+                                                            GridSpec(64, 64)))
+        b = simulate_gbm_increments(ControlProcess.constant(0.05, 0.2), GRID, seed=3,
+                                    n_paths=1)[0]
+        with pytest.raises(ValueError, match="state-feedback rule has no deflator path"):
+            deflator_path(rule, 0.05, GRID, b)
+
 
 def make_problem(band, payoff=None, rate=0.05, maturity=1.0):
     payoff = payoff or ScalarFunctionSpec.call(100.0)
@@ -281,6 +291,48 @@ class TestBangBangRule:
                          np.zeros((2, 3)), "ask")
         with pytest.raises(ValueError, match="band"):
             bang_bang_control_from_surface(s)
+
+
+class TestRuleUnderItsBand:
+    """A rule is checked against the band it runs under, as a time-based
+    control is: its sigma table and its drift must lie inside it."""
+
+    WIDE = UncertaintyBand(0.01, 0.05, 0.1, 0.5)
+    NARROW_SIGMA = UncertaintyBand(0.01, 0.05, 0.1, 0.2)
+    NARROW_MU = UncertaintyBand(0.0, 0.02, 0.1, 0.5)  # the rule's drift is 0.05
+
+    @pytest.fixture(scope="class")
+    def rule(self):
+        rule = bang_bang_control_from_surface(solve_bsb_ask(make_problem(self.WIDE),
+                                                            GridSpec(64, 64)))
+        assert rule.sigma_table.max() == 0.5 and rule.mu_value == 0.05
+        return rule
+
+    @staticmethod
+    def center():
+        return SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)), positive=True)
+
+    @pytest.mark.parametrize("band, which", [(NARROW_SIGMA, "sigma"), (NARROW_MU, "mu")])
+    def test_simulate_asset_paths(self, rule, band, which):
+        with pytest.raises(ValueError, match=f"{which} levels leave the uncertainty band"):
+            simulate_asset_paths(rule, 100.0, grid_of(32), seed=1, n_paths=10, band=band)
+
+    @pytest.mark.parametrize("band, which", [(NARROW_SIGMA, "sigma"), (NARROW_MU, "mu")])
+    def test_mc_ask_bid(self, rule, band, which):
+        with pytest.raises(ValueError, match=f"{which} levels leave the uncertainty band"):
+            mc_ask_bid(make_problem(band), [rule], grid_of(32), seed=1, spot=100.0,
+                       n_paths=10)
+
+    @pytest.mark.parametrize("band, which", [(NARROW_SIGMA, "sigma"), (NARROW_MU, "mu")])
+    def test_estimate_tube_capacity(self, rule, band, which):
+        with pytest.raises(ValueError, match=f"{which} levels leave the uncertainty band"):
+            estimate_tube_capacity(self.center(), 5.0, band, [rule], seed=1, n_paths=10)
+
+    def test_accepted_under_its_own_band(self, rule):
+        simulate_asset_paths(rule, 100.0, grid_of(32), seed=1, n_paths=10, band=self.WIDE)
+        mc_ask_bid(make_problem(self.WIDE), [rule], grid_of(32), seed=1, spot=100.0,
+                   n_paths=10)
+        estimate_tube_capacity(self.center(), 5.0, self.WIDE, [rule], seed=1, n_paths=10)
 
 
 class TestTubeCapacity:
@@ -816,3 +868,70 @@ class TestSimulatorsReturnTheirMatrix:
         write_ensemble_file(ens, tmp_path / "e.csv")
         got = read_ensemble_file(tmp_path / "e.csv", positive=True)
         assert isinstance(got, PathEnsemble) and got.values.shape == (3, 9) and got.positive
+
+
+class TestParallelDraw:
+    """The blocks are drawn concurrently; every draw equals the serial
+    block loop bitwise, whatever the number of workers."""
+
+    @staticmethod
+    def serial(seed, n_paths, n_steps):
+        z = np.empty((n_paths, n_steps))
+        for block, lo in enumerate(range(0, n_paths, 4096)):
+            paths_mod._block_rng(seed, block).standard_normal(out=z[lo:lo + 4096])
+        return z
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(paths_mod, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+    @pytest.mark.parametrize("n_paths", [1, 4096, 4097, 3 * 4096 + 17, 20000])
+    def test_equals_the_serial_block_loop(self, monkeypatch, n_paths, cpus):
+        if cpus is not None:  # None: the machine's own usable CPUs
+            monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: cpus)
+        assert paths_mod._RNG_BLOCK == 4096
+        assert np.array_equal(paths_mod._draw_normals(9, n_paths, 24),
+                              self.serial(9, n_paths, 24))
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # a lost or misplaced block write breaks bitwise equality
+        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                assert np.array_equal(paths_mod._draw_normals(seed, 8 * 4096 + 5, 6),
+                                      self.serial(seed, 8 * 4096 + 5, 6))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_block_builds_no_pool(self, monkeypatch, no_pool):
+        def no_lookup():
+            raise AssertionError("CPU count looked up for one block")
+
+        monkeypatch.setattr(paths_mod, "_usable_cpus", no_lookup)
+        assert np.array_equal(paths_mod._draw_normals(4, 4096, 8), self.serial(4, 4096, 8))
+
+    def test_one_usable_cpu_draws_serially(self, monkeypatch, no_pool):
+        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 1)
+        assert np.array_equal(paths_mod._draw_normals(4, 5 * 4096, 8),
+                              self.serial(4, 5 * 4096, 8))
+
+    def test_bad_seed_raises_the_same_error(self, monkeypatch):
+        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 2)
+        errors = []
+        for n_paths in (10, 5 * 4096):
+            with pytest.raises(ValueError) as exc:
+                paths_mod._draw_normals(-1, n_paths, 4)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_no_thread_outlives_the_draw(self, monkeypatch):
+        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 4)
+        before = threading.active_count()
+        paths_mod._draw_normals(2, 5 * 4096, 8)
+        assert threading.active_count() == before

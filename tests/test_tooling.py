@@ -6,6 +6,7 @@ import inspect
 import pkgutil
 import typing
 
+import numpy as np
 import pytest
 
 import bidask
@@ -52,3 +53,13 @@ def test_benchmark_runs_every_op_kind(name):
             workload.verify(op, workload.execute(op))
         finally:
             workload.after(op)
+
+
+def test_scenario_mc_rule_runs_under_its_own_band():
+    # the benchmark's bang-bang rule lies inside the band it runs under
+    w = workloads.ScenarioMC(seed=1, n_rounds=0)
+    band = w.problem.band
+    bidask.simulate_asset_paths(w.rule, workloads.SPOT, w.feedback_grid, 1, 10, band=band)
+    bidask.mc_ask_bid(w.problem, [w.rule], w.mc_grid, 1, workloads.SPOT, 10)
+    center = bidask.SampledPath(w.mc_grid, np.full(len(w.mc_grid), workloads.SPOT))
+    bidask.estimate_tube_capacity(center, 5.0, band, [w.rule], 1, 10)
