@@ -534,9 +534,13 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 
 def _solve_counts(*surfaces):
     """The linear solves of each surface's march, in all and in its busiest
-    step, and the factorisations they used, keyed by side."""
+    step, the factorisations they used, and the steps whose selection
+    differs from the previous step's, keyed by side."""
     return {"pde_linear_solves": {s.side: s.linear_solves for s in surfaces},
             "pde_factorizations": {s.side: s.factorizations for s in surfaces},
+            "pde_selection_switches": {
+                s.side: int(np.any(s.selection[1:] != s.selection[:-1], axis=1).sum())
+                for s in surfaces},
             "pde_max_step_solves": {s.side: s.max_step_solves for s in surfaces}}
 
 

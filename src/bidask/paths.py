@@ -232,36 +232,38 @@ def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
 
 
 def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = None) -> BangBangRule:
-    """Extremal scenario implied by a surface's convexity pattern.
+    """Extremal scenario of a BSB surface: the Howard policy of its march.
 
-    Ask surfaces map convex regions (second difference >= 0, an end node
-    taking its neighbour's) to sigma_hi, concave to sigma_lo; bid surfaces
-    the reverse.  The drift defaults to the riskless rate clamped into the
-    band (which makes the scenario's risk premium vanish whenever the band
-    allows it).
+    The march records, per step, the selection whose system gave that
+    step's value (``PriceSurface.selection``); candidate k is band end k on
+    both sides, since the bid marches the negated payoff over the same two
+    rows.  Table row i takes the step that marched slice i + 1 to slice i,
+    the maturity row copies row n - 1, and an end node takes its
+    neighbour's entry.  A surface with no selection record (not built by a
+    BSB solver) raises ValueError.  The drift defaults to the riskless rate
+    clamped into the band (which makes the scenario's risk premium vanish
+    whenever the band allows it).
     """
     if surface.side not in ("ask", "bid"):
         raise ValueError("feedback rule needs an ask or bid surface")
     if len(surface.space_nodes) < 3:
-        raise ValueError("surface too coarse for curvature signs (need >= 3 space nodes)")
+        raise ValueError("surface too coarse for a feedback rule (need >= 3 space nodes)")
     band = surface.band
     if band is None:
         raise ValueError("surface carries no uncertainty band")
+    if surface.selection is None:
+        raise ValueError("surface carries no selection record: build it with a BSB solver")
     if mu is None:
         mu = min(max(surface.rate, band.mu_lo), band.mu_hi)
     elif not band.contains_mu(mu):
         raise ValueError(f"mu={mu} outside the band [{band.mu_lo}, {band.mu_hi}]")
-    x, u = surface.space_nodes, surface.values
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    d2 = 2.0 * ((u[:, 2:] - u[:, 1:-1]) / hp - (u[:, 1:-1] - u[:, :-2]) / hm) / (hm + hp)
-    d2 = np.concatenate((d2[:, :1], d2, d2[:, -1:]), axis=1)
-    s_pos, s_neg = ((band.sigma_hi, band.sigma_lo) if surface.side == "ask"
-                    else (band.sigma_lo, band.sigma_hi))
+    # row i <- march step n - 1 - i; the maturity row and the end nodes copy
+    # their neighbours
+    picks = np.pad(surface.selection[::-1], ((0, 1), (1, 1)), mode="edge")
     return BangBangRule(
         times=surface.times.copy(),
         nodes=surface.space_nodes.copy(),
-        sigma_table=np.where(d2 >= 0.0, s_pos, s_neg),
+        sigma_table=np.where(picks, band.sigma_hi, band.sigma_lo),
         mu_value=float(mu),
         label=f"bang_bang_{surface.side}",
         scale=surface.forward_factor(surface.times),
@@ -412,12 +414,19 @@ def _paths_from_normals(control, S0, grid, z, band=None):
         S = np.empty((n_steps + 1, n_paths))
         S[0] = S0
         sig_used = np.empty((n_steps, n_paths))
+        table = control.sigma_table
+        flat = np.all(table == table[:, :1], axis=1)
         # BangBangRule.sigma_state inlined, its row index taken for all steps
         # at once: calling it per step gives bitwise-equal paths but is
-        # 15-20% slower at 2000 paths x 500 steps (2-core Xeon)
+        # 15-20% slower at 2000 paths x 500 steps (2-core Xeon).  A row that
+        # holds one sigma steps every path with it as a scalar, the same
+        # arithmetic without the node lookup: the paths are bitwise equal.
         for i in range(n_steps):
-            sg = control.sigma_table[rows[i]][_nearest_node(control.nodes,
-                                                            S[i] * control.scale[rows[i]])]
+            row = rows[i]
+            if flat[row]:
+                sg = table[row, 0]
+            else:
+                sg = table[row][_nearest_node(control.nodes, S[i] * control.scale[row])]
             S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i]
                                      + sg * math.sqrt(dt[i]) * z[:, i])
             sig_used[i] = sg

@@ -28,8 +28,14 @@ M-matrix and upwinded otherwise.  Each iteration solves the system of the
 current selection, then picks, node by node, the candidate row with the
 largest product with the new iterate (every march maximises),
 keeping the selected row unless another beats it by more than a round-off
-bound.  A pick that repeats the selection ends the step; only a pick that
-moves is followed by the residual test between iterates.  The candidates'
+bound.  On the initial slice a node where the candidates tie takes the
+pick of the nearest node where they do not, so a call's ask starts at
+sigma_hi and its bid at sigma_lo instead of switching node by node in
+round-off.  A pick that repeats the selection ends the step; only a pick
+that moves is followed by the residual test between iterates.  The march
+records the selection whose system gave each step's value: for the BSB
+pair it is the Howard policy, the band end the extremal scenario takes,
+and the feedback rule of ``paths`` reads it.  The candidates'
 rows of I - dt L sit interleaved in one band array with a Dirichlet
 sentinel column, so a selection's system, boundary rows included, is one
 gather; it is factorised (LAPACK gttrf) only when the selection changes,
@@ -156,6 +162,14 @@ class PriceSurface:
     tridiagonal solves of the march that built the surface, in all and in
     its busiest step, and ``factorizations`` the tridiagonal factorisations
     they used (all zero for a surface not built by a solver).
+    ``selection`` is the march's selection record, (n_time, n_space - 1) at
+    the interior nodes: row s is the selection whose system gave march step
+    s's value.  The BSB march runs from maturity, so its step s gave
+    ``values[n_time - 1 - s]``, and entry True is candidate 1, sigma_hi,
+    on both sides; the heat march runs forward, so step s gave
+    ``values[s + 1]``, and an entry is the index of a distinct (drift,
+    volatility) corner in ``solve_g_heat``'s order (bool for two corners).
+    It is None for a surface not built by a solver.
     """
 
     times: np.ndarray
@@ -167,6 +181,7 @@ class PriceSurface:
     linear_solves: int = 0
     max_step_solves: int = 0
     factorizations: int = 0
+    selection: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -180,6 +195,9 @@ class PriceSurface:
             raise ValueError("times and space_nodes must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("surface values must be finite")
+        if self.selection is not None and np.shape(self.selection) != (
+                len(self.times) - 1, len(self.space_nodes) - 2):
+            raise ValueError("selection shape must be (len(times) - 1, len(space_nodes) - 2)")
 
     # -- lookup -------------------------------------------------------------
 
@@ -353,6 +371,18 @@ def _monotone_rows(w: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.array([lo, -(lo + hi), hi])
 
 
+def _nearest_decided(decided: np.ndarray):
+    """Index of the nearest True entry of ``decided`` for every entry (a tie
+    goes left), or None when no entry is True."""
+    if not decided.any():
+        return None
+    m = len(decided)
+    idx = np.arange(m)
+    left = np.maximum.accumulate(np.where(decided, idx, -m))
+    right = np.minimum.accumulate(np.where(decided, idx, 2 * m)[::-1])[::-1]
+    return np.where(idx - left <= right - idx, left, right)
+
+
 def _march(u0, rows, dt, n_time, boundary_of, context):
     """Implicit march with Howard policy iteration over fixed candidate rows.
 
@@ -372,8 +402,13 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     L_k v only where it beats the selected row's product by more than the
     round-off bound 32 eps max_k sum|L_k| |v|_inf, the row sums taken once
     per march.  So candidates that tie up to round-off keep the selection.
-    Every node starts at candidate 0; with two candidates a pick is the
-    sign of one product, on the difference of their rows.
+    With two candidates a pick is the sign of one product, on the
+    difference of their rows.  The first pick, on the initial slice, starts
+    from candidate 0; a node is decided there when one candidate beats every
+    other by more than the bound, and a tied node takes the pick of the
+    nearest decided node where that pick is one of its ties (every node
+    keeps candidate 0 when none is decided).  So a claim linear in its
+    wings starts at the pick of its kinks, not at a round-off one.
 
     After each solve the pick comes first.  A pick that repeats the
     selection ends the step: the iterate already solves it, so it is the
@@ -388,8 +423,10 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     nan: no iterate was made).
 
     Returns the stack of slices in march order, u0 first, the number of
-    linear solves, the largest number made in one step and the number of
-    factorisations.
+    linear solves, the largest number made in one step, the number of
+    factorisations and the selection record: row s holds, at the interior
+    nodes, the selection whose system gave slice s + 1 (bool with two
+    candidates, True for candidate 1; the candidate's index otherwise).
     """
     n = len(u0)
     n_cand = rows.shape[1]
@@ -419,6 +456,14 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
             g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
             bound = tie * v_max
             return (g > bound) | (sel & (g >= -bound))
+
+        def first_pick(v, v_max):
+            g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
+            bound = tie * v_max
+            pick = g > bound
+            near = _nearest_decided(np.abs(g) > bound)
+            # at a tie either candidate is within round-off of the other
+            return pick if near is None else pick[near]
     else:
         cols = np.arange(n - 2)
 
@@ -427,7 +472,21 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
             best = g.argmax(axis=0)
             return np.where(g[best, cols] - g[sel, cols] > tie * v_max, best, sel)
 
-    sel = select(u, float(np.abs(u).max()), np.zeros(n - 2, dtype=np.intp))
+        def first_pick(v, v_max):
+            g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
+            best = g.argmax(axis=0)
+            tied = g[best, cols] - g <= tie * v_max  # within round-off of the best
+            sel = np.where(tied[0], 0, best)
+            near = _nearest_decided(tied.sum(axis=0) == 1)
+            if near is None:
+                return sel
+            # a tied node takes the nearest decided pick where that is one of its ties
+            pick = sel[near]
+            return np.where(tied[pick, cols], pick, sel)
+
+    sel = first_pick(u, float(np.abs(u).max()))
+    # the selection that gave each step's value, one byte per node
+    record = np.empty((n_time, n - 2), dtype=bool if n_cand == 2 else np.int8)
     factored = None
     for step in range(n_time):
         bc_lo, bc_hi = boundary_of(step)
@@ -455,6 +514,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
                 raise NumericalFailure("implicit step has no finite solution", step=step,
                                        info=info, residual=float(np.abs(u_new - u_iter).max()),
                                        **diagnostics)
+            record[step] = sel
             sel_new = select(u_new, u_max, sel)
             if sel_new.tobytes() == key and it < POLICY_MAX_ITERS:
                 break
@@ -474,7 +534,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
         max_step_solves = max(max_step_solves, solves - solves_before)
         u = u_new
         out[step + 1] = u
-    return out, solves, max_step_solves, factorizations
+    return out, solves, max_step_solves, factorizations, record
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +561,8 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
     sign = 1.0 if side == "ask" else -1.0
     terminal = sign * np.asarray(problem.payoff(f), dtype=float)
     stencil = _forward_stencil(f, w, grid.stretching)
-    # in band order: every node starts at sigma_lo and leaves it once its
-    # discrete gamma clears the round-off bound
+    # candidate k is band end k on both sides: the bid's march maximises
+    # over the same two rows, so its record reads as the ask's does
     rows = np.stack([0.5 * _variance(s) * stencil for s in (band.sigma_lo, band.sigma_hi)],
                     axis=1)
     context = {"side": side, "stretching": grid.stretching, "band": band,
@@ -514,7 +574,8 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
     # sign V was marched from sign payoff, u = exp(-r (T - t)) V; adding 0
     # turns the -0 that negating a zero of the bid's march gives into +0
     values = (sign * values[::-1] + 0.0) * np.exp(-r * (T - times))[:, None]
-    # the march's counters come in the order of PriceSurface's last fields
+    # the march's counters and selection record come in the order of
+    # PriceSurface's last fields
     return PriceSurface(times, f, values, side, band, r, *counts)
 
 

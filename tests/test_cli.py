@@ -477,6 +477,25 @@ class TestRun:
         hedge = run(parse_config(json.dumps(hedge_cfg))).timing
         assert hedge["pde_factorizations"] == {"ask": 1}
 
+    def test_selection_switches_count_the_steps_that_change_selection(self):
+        grid = {"n_space": 64, "n_time": 48, "stretching": "uniform_log"}
+        # a call's pair holds its start selection; a butterfly's switches
+        call = run(parse_config(json.dumps(price_config(band=BAND, grid=grid)))).timing
+        assert call["pde_selection_switches"] == {"ask": 0, "bid": 0}
+        bfly = {"kind": "piecewise_linear", "knots": [[60.0, 0.0], [80.0, 0.0], [100.0, 20.0],
+                                                      [120.0, 0.0], [140.0, 0.0]]}
+        cfg = price_config(band=BAND, grid=grid, payoff=bfly)
+        timing = run(parse_config(json.dumps(cfg))).timing
+        ask, bid = bidask.solve_bsb_pair(parse_config(json.dumps(cfg))._built["problem"],
+                                         bidask.GridSpec(64, 48))
+        assert timing["pde_selection_switches"] == {
+            s.side: sum(not np.array_equal(a, b) for a, b in zip(s.selection, s.selection[1:]))
+            for s in (ask, bid)}
+        assert 0 < timing["pde_selection_switches"]["ask"] < timing["pde_factorizations"]["ask"]
+        hedge_cfg = hedge_config(grid=grid, payoff=bfly)
+        hedge = run(parse_config(json.dumps(hedge_cfg))).timing
+        assert hedge["pde_selection_switches"] == {"ask": timing["pde_selection_switches"]["ask"]}
+
 
 def sample_path_file():
     from importlib import resources

@@ -15,6 +15,7 @@ from bidask import (
     GridSpec,
     McEstimate,
     PathEnsemble,
+    PriceSurface,
     PricingProblem,
     SampledPath,
     ScalarFunctionSpec,
@@ -687,29 +688,62 @@ class TestTerminalStatistics:
 
 
 class TestTableDrivenAdversary:
-    def test_paths_match_a_per_step_sigma_state_loop(self):
-        rule = butterfly_rule()
-        grid = grid_of(173)  # steps fall between the surface's time rows
-        n_paths, S0 = 600, 100.0
-        z = paths_mod._draw_normals(31, n_paths, len(grid) - 1)
-        S, sig = paths_mod._paths_from_normals(rule, S0, grid, z)
+    @staticmethod
+    def sigma_state_loop(rule, S0, grid, z):
+        """The kernel's reference: every step reads each path's sigma with
+        ``sigma_state``, the per-node lookup."""
+        n_paths, n_steps = z.shape
         dt = np.diff(grid)
-        ref_S = np.empty((n_paths, len(grid)))
+        ref_S = np.empty((n_paths, n_steps + 1))
         ref_S[:, 0] = S0
-        ref_sig = np.empty((n_paths, len(dt)))
-        for i in range(len(dt)):
+        ref_sig = np.empty((n_paths, n_steps))
+        for i in range(n_steps):
             s = ref_S[:, i]
             sg = rule.sigma_state(grid[i], s)
             m = rule.mu_state(grid[i], s)
             ref_S[:, i + 1] = s * np.exp((m - 0.5 * sg * sg) * dt[i]
                                          + sg * math.sqrt(dt[i]) * z[:, i])
             ref_sig[:, i] = sg
+        return ref_S, ref_sig
+
+    def assert_kernel_is_the_loop(self, rule, grid, n_paths, seed, S0=100.0):
+        z = paths_mod._draw_normals(seed, n_paths, len(grid) - 1)
+        S, sig = paths_mod._paths_from_normals(rule, S0, grid, z)
+        ref_S, ref_sig = self.sigma_state_loop(rule, S0, grid, z)
         assert np.array_equal(S, ref_S)
         assert np.array_equal(sig, ref_sig)
+        return sig
+
+    def test_paths_match_a_per_step_sigma_state_loop(self):
+        # steps fall between the surface's time rows
+        sig = self.assert_kernel_is_the_loop(butterfly_rule(), grid_of(173), 600, 31)
         # the rule switches: both band ends are used
         share_lo = float(np.mean(sig == BAND.sigma_lo))
         assert 0.5 < share_lo < 0.95
         assert np.all((sig == BAND.sigma_lo) | (sig == BAND.sigma_hi))
+
+    @pytest.mark.parametrize("side", ["ask", "bid"])
+    def test_constant_rule_matches_the_loop(self, side):
+        # every row of a call's rule holds one band end
+        surface = solve_bsb_pair(make_problem(BAND), GridSpec(100, 100))[side == "bid"]
+        sig = self.assert_kernel_is_the_loop(bang_bang_control_from_surface(surface),
+                                             grid_of(173), 600, 32)
+        assert np.all(sig == (BAND.sigma_hi if side == "ask" else BAND.sigma_lo))
+
+    def test_mixed_table_matches_the_loop(self):
+        # constant rows, switching rows, and rows that differ from a constant
+        # one only at an end node, which the paths reach on three nodes
+        lo, hi = BAND.sigma_lo, BAND.sigma_hi
+        patterns = [(lo, lo, lo), (hi, lo, hi), (lo, lo, hi), (hi, hi, hi), (lo, hi, hi),
+                    (hi, lo, lo)]
+        times = grid_of(11)
+        rule = BangBangRule(times=times, nodes=np.array([70.0, 100.0, 130.0]),
+                            sigma_table=np.array([patterns[i % 6] for i in range(12)]),
+                            mu_value=0.03, label="mixed", scale=np.exp(0.05 * (1.0 - times)))
+        sig = self.assert_kernel_is_the_loop(rule, grid_of(157), 800, 33)
+        # the end node of the rows (lo, lo, hi) is reached: both ends used there
+        steps = paths_mod._in_force(times, grid_of(157)[:-1]) % 6 == 2
+        assert set(np.unique(sig[:, steps])) == {lo, hi}
 
     def test_nearest_node_ties_go_right(self):
         nodes = np.array([1.0, 2.0, 4.0])
@@ -753,37 +787,47 @@ class TestOneDrawPerFamily:
                                       n_paths=400) == max(alone)
 
 
-def curvature_signs(surface):
-    """The per-row curvature signs the sigma table replaced: the discrete
-    second price-derivative at each time row, end nodes taking their
-    neighbour's, +1 where >= 0 and -1 elsewhere."""
-    x = surface.space_nodes
-    rows = []
-    for u in surface.values:
-        hm = x[1:-1] - x[:-2]
-        hp = x[2:] - x[1:-1]
-        d2 = 2.0 * ((u[2:] - u[1:-1]) / hp - (u[1:-1] - u[:-2]) / hm) / (hm + hp)
-        full = np.empty_like(u)
-        full[1:-1] = d2
-        full[0] = d2[0]
-        full[-1] = d2[-1]
-        rows.append(np.where(full >= 0.0, 1.0, -1.0))
-    return np.array(rows)
+def selection_table(surface):
+    """The rule's table built entry by entry from the march's selection
+    record: row i from march step n - 1 - i (the maturity row from step 0),
+    an end node from its neighbour, True (candidate 1) as sigma_hi."""
+    n = len(surface.times) - 1
+    m = len(surface.space_nodes)
+    band = surface.band
+    table = np.empty((n + 1, m))
+    for i in range(n + 1):
+        step = n - 1 - min(i, n - 1)
+        for j in range(m):
+            picked = surface.selection[step, min(max(j, 1), m - 2) - 1]
+            table[i, j] = band.sigma_hi if picked else band.sigma_lo
+    return table
 
 
 class TestSigmaTable:
     @pytest.mark.parametrize("payoff", ["call", "butterfly"])
     @pytest.mark.parametrize("side", ["ask", "bid"])
-    def test_rows_match_the_per_row_curvature_oracle(self, payoff, side):
+    def test_rows_are_the_mapped_selection_record(self, payoff, side):
         prob = make_problem(BAND) if payoff == "call" else butterfly_problem()
         surface = solve_bsb_pair(prob, GridSpec(120, 90))[side == "bid"]
         rule = bang_bang_control_from_surface(surface)
-        s_pos, s_neg = ((BAND.sigma_hi, BAND.sigma_lo) if side == "ask"
-                        else (BAND.sigma_lo, BAND.sigma_hi))
-        expect = np.where(curvature_signs(surface) >= 0, s_pos, s_neg)
-        assert np.array_equal(rule.sigma_table, expect)
+        assert np.array_equal(rule.sigma_table, selection_table(surface))
         if payoff == "butterfly":  # the rule switches: both ends are picked
             assert set(np.unique(rule.sigma_table)) == {BAND.sigma_lo, BAND.sigma_hi}
+
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_call_rules_hold_one_band_end(self, n, stretching):
+        # the kink decides the start and the wings keep it: no round-off cell
+        ask, bid = solve_bsb_pair(make_problem(BAND), GridSpec(n, n, stretching))
+        assert np.all(bang_bang_control_from_surface(ask).sigma_table == BAND.sigma_hi)
+        assert np.all(bang_bang_control_from_surface(bid).sigma_table == BAND.sigma_lo)
+
+    def test_surface_without_a_selection_record_is_rejected(self):
+        surface = solve_bsb_ask(make_problem(BAND), GridSpec(32, 16))
+        hand_built = PriceSurface(surface.times, surface.space_nodes, surface.values, "ask",
+                                  band=BAND, rate=0.05)
+        with pytest.raises(ValueError, match="selection record"):
+            bang_bang_control_from_surface(hand_built)
 
 
 class TestDeltaHedge:

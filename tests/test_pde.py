@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from bidask import (
     GridSpec,
@@ -45,6 +46,12 @@ def call_problem(band, rate=R, maturity=T, strike=K):
 
 BAND_FLAT = UncertaintyBand(0.01, 0.05, 0.2, 0.2)
 BAND_WIDE = UncertaintyBand(0.01, 0.05, 0.1, 0.3)
+BUTTERFLY = ScalarFunctionSpec.piecewise_linear(
+    [(60.0, 0.0), (80.0, 0.0), (100.0, 20.0), (120.0, 0.0), (140.0, 0.0)])
+
+
+def butterfly_problem(band):
+    return PricingProblem(BUTTERFLY, T, R, band, log_domain(band.sigma_hi))
 
 
 class TestClosedForm:
@@ -394,9 +401,10 @@ class TestMarchOracle:
         assert np.any(bid.values == 0.0) and not np.any(np.signbit(bid.values))
 
     def test_counts_solves_per_step(self):
-        # a wide band switches selection in some steps, each switch one
-        # more solve in its step
-        ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(64, 48))
+        # the butterfly's curvature changes sign, so the wide band's ask
+        # switches selection in some steps, each switch one more solve in
+        # its step
+        ask = solve_bsb_ask(butterfly_problem(BAND_WIDE), GridSpec(64, 48))
         assert ask.max_step_solves > 1
         assert 48 < ask.linear_solves < 48 * ask.max_step_solves
 
@@ -454,15 +462,73 @@ class TestFactorizations:
             assert 1 <= surf.factorizations <= surf.linear_solves
 
     def test_switching_selection_refactorises(self):
-        # the wide band's ask switches selection in some steps, and each
-        # switch needs its own factors
-        ask = solve_bsb_ask(call_problem(BAND_WIDE), GridSpec(64, 48))
+        # the butterfly's ask switches selection in some steps under the
+        # wide band, and each switch needs its own factors
+        ask = solve_bsb_ask(butterfly_problem(BAND_WIDE), GridSpec(64, 48))
         assert 1 < ask.factorizations <= ask.linear_solves
 
     def test_surface_not_built_by_a_solver_counts_none(self):
         surf = PriceSurface(np.array([0.0, 1.0]), np.array([1.0, 2.0]),
                             np.zeros((2, 2)), "ask")
         assert surf.factorizations == 0
+        assert surf.selection is None
+
+    def test_selection_record_must_fit_the_surface(self):
+        with pytest.raises(ValueError, match="selection shape"):
+            PriceSurface(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]),
+                         np.zeros((2, 3)), "ask", selection=np.zeros((2, 1), dtype=bool))
+
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    def test_criterion_2_pair_takes_one_solve_per_step(self, stretching):
+        # a tied node starts at the pick of the nearest decided node, the
+        # kink: the call's ask starts at sigma_hi and its bid at sigma_lo,
+        # and neither leaves it in the linear wings
+        for surf in solve_bsb_pair(call_problem(BAND_WIDE), GridSpec(400, 400, stretching)):
+            assert surf.linear_solves <= 1.05 * 400
+            assert surf.factorizations == 1
+
+    def test_g_heat_put_with_drift_factorises_once(self):
+        # the four-candidate start: the wings tie in volatility, and take the
+        # kink's (mu_lo, sigma_hi) instead of an argmax over round-off
+        surf = solve_g_heat(ScalarFunctionSpec.put(0.1), UncertaintyBand(0.01, 0.05, 0.1, 0.3),
+                            1.0, GridSpec(128, 128))
+        assert (surf.factorizations, surf.linear_solves) == (1, 128)
+        assert np.all(surf.selection == 2)
+
+
+class TestSelectionRecord:
+    """Row s of the record is the selection whose system gave step s."""
+
+    def test_resolving_each_step_with_its_record_gives_the_step(self):
+        prob = butterfly_problem(BAND_WIDE)
+        grid = GridSpec(64, 48)
+        f, w = pde._build_space_nodes(prob, grid)
+        stencil = pde._forward_stencil(f, w, grid.stretching)
+        rows = np.stack([0.5 * s**2 * stencil for s in (0.1, 0.3)], axis=1)
+        u0 = np.asarray(BUTTERFLY(f), dtype=float)
+        dt = T / grid.n_time
+        slices, *_, record = pde._march(u0, rows, dt, grid.n_time,
+                                        lambda step: (u0[0], u0[-1]), {"side": "ask"})
+        assert record.shape == (48, 63) and record.dtype == bool
+        assert np.any(record[1:] != record[:-1])  # the butterfly switches
+        for step, picks in enumerate(record):
+            lo, di, hi = np.where(picks, rows[:, 1], rows[:, 0])
+            *lu, info = dgttrf(np.append(-dt * lo, 0.0), np.pad(1.0 - dt * di, 1,
+                                                                constant_values=1.0),
+                               np.insert(-dt * hi, 0, 0.0))
+            rhs = slices[step].copy()
+            rhs[[0, -1]] = u0[[0, -1]]
+            got, info = dgttrs(*lu, rhs)
+            assert np.array_equal(got, slices[step + 1])
+
+    def test_solver_surfaces_carry_the_record(self):
+        ask, bid = solve_bsb_pair(call_problem(BAND_WIDE), GridSpec(32, 16))
+        for surf in (ask, bid):
+            assert surf.selection.shape == (16, 31) and surf.selection.dtype == bool
+        # four (drift, volatility) corners: the record holds their index
+        heat = solve_g_heat(ScalarFunctionSpec.call(0.0), UncertaintyBand(-0.02, 0.05, 0.1, 0.3),
+                            1.0, GridSpec(32, 16))
+        assert heat.selection.shape == (16, 31) and heat.selection.dtype == np.int8
 
 
 AFFINE = ScalarFunctionSpec.piecewise_linear([(1.0, 3.0), (2000.0, 1002.5)])  # 2.5 + x/2
