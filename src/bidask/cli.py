@@ -29,6 +29,7 @@ from .errors import ConfigError
 from .fgbm import FgbmSpec, _normals_per_path, simulate_fgbm, simulate_fgbm_asset
 from .paths import (
     ControlProcess,
+    _time_tol,
     default_control_family,
     estimate_tube_capacity,
     hedge_verify,
@@ -410,13 +411,20 @@ _COMMAND_KEYS = {
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
     """Validate a JSON config; raises ConfigError listing every violation."""
+    return _check_config(_load_config(text), command)
+
+
+def _load_config(text: str) -> dict:
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"not valid JSON: {e}"]) from e
     if not isinstance(cfg, dict):
         raise ConfigError(["top level must be a JSON object"])
+    return cfg
 
+
+def _check_config(cfg: dict, command: str | None) -> RunConfig:
     r = _Reader()
     cmd = cfg.get("command", command)
     if cmd is None:
@@ -654,7 +662,7 @@ def _run_hedge(eff, built):
     surface = solve_bsb_ask(built["problem"], grid)
     if eff["path_file"] is not None:
         path = read_path_file(eff["path_file"], positive=True)
-        if abs(path.horizon - eff["maturity"]) > 1e-9 * max(1.0, eff["maturity"]):
+        if abs(path.horizon - eff["maturity"]) > _time_tol(eff["maturity"]):
             raise ValueError(f"path_file ends at t={path.horizon:g}, not at the "
                              f"maturity {eff['maturity']:g}")
     else:
@@ -734,12 +742,11 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        config = parse_config(text, command=args.command)
-        if args.seed is not None:
-            config.effective["seed"] = args.seed
-        if args.format is not None:
-            config.effective["format"] = args.format
+            cfg = _load_config(fh.read())
+        # the overrides are config values, checked and echoed as the file's are
+        cfg.update({k: v for k, v in (("seed", args.seed), ("format", args.format))
+                    if v is not None})
+        config = _check_config(cfg, args.command)
         report = run(config)
         rendered = report.render(config.effective["format"])
         # --out is transport, not config: it never enters the report echo

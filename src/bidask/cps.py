@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .paths import SampledPath
+from .paths import SampledPath, _time_tol
 from .pde import GridSpec, PricingProblem, solve_bsb_pair
 
 __all__ = [
@@ -238,7 +238,8 @@ def _delta_stats(source: SampledPath, shadow: SampledPath, eps: float) -> DeltaS
 
 @dataclass(frozen=True)
 class CpsQuote:
-    """A PDE quote and its eps-uncertainty interval from the shadow gap."""
+    """A PDE quote; ``lower``/``upper`` are the value rescaled by (1+eps)^-3
+    and (1+eps)^3, not the price of any claim (see ROADMAP item 4)."""
 
     value: float
     lower: float
@@ -257,10 +258,11 @@ def cps_price(path: SampledPath, problem: PricingProblem, eps: float,
     """Quote a claim on a rough path through its shadow price system.
 
     Builds the eps-shadow system, prices the claim with the ask/bid PDE
-    pair on the problem's band, evaluates both at (0, S~_0), and widens
-    each value by the worst-case shadow/source gap (1+eps)^±3.
+    pair on the problem's band, evaluates both at (0, S~_0), and rescales
+    each value by the worst-case shadow/source gap (1+eps)^±3: a rescaled
+    value, not the price of any claim (see ROADMAP item 4).
     """
-    if path.horizon < problem.maturity * (1.0 - 1e-9):
+    if path.horizon < problem.maturity - _time_tol(problem.maturity):
         raise ValueError(
             f"path horizon {path.horizon} does not cover maturity {problem.maturity}")
     cps = build_shadow_path(path, eps)

@@ -40,7 +40,7 @@ from scipy.special import betainc as _betainc
 from scipy.special import hyp2f1 as _hyp2f1
 
 from .errors import NumericalFailure
-from .paths import PathEnsemble, SampledPath, _as_grid, _draw_normals
+from .paths import PathEnsemble, SampledPath, _as_grid, _check_start, _draw_normals
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -308,6 +308,7 @@ def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     synthesises the paths from ordinary driving increments through the
     discrete kernel.  Paths start at 0 (as the grid does) and are
     deterministic per (seed, path index).  Nothing is cached between calls.
+    n_paths < 1 raises ValueError.
     """
     return PathEnsemble(spec.grid_array, _noise_matrix(spec, sigma, seed, n_paths, method))
 
@@ -333,9 +334,9 @@ def simulate_fgbm_asset(spec: FgbmSpec, b, S0: float, sigma, seed: int,
                         n_paths: int) -> PathEnsemble:
     """Positive asset paths driven by fractional noise with deterministic
     drift rate b(t), as a PathEnsemble: S_{i+1} = S_i exp(b(t_i) dt + dB_H),
-    with the noise ``simulate_fgbm`` samples exactly at the same seed."""
-    if not (math.isfinite(S0) and S0 > 0.0):
-        raise ValueError(f"S0 must be positive, got {S0!r}")
+    with the noise ``simulate_fgbm`` samples exactly at the same seed;
+    n_paths < 1 or an S0 not finite and positive raises ValueError."""
+    _check_start(S0)
     grid = spec.grid_array
     drift = b if callable(b) else (lambda _t, _b=float(b): _b)
     noise = _noise_matrix(spec, sigma, seed, n_paths, "factorization")

@@ -163,11 +163,10 @@ class ControlProcess:
                                  f"[{self.band.mu_lo}, {self.band.mu_hi}]")
 
     @classmethod
-    def constant(cls, mu: float, sigma: float, band: UncertaintyBand | None = None,
-                 label: str | None = None) -> "ControlProcess":
-        if label is None:
-            label = f"const mu={mu:g} sigma={sigma:g}"
-        return cls((0.0,), (float(sigma),), (float(mu),), band=band, label=label)
+    def constant(cls, mu: float, sigma: float,
+                 band: UncertaintyBand | None = None) -> "ControlProcess":
+        return cls((0.0,), (float(sigma),), (float(mu),), band=band,
+                   label=f"const mu={mu:g} sigma={sigma:g}")
 
     def sigma_at(self, t):
         return np.asarray(self.sigma_levels, dtype=float)[_in_force(self.breakpoints, t)]
@@ -231,7 +230,7 @@ def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
     return np.where((s - nodes[j - 1]) < (nodes[j] - s), j - 1, j)
 
 
-def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = None) -> BangBangRule:
+def bang_bang_control_from_surface(surface: PriceSurface) -> BangBangRule:
     """Extremal scenario of a BSB surface: the Howard policy of its march.
 
     The march records, per step, the selection whose system gave that
@@ -240,9 +239,9 @@ def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = Non
     rows.  Table row i takes the step that marched slice i + 1 to slice i,
     the maturity row copies row n - 1, and an end node takes its
     neighbour's entry.  A surface with no selection record (not built by a
-    BSB solver) raises ValueError.  The drift defaults to the riskless rate
-    clamped into the band (which makes the scenario's risk premium vanish
-    whenever the band allows it).
+    BSB solver) raises ValueError.  The drift is the riskless rate clamped
+    into the band (which makes the scenario's risk premium vanish whenever
+    the band allows it).
     """
     if surface.side not in ("ask", "bid"):
         raise ValueError("feedback rule needs an ask or bid surface")
@@ -253,10 +252,6 @@ def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = Non
         raise ValueError("surface carries no uncertainty band")
     if surface.selection is None:
         raise ValueError("surface carries no selection record: build it with a BSB solver")
-    if mu is None:
-        mu = min(max(surface.rate, band.mu_lo), band.mu_hi)
-    elif not band.contains_mu(mu):
-        raise ValueError(f"mu={mu} outside the band [{band.mu_lo}, {band.mu_hi}]")
     # row i <- march step n - 1 - i; the maturity row and the end nodes copy
     # their neighbours
     picks = np.pad(surface.selection[::-1], ((0, 1), (1, 1)), mode="edge")
@@ -264,7 +259,7 @@ def bang_bang_control_from_surface(surface: PriceSurface, mu: float | None = Non
         times=surface.times.copy(),
         nodes=surface.space_nodes.copy(),
         sigma_table=np.where(picks, band.sigma_hi, band.sigma_lo),
-        mu_value=float(mu),
+        mu_value=float(min(max(surface.rate, band.mu_lo), band.mu_hi)),
         label=f"bang_bang_{surface.side}",
         scale=surface.forward_factor(surface.times),
     )
@@ -311,6 +306,8 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     block, or one usable CPU, is drawn serially.  A block is never split:
     the ziggurat takes a variable number of raw draws per normal.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     z = np.empty((n_paths, n_steps))
     n_blocks = (n_paths + _RNG_BLOCK - 1) // _RNG_BLOCK
 
@@ -342,6 +339,16 @@ def _as_grid(grid) -> np.ndarray:
     return g
 
 
+def _time_tol(horizon: float) -> float:
+    """How far apart two times on a horizon may lie and still agree."""
+    return 1e-9 * max(1.0, horizon)
+
+
+def _check_start(S0: float) -> None:
+    if not (math.isfinite(S0) and S0 > 0.0):
+        raise ValueError(f"start value S0 must be positive, got {S0!r}")
+
+
 def _check_control(control: ControlProcess | BangBangRule, grid: np.ndarray,
                    band: UncertaintyBand | None) -> None:
     """Reject levels outside the band a control runs under (a
@@ -359,11 +366,14 @@ def _check_control(control: ControlProcess | BangBangRule, grid: np.ndarray,
             raise ValueError("control mu levels leave the uncertainty band")
     horizon = grid[-1]
     for b in breakpoints:
-        if b < horizon and np.min(np.abs(grid - b)) > 1e-9 * max(1.0, horizon):
+        if b < horizon and np.min(np.abs(grid - b)) > _time_tol(horizon):
             raise ValueError(f"control breakpoint {b} is not aligned with the time grid")
 
 
 def _step_levels(control: ControlProcess, grid: np.ndarray):
+    if isinstance(control, BangBangRule):
+        raise ValueError("a state-feedback rule has no deflator path or driving increments "
+                         "on a time grid alone: its volatility depends on the asset path")
     left = grid[:-1]
     return control.sigma_at(left), control.mu_at(left)
 
@@ -374,7 +384,8 @@ def simulate_gbm_increments(control: ControlProcess, grid, seed: int, n_paths: i
 
     Each increment over [t_i, t_{i+1}] is an independent centered Gaussian
     with variance sigma_i^2 dt_i; deterministic given (seed, path index).
-    The grid has to contain every control breakpoint.
+    The grid has to contain every control breakpoint.  n_paths < 1 and a
+    BangBangRule (its volatility needs an asset path) raise ValueError.
     """
     grid = _as_grid(grid)
     _check_control(control, grid, band)
@@ -389,9 +400,7 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
                          band: UncertaintyBand | None = None) -> PathEnsemble:
     """Positive asset trajectories under one scenario, as a PathEnsemble
     (constant-per-step lognormal stepping, exact for piecewise constant
-    controls)."""
-    if not (math.isfinite(S0) and S0 > 0.0):
-        raise ValueError(f"S0 must be positive, got {S0!r}")
+    controls); n_paths < 1 or an S0 not finite and positive: ValueError."""
     grid = _as_grid(grid)
     S, _ = _paths_from_normals(control, S0, grid,
                                _draw_normals(seed, n_paths, len(grid) - 1), band)
@@ -403,6 +412,7 @@ def _paths_from_normals(control, S0, grid, z, band=None):
     z (n_paths, n_steps), and the volatility each step used: a row of
     n_steps for a time-based control (fully vectorised), one row per path
     for a BangBangRule (stepped forward in time, reading its table)."""
+    _check_start(S0)
     _check_control(control, grid, band)
     dt = np.diff(grid)
     n_paths, n_steps = z.shape
@@ -467,9 +477,6 @@ def deflator_path(control: ControlProcess, r: float, grid,
     premium raises SingularControlError.  A BangBangRule raises ValueError:
     its volatility depends on the asset path, not on the driving path alone.
     """
-    if isinstance(control, BangBangRule):
-        raise ValueError("a state-feedback rule has no deflator path on a driving "
-                         "path alone: its volatility depends on the asset path")
     grid = _as_grid(grid)
     if len(grid) != len(driving_increments.times) or not np.allclose(
             grid, driving_increments.times, rtol=0.0, atol=1e-12):
@@ -489,20 +496,20 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     """Scenario-family Monte Carlo quotes for a claim.
 
     Each control yields an estimate of E[H_T payoff(S_T)] (deflated claim
-    under that scenario); the ask is the largest estimate over the family
-    and the bid the smallest.  The normals z are drawn once per call and
-    every control runs on them, so the comparison is common-random-numbers.
-    A time-based control's log S_T = log S_0 + sum (mu - sigma^2/2) dt +
-    z . sigma sqrt(dt) needs no paths; a BangBangRule's come from the
-    kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 dt / 2 +
-    sum lambda sqrt(dt) z)), lambda = (mu - r) / sigma, with sigma the row
+    under that scenario); the ask is the largest estimate over the family and
+    the bid the smallest.  Every control runs on one draw of normals z (common
+    random numbers); n_paths < 1 or a spot (every path's S0) not finite and
+    positive raises ValueError.  A time-based control's log S_T = log S_0 +
+    sum (mu - sigma^2/2) dt + z . sigma sqrt(dt) needs no paths; a rule's come
+    from the kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 dt / 2
+    + sum lambda sqrt(dt) z)), lambda = (mu - r) / sigma, with sigma the row
     or, for a rule, the matrix of volatilities the steps used.
     """
     controls = list(controls)
     if not controls:
         raise ValueError("control family must be nonempty")
     grid = _as_grid(grid)
-    if abs(grid[-1] - problem.maturity) > 1e-9 * max(1.0, problem.maturity):
+    if abs(grid[-1] - problem.maturity) > _time_tol(problem.maturity):
         raise ValueError("time grid must end at the claim maturity")
     dt = np.diff(grid)
     sqrt_dt = np.sqrt(dt)
@@ -515,6 +522,7 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
             S, sig = _paths_from_normals(control, spot, grid, z, problem.band)
             s_T, mu = S[:, -1], control.mu_value
         else:
+            _check_start(spot)
             _check_control(control, grid, problem.band)
             sig, mu = _step_levels(control, grid)
             s_T = spot * np.exp(np.sum((mu - 0.5 * sig * sig) * dt) + z @ (sig * sqrt_dt))
@@ -545,15 +553,14 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     For each control the asset is simulated from the center's starting
     value on the center's grid, every control on the same normals; the
     estimate is the largest fraction of paths with sup_t |S_t - center_t|
-    < eta over the control family.
+    < eta over the control family.  n_paths < 1 or a center whose first
+    value (every path's S0) is not finite and positive raises ValueError.
     """
     controls = list(controls)
     if not controls:
         raise ValueError("control family must be nonempty")
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ValueError(f"tube radius must be nonnegative, got {eta!r}")
-    if eta == 0.0:
-        return 0.0
     grid = center.times
     S0 = float(center.values[0])
     z = _draw_normals(seed, n_paths, len(grid) - 1)
@@ -672,7 +679,7 @@ def riemann_stieltjes(integrand: SampledPath, integrator: SampledPath):
     integrand non-anticipating, which is what hedging needs.  Returns
     (value, ConvergenceReport).
     """
-    if abs(integrand.horizon - integrator.horizon) > 1e-9 * max(1.0, integrator.horizon):
+    if abs(integrand.horizon - integrator.horizon) > _time_tol(integrator.horizon):
         raise ValueError(
             f"horizon mismatch: integrand ends at {integrand.horizon}, "
             f"integrator at {integrator.horizon}")
@@ -743,7 +750,7 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
     """
     times = asset_path.times
     s = asset_path.values
-    if times[-1] - surface.times[-1] > 1e-9 * max(1.0, surface.times[-1]):
+    if times[-1] - surface.times[-1] > _time_tol(surface.times[-1]):
         raise ValueError(f"path ends at t={times[-1]:g}, past the surface's last "
                          f"time {surface.times[-1]:g}")
     nodes = surface.space_nodes

@@ -533,6 +533,21 @@ class TestCommandLine:
         assert doc["inputs"]["seed"] == 99
         assert doc["provenance"]["seed"] == 99
 
+    @pytest.mark.parametrize("seed", [-7, 2**64])
+    def test_seed_override_is_checked_as_the_config_seed_is(self, tmp_path, capsys, seed):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(price_config(grid={"n_space": 16, "n_time": 16})))
+        assert main(["price", "--config", str(f), "--seed", str(seed)]) == 1
+        assert "seed: must fit in 64 bits" in capsys.readouterr().err
+
+    def test_overridden_echo_parses_back(self, tmp_path, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(price_config(format="csv", grid={"n_space": 16, "n_time": 16})))
+        assert main(["price", "--config", str(f), "--seed", "5", "--format", "json"]) == 0
+        echo = json.loads(capsys.readouterr().out)["inputs"]
+        assert (echo["seed"], echo["format"]) == (5, "json")
+        assert parse_config(json.dumps(echo)).effective == echo
+
     def test_cps_command_on_bundled_path(self, tmp_path, capsys):
         cfg = {
             "command": "cps", "seed": 0,

@@ -278,3 +278,15 @@ class TestCpsPrice:
         path = SampledPath(t, np.full(65, 100.0), positive=True)
         with pytest.raises(ValueError, match="maturity"):
             cps_price(path, self.problem(band), 0.05, GridSpec(64, 64))
+
+    def test_path_may_end_within_the_time_tolerance_of_a_short_maturity(self):
+        # T = 0.5: a path may end 1e-9 max(1, T) short of it, as a hedge path may
+        problem = PricingProblem(ScalarFunctionSpec.call(100.0), 0.5, 0.05, BAND,
+                                 (20.0, 500.0))
+
+        def path(end):
+            return SampledPath(np.linspace(0.0, end, 65), np.full(65, 100.0), positive=True)
+
+        assert cps_price(path(0.5 - 8e-10), problem, 0.05, GridSpec(16, 16)).ask.value > 0.0
+        with pytest.raises(ValueError, match="maturity"):
+            cps_price(path(0.5 - 2e-9), problem, 0.05, GridSpec(16, 16))

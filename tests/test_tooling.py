@@ -1,8 +1,11 @@
-"""Checks on the package's surface: every public annotation resolves, and
-every kind of benchmark op still runs through the benchmark's own code."""
+"""Checks on the package's surface: every public annotation resolves, every
+kind of benchmark op still runs through the benchmark's own code, and every
+public simulator keeps the same input contract."""
 
 import importlib
 import inspect
+import json
+import math
 import pkgutil
 import typing
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 import bidask
+from bidask.cli import main
 from perfbench import workloads
 
 PUBLIC_MODULES = [m.name for m in pkgutil.iter_modules(bidask.__path__, "bidask.")
@@ -63,3 +67,63 @@ def test_scenario_mc_rule_runs_under_its_own_band():
     bidask.mc_ask_bid(w.problem, [w.rule], w.mc_grid, 1, workloads.SPOT, 10)
     center = bidask.SampledPath(w.mc_grid, np.full(len(w.mc_grid), workloads.SPOT))
     bidask.estimate_tube_capacity(center, 5.0, band, [w.rule], 1, 10)
+
+
+# ---------------------------------------------------------------------------
+# One input contract for the six public simulators
+# ---------------------------------------------------------------------------
+
+BAND = bidask.UncertaintyBand(0.0, 0.05, 0.1, 0.3)
+GRID = np.linspace(0.0, 1.0, 9)
+CONST = bidask.ControlProcess.constant(0.03, 0.2, band=BAND)
+PROBLEM = bidask.PricingProblem(bidask.ScalarFunctionSpec.call(100.0), 1.0, 0.03, BAND,
+                                (20.0, 500.0))
+FGBM = bidask.FgbmSpec(0.3, BAND, tuple(GRID))
+
+# each simulator called with (n_paths, start value); the first two take no start
+SIMULATORS = {
+    "simulate_gbm_increments": lambda n, s0: bidask.simulate_gbm_increments(CONST, GRID, 1, n),
+    "simulate_fgbm": lambda n, s0: bidask.simulate_fgbm(FGBM, 0.2, 1, n),
+    "simulate_asset_paths": lambda n, s0: bidask.simulate_asset_paths(CONST, s0, GRID, 1, n),
+    "mc_ask_bid": lambda n, s0: bidask.mc_ask_bid(PROBLEM, [CONST], GRID, 1, s0, n),
+    "estimate_tube_capacity": lambda n, s0: bidask.estimate_tube_capacity(
+        bidask.SampledPath(GRID, np.full(len(GRID), s0)), 5.0, BAND, [CONST], 1, n),
+    "simulate_fgbm_asset": lambda n, s0: bidask.simulate_fgbm_asset(FGBM, 0.01, s0, 0.2, 1, n),
+}
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+@pytest.mark.parametrize("name", list(SIMULATORS))
+def test_simulator_needs_a_path(name, n_paths):
+    SIMULATORS[name](1, 100.0)
+    with pytest.raises(ValueError, match="n_paths"):
+        SIMULATORS[name](n_paths, 100.0)
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", list(SIMULATORS)[2:])
+def test_simulator_needs_a_positive_start(name, start):
+    with pytest.raises(ValueError, match="S0 must be positive"):
+        SIMULATORS[name](10, start)
+
+
+def test_state_feedback_rule_has_no_driving_path():
+    rule = bidask.bang_bang_control_from_surface(
+        bidask.solve_bsb_ask(PROBLEM, bidask.GridSpec(16, 16)))
+    with pytest.raises(ValueError, match="state-feedback rule"):
+        bidask.simulate_gbm_increments(rule, GRID, 1, 10)
+    driving = bidask.simulate_gbm_increments(CONST, GRID, 1, 1)[0]
+    with pytest.raises(ValueError, match="state-feedback rule has no deflator path"):
+        bidask.deflator_path(rule, 0.03, GRID, driving)
+
+
+def test_capacity_command_needs_a_positive_centre(tmp_path, capsys):
+    center = tmp_path / "center.csv"
+    center.write_text("time,value\n0,-1\n0.5,1\n1,2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "capacity", "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1,
+                                        "sigma_hi": 0.3},
+        "center_file": str(center), "eta": 5.0, "n_paths": 10}))
+    assert main(["capacity", "--config", str(cfg)]) == 1
+    assert "S0 must be positive, got -1.0" in capsys.readouterr().err
