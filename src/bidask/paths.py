@@ -349,6 +349,14 @@ def _check_start(S0: float) -> None:
         raise ValueError(f"start value S0 must be positive, got {S0!r}")
 
 
+def _check_scenarios(S0: float, controls, grid: np.ndarray,
+                     band: UncertaintyBand | None) -> None:
+    """The start value and every control, checked before any normal is drawn."""
+    _check_start(S0)
+    for control in controls:
+        _check_control(control, grid, band)
+
+
 def _check_control(control: ControlProcess | BangBangRule, grid: np.ndarray,
                    band: UncertaintyBand | None) -> None:
     """Reject levels outside the band a control runs under (a
@@ -400,20 +408,21 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
                          band: UncertaintyBand | None = None) -> PathEnsemble:
     """Positive asset trajectories under one scenario, as a PathEnsemble
     (constant-per-step lognormal stepping, exact for piecewise constant
-    controls); n_paths < 1 or an S0 not finite and positive: ValueError."""
+    controls); n_paths < 1 or an S0 not finite and positive: ValueError,
+    S0 and the control checked before any normal is drawn."""
     grid = _as_grid(grid)
-    S, _ = _paths_from_normals(control, S0, grid,
-                               _draw_normals(seed, n_paths, len(grid) - 1), band)
+    _check_scenarios(S0, [control], grid, band)
+    S, _ = _paths_from_normals(control, S0, grid, _draw_normals(seed, n_paths, len(grid) - 1))
     return PathEnsemble(grid, S, positive=True)
 
 
-def _paths_from_normals(control, S0, grid, z, band=None):
+def _paths_from_normals(control, S0, grid, z):
     """The scenario kernel: asset paths (n_paths, n_grid) from the normals
     z (n_paths, n_steps), and the volatility each step used: a row of
     n_steps for a time-based control (fully vectorised), one row per path
-    for a BangBangRule (stepped forward in time, reading its table)."""
-    _check_start(S0)
-    _check_control(control, grid, band)
+    for a BangBangRule (stepped forward in time, reading its table).  Its
+    callers check S0 and the control (``_check_scenarios``) before they
+    draw z."""
     dt = np.diff(grid)
     n_paths, n_steps = z.shape
 
@@ -499,7 +508,8 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     under that scenario); the ask is the largest estimate over the family and
     the bid the smallest.  Every control runs on one draw of normals z (common
     random numbers); n_paths < 1 or a spot (every path's S0) not finite and
-    positive raises ValueError.  A time-based control's log S_T = log S_0 +
+    positive raises ValueError, the spot and every control checked before
+    the draw.  A time-based control's log S_T = log S_0 +
     sum (mu - sigma^2/2) dt + z . sigma sqrt(dt) needs no paths; a rule's come
     from the kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 dt / 2
     + sum lambda sqrt(dt) z)), lambda = (mu - r) / sigma, with sigma the row
@@ -515,15 +525,14 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     sqrt_dt = np.sqrt(dt)
     r = problem.rate
 
+    _check_scenarios(spot, controls, grid, problem.band)
     z = _draw_normals(seed, n_paths, len(dt))
     estimates = []
     for idx, control in enumerate(controls):
         if isinstance(control, BangBangRule):
-            S, sig = _paths_from_normals(control, spot, grid, z, problem.band)
+            S, sig = _paths_from_normals(control, spot, grid, z)
             s_T, mu = S[:, -1], control.mu_value
         else:
-            _check_start(spot)
-            _check_control(control, grid, problem.band)
             sig, mu = _step_levels(control, grid)
             s_T = spot * np.exp(np.sum((mu - 0.5 * sig * sig) * dt) + z @ (sig * sqrt_dt))
         lam = _market_price_of_risk(mu - r, sig)
@@ -554,7 +563,8 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     value on the center's grid, every control on the same normals; the
     estimate is the largest fraction of paths with sup_t |S_t - center_t|
     < eta over the control family.  n_paths < 1 or a center whose first
-    value (every path's S0) is not finite and positive raises ValueError.
+    value (every path's S0) is not finite and positive raises ValueError;
+    S0 and every control are checked before the draw.
     """
     controls = list(controls)
     if not controls:
@@ -563,10 +573,11 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
         raise ValueError(f"tube radius must be nonnegative, got {eta!r}")
     grid = center.times
     S0 = float(center.values[0])
+    _check_scenarios(S0, controls, grid, band)
     z = _draw_normals(seed, n_paths, len(grid) - 1)
     best = 0.0
     for control in controls:
-        S, _ = _paths_from_normals(control, S0, grid, z, band)
+        S, _ = _paths_from_normals(control, S0, grid, z)
         inside = np.all(np.abs(S - center.values[None, :]) < eta, axis=1)
         best = max(best, float(np.mean(inside)))
     return best
@@ -805,10 +816,13 @@ def write_path_file(path: SampledPath, dest) -> None:
 
 def _number(field: str, kind: str, row: int, col: int) -> float:
     try:
-        return float(field)
+        value = float(field)
     except ValueError:
         raise ValueError(f"{kind} file row {row} field {col} is not a number: "
                          f"{field.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{kind} file row {row} field {col} is not finite: {field.strip()!r}")
+    return value
 
 
 def _read_table(src, kind: str) -> np.ndarray:

@@ -40,7 +40,9 @@ rows of I - dt L sit interleaved in one band array with a Dirichlet
 sentinel column, so a selection's system, boundary rows included, is one
 gather; it is factorised (LAPACK gttrf) only when the selection changes,
 and every solve is one gttrs on those factors.  A selection held over many
-steps is factorised once.  Every row is monotone, so ask >= bid and band
+steps is factorised once, and once its pick has repeated for a streak of
+steps the march runs that many steps ahead on the held factors and picks
+on them together.  Every row is monotone, so ask >= bid and band
 monotonicity follow from the comparison principle of the scheme.
 
 Boundary conditions are Dirichlet from the payoff's linear extrapolation
@@ -80,6 +82,10 @@ POLICY_MAX_ITERS = 50
 POLICY_RESIDUAL_TOL = 1e-12
 # a surface read blends and differentiates the slices of this many dates at a time
 _READ_BLOCK = 64
+# the march runs ahead on held factors once this many steps in a row have
+# repeated their pick, by as many steps as that streak and at most _RUN_AHEAD
+_RUN_AFTER = 6
+_RUN_AHEAD = 32
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,11 @@ class PriceSurface:
     ``band`` and ``rate`` record the generating problem so rules derived
     from the surface (state-feedback scenarios, hedges) don't need it
     re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
-    tridiagonal solves of the march that built the surface, in all and in
-    its busiest step, and ``factorizations`` the tridiagonal factorisations
-    they used (all zero for a surface not built by a solver).
+    tridiagonal solves whose iterates the march that built the surface
+    used, in all and in its busiest step (a solve the march ran ahead and
+    then discarded is not counted, so the counts are those of the march
+    taken one step at a time), and ``factorizations`` the tridiagonal
+    factorisations they used (all zero for a surface not built by a solver).
     ``selection`` is the march's selection record, (n_time, n_space - 1) at
     the interior nodes: row s is the selection whose system gave march step
     s's value.  The BSB march runs from maturity, so its step s gave
@@ -422,11 +430,26 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     iterate that is not finite, or a singular selection (its residual is
     nan: no iterate was made).
 
+    Once s >= _RUN_AFTER steps in a row have ended on their first solve
+    with a repeated pick, the march runs ahead: it marches the next
+    min(s, _RUN_AHEAD) steps on the held factors, each one gttrs written
+    into its slice, and then picks once on the stacked slices (``select``
+    takes a stack, with each slice's |v|_inf in a column).  Every leading
+    slice whose pick repeats the selection is its step's value, the value
+    and pick the step-by-step march gives bit for bit.  The first slice
+    whose pick moves, or that is not finite, is handed over as its step's
+    first iterate, solve and pick included, and that step goes on one
+    iterate at a time; the slices after it are discarded.  The handed-over
+    step restarts the streak, so a run never outgrows the steps that
+    preceded it.  At POLICY_MAX_ITERS = 1 no pick ends a step, so no run
+    starts.  A run holds no more than _RUN_AHEAD slices' temporaries.
+
     Returns the stack of slices in march order, u0 first, the number of
-    linear solves, the largest number made in one step, the number of
-    factorisations and the selection record: row s holds, at the interior
-    nodes, the selection whose system gave slice s + 1 (bool with two
-    candidates, True for candidate 1; the candidate's index otherwise).
+    linear solves whose iterates the march used (a discarded slice of a
+    run is not counted), the largest number made in one step, the number
+    of factorisations and the selection record: row s holds, at the
+    interior nodes, the selection whose system gave slice s + 1 (bool with
+    two candidates, True for candidate 1; the candidate's index otherwise).
     """
     n = len(u0)
     n_cand = rows.shape[1]
@@ -453,7 +476,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
         diff = rows[:, 1] - rows[:, 0]
 
         def select(v, v_max, sel):
-            g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
+            g = diff[0] * v[..., :-2] + diff[1] * v[..., 1:-1] + diff[2] * v[..., 2:]
             bound = tie * v_max
             return (g > bound) | (sel & (g >= -bound))
 
@@ -468,9 +491,14 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
         cols = np.arange(n - 2)
 
         def select(v, v_max, sel):
-            g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
-            best = g.argmax(axis=0)
-            return np.where(g[best, cols] - g[sel, cols] > tie * v_max, best, sel)
+            # candidates on the second-to-last axis, below any stacking axis
+            v = v[..., None, :]
+            g = rows[0] * v[..., :-2] + rows[1] * v[..., 1:-1] + rows[2] * v[..., 2:]
+            best = g.argmax(axis=-2)
+            g_best = np.take_along_axis(g, best[..., None, :], axis=-2)[..., 0, :]
+            g_sel = np.take_along_axis(g, np.broadcast_to(sel, best.shape)[..., None, :],
+                                       axis=-2)[..., 0, :]
+            return np.where(g_best - g_sel > tie * v_max, best, sel)
 
         def first_pick(v, v_max):
             g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
@@ -488,7 +516,39 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     # the selection that gave each step's value, one byte per node
     record = np.empty((n_time, n - 2), dtype=bool if n_cand == 2 else np.int8)
     factored = None
-    for step in range(n_time):
+    step = streak = 0
+    handed = None  # a run's first slice that needs the step's own iterates
+    while step < n_time:
+        if streak >= _RUN_AFTER:
+            ahead = min(streak, _RUN_AHEAD, n_time - step)
+            # the factors of sel are held: the streak ended on its pick
+            for j in range(step, step + ahead):
+                v = out[j + 1]
+                v[:] = out[j]
+                v[0], v[-1] = boundary_of(j)
+                _, info = dgttrs(*lu, v, overwrite_b=1)
+                if info != 0:
+                    ahead = j + 1 - step  # the step's own checks report it
+                    break
+            block = out[step + 1:step + 1 + ahead]
+            v_max = np.abs(block).max(axis=1)
+            fine = np.isfinite(v_max)
+            if info != 0:
+                fine[-1] = False
+            n_fine = ahead if fine.all() else int(fine.argmin())
+            picks = select(block[:n_fine], v_max[:n_fine, None], sel)
+            held = (picks == sel).all(axis=1)
+            took = n_fine if held.all() else int(held.argmin())
+            record[step:step + took] = sel
+            solves += took
+            max_step_solves = max(max_step_solves, min(took, 1))
+            step += took
+            streak += took
+            u = out[step]
+            if took == ahead:
+                continue
+            handed = (out[step + 1], info if took == ahead - 1 else 0, float(v_max[took]),
+                      picks[took] if took < n_fine else None)
         bc_lo, bc_hi = boundary_of(step)
         u_iter = u
         solves_before = solves
@@ -503,24 +563,31 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
                     raise NumericalFailure("implicit step has no finite solution", step=step,
                                            info=info, residual=math.nan, **diagnostics)
                 factored = key
-            # gttrs overwrites only its right-hand side
-            rhs = u.copy()
-            rhs[0] = bc_lo
-            rhs[-1] = bc_hi
-            u_new, info = dgttrs(*lu, rhs, overwrite_b=1)
+            if handed is None:
+                # gttrs overwrites only its right-hand side
+                rhs = u.copy()
+                rhs[0] = bc_lo
+                rhs[-1] = bc_hi
+                u_new, info = dgttrs(*lu, rhs, overwrite_b=1)
+                u_max = float(np.abs(u_new).max())
+                sel_new = None
+            else:
+                u_new, info, u_max, sel_new = handed
+                handed = None
             solves += 1
-            u_max = float(np.abs(u_new).max())
             if info != 0 or not math.isfinite(u_max):
                 raise NumericalFailure("implicit step has no finite solution", step=step,
                                        info=info, residual=float(np.abs(u_new - u_iter).max()),
                                        **diagnostics)
             record[step] = sel
-            sel_new = select(u_new, u_max, sel)
+            if sel_new is None:
+                sel_new = select(u_new, u_max, sel)
             if sel_new.tobytes() == key and it < POLICY_MAX_ITERS:
+                streak = streak + 1 if it == 1 else 0
                 break
             change = float(np.abs(u_new - u_iter).max())
             if change < POLICY_RESIDUAL_TOL * u_max:
-                sel = sel_new
+                sel, streak = sel_new, 0
                 break
             if it == POLICY_MAX_ITERS:
                 raise NumericalFailure(
@@ -534,6 +601,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
         max_step_solves = max(max_step_solves, solves - solves_before)
         u = u_new
         out[step + 1] = u
+        step += 1
     return out, solves, max_step_solves, factorizations, record
 
 
@@ -572,8 +640,11 @@ def _solve_bsb(problem: PricingProblem, grid: GridSpec, side: str) -> PriceSurfa
                              lambda step: (terminal[0], terminal[-1]), context)
     times = np.linspace(0.0, T, grid.n_time + 1)
     # sign V was marched from sign payoff, u = exp(-r (T - t)) V; adding 0
-    # turns the -0 that negating a zero of the bid's march gives into +0
-    values = (sign * values[::-1] + 0.0) * np.exp(-r * (T - times))[:, None]
+    # turns the -0 that negating a zero of the bid's march gives into +0;
+    # in place, since a fresh surface-sized temporary costs more than its pass
+    values = np.multiply(values[::-1], sign)
+    values += 0.0
+    values *= np.exp(-r * (T - times))[:, None]
     # the march's counters and selection record come in the order of
     # PriceSurface's last fields
     return PriceSurface(times, f, values, side, band, r, *counts)

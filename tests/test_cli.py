@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidask
-from bidask import ConfigError, emit_config, parse_config, run
+from bidask import ConfigError, emit_config, parse_config, pde, run
 from bidask.cli import COMMANDS, CommandFailure, main
+from perfbench import workloads
+from test_pde import per_step_march
 
 
 def price_config(**overrides):
@@ -519,6 +521,23 @@ class TestCommandLine:
         assert main(["price", "--config", str(f), "--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_quote_book_reports_do_not_depend_on_run_ahead(self, monkeypatch):
+        # criterion 10 across the march's run-ahead: the first op of each
+        # quote_book kind at seed 1 renders the same bytes, counters included,
+        # as with the march taken one step at a time
+        workload = workloads.QuoteBook(seed=1, n_rounds=1)
+        first = {}
+        for op in workload.rounds[0]:
+            first.setdefault(op.kind, op)
+
+        def outputs():
+            return [workload.execute(op)[1] if op.cli else repr(workload.execute(op))
+                    for op in first.values()]
+
+        got = outputs()
+        monkeypatch.setattr(pde, "_march", per_step_march)
+        assert outputs() == got
+
     def test_seed_override_is_echoed(self, tmp_path, capsys):
         f = tmp_path / "cfg.json"
         cfg = {
@@ -614,6 +633,26 @@ class TestCommandLine:
         assert capsys.readouterr().err == (
             "bidask: error: command 'hedge' failed: path_file ends at t=1.5, "
             "not at the maturity 1\n")
+
+    @pytest.mark.parametrize("command, key, extra", [
+        ("hedge", "path_file", {"maturity": 1.0, "payoff": {"kind": "call", "strike": 100.0},
+                                "rate": 0.05, "spot": 100.0,
+                                "grid": {"n_space": 32, "n_time": 32}}),
+        ("cps", "path_file", {"epsilon": 0.05}),
+        ("capacity", "center_file", {"eta": 5.0, "n_paths": 10}),
+    ])
+    def test_path_file_with_a_nan_row_fails(self, tmp_path, capsys, command, key, extra):
+        path = tmp_path / "path.csv"
+        path.write_text("time,value\n0,100\n0.5,nan\n1,101\n")
+        cfg = {"command": command, "seed": 0,
+               "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3},
+               key: str(path), **extra}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "path file row 2 field 2 is not finite: 'nan'" in captured.err
 
     def test_capacity_command(self, tmp_path, capsys):
         cfg = {

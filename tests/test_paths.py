@@ -592,6 +592,17 @@ class TestPathFiles:
             reader(f)
         assert str(exc.value) == f"{kind} file row 2 field 2 is not a number: 'abc'"
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", " NaN"])
+    @pytest.mark.parametrize("reader, kind", [(read_path_file, "path"),
+                                              (read_ensemble_file, "ensemble")])
+    def test_non_finite_number_names_the_row_and_field(self, tmp_path, reader, kind, field):
+        f = tmp_path / "x.csv"
+        f.write_text(f"time,value_0\n0.0,1.0\n0.5,2.0\n1.0,{field}\n")
+        with pytest.raises(ValueError) as exc:
+            reader(f)
+        assert str(exc.value) == (f"{kind} file row 3 field 2 is not finite: "
+                                  f"{field.strip()!r}")
+
     def test_writers_format_each_value_at_12_digits(self):
         # reference: the value-by-value formatting the writers must keep
         paths = simulate_asset_paths(ControlProcess.constant(0.05, 0.2), 100.0,

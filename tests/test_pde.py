@@ -271,6 +271,27 @@ HAT_45 = (ScalarFunctionSpec.piecewise_linear(
           0.5322305669641288, 0.05398767925233879,
           UncertaintyBand(0.0, 0.054796864070180605, 0.050035314997968226,
                           0.21343832869509216))
+# Problems 11 and 33 of the same draw: widened, at r = 0 on a 128^2
+# uniform_price grid, their asks make 1.70 and 1.78 solves per step, the
+# most of the draw.
+PIECE_11 = (ScalarFunctionSpec.piecewise_linear(
+                [(50.0, 1.6844354318879906), (75.99837840232667, 1.6844354318879906),
+                 (80.26617283976417, 23.356136593423283),
+                 (131.86409836283502, 19.97788208462693),
+                 (133.79208721047877, 6.457417587138976),
+                 (151.17983504849377, 16.628442892894768), (170.0, 16.628442892894768)]),
+            0.5094476491688043, 0.06879997533038555,
+            UncertaintyBand(0.0, 0.06692592916753784, 0.1705594095364379,
+                            0.2877530816867874))
+PIECE_33 = (ScalarFunctionSpec.piecewise_linear(
+                [(50.0, 29.99146989321111), (64.75836558084953, 29.99146989321111),
+                 (90.73922907246714, 25.122140486222765),
+                 (107.12653512813844, 27.968045110745084),
+                 (117.45313782296485, 3.5788693329343815),
+                 (133.8104970808019, 12.220734179878782), (170.0, 12.220734179878782)]),
+            1.5961645100204453, 0.055920246585442604,
+            UncertaintyBand(0.0, 0.07166113504246589, 0.1498470292002374,
+                            0.20591865903995443))
 
 
 def criterion3_pair(case, band, stretching):
@@ -366,6 +387,120 @@ def assert_matches_reference(got, ref):
     assert np.abs(got.values - ref.values).max() <= 1e-12 * scale
 
 
+def per_step_march(u0, rows, dt, n_time, boundary_of, context):
+    """``pde._march`` one step at a time, as it ran before steps were run
+    ahead on held factors: every solve is its own step's iterate.  The
+    march must give bitwise the same slices, counters, record and
+    failures."""
+    n = len(u0)
+    n_cand = rows.shape[1]
+    diagnostics = {"n_space": n - 1, "n_time": n_time, **context}
+    # rows of I - dt L_k below, on and above the diagonal, interleaved by
+    # node, then the Dirichlet sentinel column
+    bands = np.empty((3, (n - 2) * n_cand + 1))
+    bands[:, :-1] = np.stack([-dt * rows[0], 1.0 - dt * rows[1],
+                              -dt * rows[2]]).transpose(0, 2, 1).reshape(3, -1)
+    bands[:, -1] = (0.0, 1.0, 0.0)
+    if not (np.isfinite(bands).all() and np.isfinite(u0).all()):
+        raise NumericalFailure("operator or initial slice is not finite", **diagnostics)
+    base = np.arange(n - 2) * n_cand
+    at = np.full(n, bands.shape[1] - 1)
+    band = np.empty((3, n))
+    out = np.empty((n_time + 1, n))
+    out[0] = u0
+    u = out[0]
+    solves = max_step_solves = factorizations = 0
+    # a tie bound per unit of |v|_inf
+    tie = 32.0 * np.finfo(float).eps * float(np.abs(rows).sum(axis=0).max())
+
+    if n_cand == 2:
+        diff = rows[:, 1] - rows[:, 0]
+
+        def select(v, v_max, sel):
+            g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
+            bound = tie * v_max
+            return (g > bound) | (sel & (g >= -bound))
+
+        def first_pick(v, v_max):
+            g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
+            bound = tie * v_max
+            pick = g > bound
+            near = pde._nearest_decided(np.abs(g) > bound)
+            # at a tie either candidate is within round-off of the other
+            return pick if near is None else pick[near]
+    else:
+        cols = np.arange(n - 2)
+
+        def select(v, v_max, sel):
+            g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
+            best = g.argmax(axis=0)
+            return np.where(g[best, cols] - g[sel, cols] > tie * v_max, best, sel)
+
+        def first_pick(v, v_max):
+            g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
+            best = g.argmax(axis=0)
+            tied = g[best, cols] - g <= tie * v_max  # within round-off of the best
+            sel = np.where(tied[0], 0, best)
+            near = pde._nearest_decided(tied.sum(axis=0) == 1)
+            if near is None:
+                return sel
+            # a tied node takes the nearest decided pick where that is one of its ties
+            pick = sel[near]
+            return np.where(tied[pick, cols], pick, sel)
+
+    sel = first_pick(u, float(np.abs(u).max()))
+    # the selection that gave each step's value, one byte per node
+    record = np.empty((n_time, n - 2), dtype=bool if n_cand == 2 else np.int8)
+    factored = None
+    for step in range(n_time):
+        bc_lo, bc_hi = boundary_of(step)
+        u_iter = u
+        solves_before = solves
+        for it in range(1, pde.POLICY_MAX_ITERS + 1):
+            key = sel.tobytes()
+            if key != factored:
+                np.add(base, sel, out=at[1:-1])
+                bands.take(at, axis=1, out=band)
+                *lu, info = dgttrf(band[0, 1:], band[1], band[2, :-1])
+                factorizations += 1
+                if info != 0:
+                    raise NumericalFailure("implicit step has no finite solution", step=step,
+                                           info=info, residual=math.nan, **diagnostics)
+                factored = key
+            # gttrs overwrites only its right-hand side
+            rhs = u.copy()
+            rhs[0] = bc_lo
+            rhs[-1] = bc_hi
+            u_new, info = dgttrs(*lu, rhs, overwrite_b=1)
+            solves += 1
+            u_max = float(np.abs(u_new).max())
+            if info != 0 or not math.isfinite(u_max):
+                raise NumericalFailure("implicit step has no finite solution", step=step,
+                                       info=info, residual=float(np.abs(u_new - u_iter).max()),
+                                       **diagnostics)
+            record[step] = sel
+            sel_new = select(u_new, u_max, sel)
+            if sel_new.tobytes() == key and it < pde.POLICY_MAX_ITERS:
+                break
+            change = float(np.abs(u_new - u_iter).max())
+            if change < pde.POLICY_RESIDUAL_TOL * u_max:
+                sel = sel_new
+                break
+            if it == pde.POLICY_MAX_ITERS:
+                raise NumericalFailure(
+                    "policy iteration did not stabilise",
+                    step=step,
+                    max_iters=pde.POLICY_MAX_ITERS,
+                    residual=change,
+                    **diagnostics,
+                )
+            sel, u_iter = sel_new, u_new
+        max_step_solves = max(max_step_solves, solves - solves_before)
+        u = u_new
+        out[step + 1] = u
+    return out, solves, max_step_solves, factorizations, record
+
+
 class TestMarchOracle:
     """The march agrees with the banded reference above."""
 
@@ -432,6 +567,151 @@ class TestMarchOracle:
         assert str(info.value) == "implicit step has no finite solution"
         assert diag["info"] == 0 and diag["step"] == 0
         assert not math.isfinite(diag["residual"])
+
+
+def march_outcome(solve):
+    """What ``solve()`` gives: each surface's bytes, selection record and
+    counters, or the failure's type, message and diagnostics."""
+    try:
+        got = solve()
+    except NumericalFailure as exc:
+        return type(exc), str(exc), repr(exc.diagnostics)
+    surfaces = got if isinstance(got, tuple) else [got]
+    return [(s.values.tobytes(), s.selection.tobytes(), s.selection.dtype, s.linear_solves,
+             s.max_step_solves, s.factorizations) for s in surfaces]
+
+
+def assert_march_is_per_step(monkeypatch, solve):
+    got = march_outcome(solve)
+    with monkeypatch.context() as m:
+        m.setattr(pde, "_march", per_step_march)
+        assert got == march_outcome(solve)
+
+
+def case_problem(case, rate):
+    """A (payoff, maturity, rate, band) case on its widened band at ``rate``."""
+    payoff, maturity, _, base = case
+    band = widened(base)
+    return PricingProblem(payoff, maturity, rate, band, log_domain(band.sigma_hi, maturity))
+
+
+# (payoff, maturity, rate, base band) cases: a call, a put and the butterfly
+# under BAND_WIDE once widened, then criterion 3's problems
+RUN_AHEAD_CASES = {
+    "call": (ScalarFunctionSpec.call(K), T, R, BAND_WIDE),
+    "put": (ScalarFunctionSpec.put(K), T, R, BAND_WIDE),
+    "butterfly": (BUTTERFLY, T, R, BAND_WIDE),
+    "put_10": PUT_10,
+    "hat_45": HAT_45,
+    "piece_11": PIECE_11,
+    "piece_33": PIECE_33,
+}
+
+
+class TestRunAhead:
+    """Steps run ahead on held factors and picked together give what the
+    march gives one step at a time: the same bytes, selection records and
+    counters, and the same failures."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("stretching", ["uniform_log", "uniform_price"])
+    @pytest.mark.parametrize("case", list(RUN_AHEAD_CASES))
+    def test_bsb_pair(self, monkeypatch, case, stretching, rate):
+        prob = case_problem(RUN_AHEAD_CASES[case], rate)
+        assert_march_is_per_step(monkeypatch,
+                                 lambda: solve_bsb_pair(prob, GridSpec(128, 128, stretching)))
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_high_switch_pair_on_fine_grids(self, monkeypatch, n):
+        prob = case_problem(PIECE_33, 0.0)
+        grid = GridSpec(n, n, "uniform_price")
+        ask, _ = solve_bsb_pair(prob, grid)
+        assert ask.linear_solves > 1.5 * n
+        assert_march_is_per_step(monkeypatch, lambda: solve_bsb_pair(prob, grid))
+
+    @pytest.mark.parametrize("phi", [ScalarFunctionSpec.call(0.05), ScalarFunctionSpec.put(0.1),
+                                     ScalarFunctionSpec.piecewise_linear(
+                                         [(-0.4, 0.0), (0.0, 0.3), (0.4, 0.0)])],
+                             ids=["call", "put", "hat"])
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (-0.02, 0.05)], ids=["no_drift", "drift"])
+    def test_g_heat(self, monkeypatch, mu, phi):
+        band = UncertaintyBand(*mu, 0.1, 0.3)
+        assert_march_is_per_step(monkeypatch,
+                                 lambda: solve_g_heat(phi, band, 1.0, GridSpec(128, 96)))
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_bsb_bid(call_problem(BAND_WIDE), GridSpec(64, 48, "uniform_price")),
+        lambda: solve_bsb_ask(butterfly_problem(BAND_WIDE), GridSpec(64, 48)),
+        lambda: solve_bsb_pair(case_problem(PIECE_33, 0.0), GridSpec(128, 128, "uniform_price")),
+        lambda: solve_bsb_pair(PricingProblem(AFFINE, T, R, BAND_WIDE, (20.0, 500.0)),
+                               GridSpec(64, 48)),
+        lambda: solve_g_heat(ScalarFunctionSpec.put(0.1), UncertaintyBand(-0.02, 0.05, 0.1, 0.3),
+                             1.0, GridSpec(64, 48)),
+    ], ids=["call_bid", "butterfly_ask", "piece_33", "affine", "g_heat_drift"])
+    def test_policy_iteration_limits(self, monkeypatch, max_iters, solve):
+        # at one iterate a repeated pick ends no step: only the residual
+        # test does, so no run may start
+        monkeypatch.setattr(pde, "POLICY_MAX_ITERS", max_iters)
+        assert_march_is_per_step(monkeypatch, solve)
+
+    @staticmethod
+    def failure(march, rows, u0, dt, n_time, boundary_of):
+        with pytest.raises(NumericalFailure) as info:
+            march(u0, rows, dt, n_time, boundary_of, {"side": "heat"})
+        return type(info.value), str(info.value), repr(info.value.diagnostics)
+
+    def test_non_finite_iterate_after_a_run(self):
+        # the diagonal of I - dt L is 2^-53, so every step multiplies the
+        # interior by 2^53: step 19 leaves the float range, inside a run
+        rows = np.zeros((3, 1, 4))
+        rows[1] = np.nextafter(1.0, 0.0)
+        args = (rows, np.ones(6), 1.0, 40, lambda step: (1.0, 1.0))
+        got = self.failure(pde._march, *args)
+        assert got == self.failure(per_step_march, *args)
+        assert got[1] == "implicit step has no finite solution" and "'step': 19" in got[2]
+
+    def test_singular_selection_after_a_run(self):
+        # candidate 1's rows are I / dt, singular in I - dt L; a pick moves
+        # there once the boundary has raised the interior, at step 25
+        rows = np.zeros((3, 2, 4))
+        rows[:, 0] = np.array([1.0, -2.0, 1.0])[:, None]
+        rows[1, 1] = 1.0
+        args = (rows, np.zeros(6), 1.0, 40, lambda step: (0.0, 0.0) if step < 24 else (1.0, 1.0))
+        got = self.failure(pde._march, *args)
+        assert got == self.failure(per_step_march, *args)
+        assert "'step': 25" in got[2] and "'residual': nan" in got[2]
+
+    def test_each_slice_is_picked_against_its_own_size(self):
+        # the interior doubles every step and candidate 1 beats candidate 0
+        # by a quarter of the round-off bound of each slice's own |v|_inf:
+        # a tie at every step, though not against an earlier slice's bound
+        rows = np.zeros((3, 2, 4))
+        rows[1, 0] = 0.5
+        tie = 32.0 * np.finfo(float).eps * 0.5
+        rows[1, 1] = 0.5 + tie / 4.0
+        args = (np.ones(6), rows, 1.0, 16, lambda step: (1.0, 1.0), {"side": "heat"})
+        slices, solves, max_step, factorizations, record = pde._march(*args)
+        assert (solves, max_step, factorizations) == (16, 1, 1) and not record.any()
+        want = per_step_march(*args)
+        assert slices.tobytes() == want[0].tobytes() and record.tobytes() == want[4].tobytes()
+
+    def test_discarded_solves_are_not_counted(self, monkeypatch):
+        # runs solve slices past the first whose pick moves; the march drops
+        # them, so the counters are those of the step-by-step march
+        calls = []
+        real = pde.dgttrs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "dgttrs", counted)
+        prob, grid = case_problem(PIECE_33, 0.0), GridSpec(400, 400, "uniform_price")
+        ask = solve_bsb_ask(prob, grid)
+        assert len(calls) > ask.linear_solves
+        monkeypatch.setattr(pde, "_march", per_step_march)
+        assert ask.linear_solves == solve_bsb_ask(prob, grid).linear_solves
 
 
 class TestFactorizations:

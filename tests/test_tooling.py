@@ -75,21 +75,40 @@ def test_scenario_mc_rule_runs_under_its_own_band():
 
 BAND = bidask.UncertaintyBand(0.0, 0.05, 0.1, 0.3)
 GRID = np.linspace(0.0, 1.0, 9)
-CONST = bidask.ControlProcess.constant(0.03, 0.2, band=BAND)
 PROBLEM = bidask.PricingProblem(bidask.ScalarFunctionSpec.call(100.0), 1.0, 0.03, BAND,
                                 (20.0, 500.0))
 FGBM = bidask.FgbmSpec(0.3, BAND, tuple(GRID))
 
-# each simulator called with (n_paths, start value); the first two take no start
+
+def const(sigma):
+    """A constant control with no band of its own: each simulator runs it under BAND."""
+    return bidask.ControlProcess.constant(0.03, sigma)
+
+
+# each simulator called with (n_paths, start value, scenario volatility)
+# under BAND; the first two take no start
 SIMULATORS = {
-    "simulate_gbm_increments": lambda n, s0: bidask.simulate_gbm_increments(CONST, GRID, 1, n),
-    "simulate_fgbm": lambda n, s0: bidask.simulate_fgbm(FGBM, 0.2, 1, n),
-    "simulate_asset_paths": lambda n, s0: bidask.simulate_asset_paths(CONST, s0, GRID, 1, n),
-    "mc_ask_bid": lambda n, s0: bidask.mc_ask_bid(PROBLEM, [CONST], GRID, 1, s0, n),
-    "estimate_tube_capacity": lambda n, s0: bidask.estimate_tube_capacity(
-        bidask.SampledPath(GRID, np.full(len(GRID), s0)), 5.0, BAND, [CONST], 1, n),
-    "simulate_fgbm_asset": lambda n, s0: bidask.simulate_fgbm_asset(FGBM, 0.01, s0, 0.2, 1, n),
+    "simulate_gbm_increments": lambda n, s0, sig=0.2: bidask.simulate_gbm_increments(
+        const(sig), GRID, 1, n, band=BAND),
+    "simulate_fgbm": lambda n, s0, sig=0.2: bidask.simulate_fgbm(FGBM, sig, 1, n),
+    "simulate_asset_paths": lambda n, s0, sig=0.2: bidask.simulate_asset_paths(
+        const(sig), s0, GRID, 1, n, band=BAND),
+    "mc_ask_bid": lambda n, s0, sig=0.2: bidask.mc_ask_bid(PROBLEM, [const(sig)], GRID, 1, s0, n),
+    "estimate_tube_capacity": lambda n, s0, sig=0.2: bidask.estimate_tube_capacity(
+        bidask.SampledPath(GRID, np.full(len(GRID), s0)), 5.0, BAND, [const(sig)], 1, n),
+    "simulate_fgbm_asset": lambda n, s0, sig=0.2: bidask.simulate_fgbm_asset(
+        FGBM, 0.01, s0, sig, 1, n),
 }
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """A rejected input fails before any normal is drawn."""
+    def refuse(*args):
+        raise AssertionError("normals drawn for a rejected input")
+
+    monkeypatch.setattr(bidask.paths, "_draw_normals", refuse)
+    monkeypatch.setattr(bidask.fgbm, "_draw_normals", refuse)  # its own name for the draw
 
 
 @pytest.mark.parametrize("n_paths", [0, -1])
@@ -102,9 +121,15 @@ def test_simulator_needs_a_path(name, n_paths):
 
 @pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("name", list(SIMULATORS)[2:])
-def test_simulator_needs_a_positive_start(name, start):
+def test_simulator_needs_a_positive_start(name, start, no_draw):
     with pytest.raises(ValueError, match="S0 must be positive"):
         SIMULATORS[name](10, start)
+
+
+@pytest.mark.parametrize("name", list(SIMULATORS))
+def test_simulator_needs_a_control_inside_its_band(name, no_draw):
+    with pytest.raises(ValueError, match="band"):
+        SIMULATORS[name](10, 100.0, 0.5)
 
 
 def test_state_feedback_rule_has_no_driving_path():
@@ -112,7 +137,7 @@ def test_state_feedback_rule_has_no_driving_path():
         bidask.solve_bsb_ask(PROBLEM, bidask.GridSpec(16, 16)))
     with pytest.raises(ValueError, match="state-feedback rule"):
         bidask.simulate_gbm_increments(rule, GRID, 1, 10)
-    driving = bidask.simulate_gbm_increments(CONST, GRID, 1, 1)[0]
+    driving = bidask.simulate_gbm_increments(const(0.2), GRID, 1, 1)[0]
     with pytest.raises(ValueError, match="state-feedback rule has no deflator path"):
         bidask.deflator_path(rule, 0.03, GRID, driving)
 
