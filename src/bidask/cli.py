@@ -2,9 +2,10 @@
 
 Configs are strict JSON: unknown keys are fatal, every violation is
 collected (not just the first) and each error names the path of its field,
-such as ``pricing.grid.n_space``.  A null optional section (``grid``,
-``scenario``, ``asset``, ``pricing``) is the same as an absent one.  The
-effective config after defaulting is echoed into the report so any result
+such as ``pricing.grid.n_space``; a NaN or Infinity, which ``json`` reads,
+fails at its field.  A null optional section (``grid``, ``scenario``,
+``asset``, ``pricing``) is the same as an absent one.  The effective
+config after defaulting is echoed into the report so any result
 is reproducible from its own output: ``parse(emit(c)) == c``.  Reports are
 rendered with fixed 12-significant-digit floats and deterministic key
 order, so identical configs produce byte-identical reports; the timing
@@ -199,6 +200,9 @@ class _Reader:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     self.fail(full, f"expected a number, got {v!r}")
                     return default
+                if not _finite(v):
+                    self.fail(full, f"expected a finite number, got {v!r}")
+                    return default
                 v = float(v)
             elif kind is int:
                 if isinstance(v, bool) or not isinstance(v, int):
@@ -227,11 +231,19 @@ def _at_least_16(v):
     return None if v >= 16 else "must be >= 16"
 
 
+def _finite(x) -> bool:
+    """Whether the JSON number ``x`` is a finite float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _spot_interval(v):
     if len(v) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in v):
+                           and _finite(x) for x in v):
         return None
-    return "expected [x_min, x_max]"
+    return f"expected finite [x_min, x_max], got {v!r}"
 
 
 def _read_band(r, cfg):

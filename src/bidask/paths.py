@@ -81,10 +81,11 @@ def _checked_path(times, values, positive: bool, ndim: int):
         raise ValueError(f"times must be 1-d and values {ndim}-d, one value per time")
     if len(times) < 1 or times[0] != 0.0:
         raise ValueError("time grid must start at 0")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    if positive and np.any(values <= 0.0):
-        raise ValueError("positive path has nonpositive values")
+    # a NaN fails every comparison, and an increasing grid is finite where its end is
+    if not ((np.diff(times) > 0.0).all() and math.isfinite(times[-1])):
+        raise ValueError("time grid must be finite and strictly increasing")
+    if positive and not (values > 0.0).all():
+        raise ValueError("positive path has nonpositive or NaN values")
     return times, values
 
 
@@ -334,8 +335,10 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
 
 def _as_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2 or g[0] != 0.0 or np.any(np.diff(g) <= 0.0):
-        raise ValueError("time grid must be strictly increasing and start at 0")
+    # a NaN fails every comparison; an increasing grid is finite where its end is
+    if (g.ndim != 1 or len(g) < 2 or g[0] != 0.0 or not (np.diff(g) > 0.0).all()
+            or not math.isfinite(g[-1])):
+        raise ValueError("time grid must be finite, strictly increasing and start at 0")
     return g
 
 

@@ -41,8 +41,8 @@ sentinel column, so a selection's system, boundary rows included, is one
 gather; it is factorised (LAPACK gttrf) only when the selection changes,
 and every solve is one gttrs on those factors.  A selection held over many
 steps is factorised once, and once its pick has repeated for a streak of
-steps the march runs that many steps ahead on the held factors and picks
-on them together.  Every row is monotone, so ask >= bid and band
+steps the march runs ahead on the held factors and keeps the steps before
+the first pick that moves.  Every row is monotone, so ask >= bid and band
 monotonicity follow from the comparison principle of the scheme.
 
 Boundary conditions are Dirichlet from the payoff's linear extrapolation
@@ -166,9 +166,9 @@ class PriceSurface:
     from the surface (state-feedback scenarios, hedges) don't need it
     re-supplied.  ``linear_solves`` and ``max_step_solves`` count the
     tridiagonal solves whose iterates the march that built the surface
-    used, in all and in its busiest step (a solve the march ran ahead and
-    then discarded is not counted, so the counts are those of the march
-    taken one step at a time), and ``factorizations`` the tridiagonal
+    used, in all and in its busiest step (a slice run ahead but not kept is
+    solved again by its own step and counted there, so the counts are those
+    of the march one step at a time), and ``factorizations`` the tridiagonal
     factorisations they used (all zero for a surface not built by a solver).
     ``selection`` is the march's selection record, (n_time, n_space - 1) at
     the interior nodes: row s is the selection whose system gave march step
@@ -265,9 +265,9 @@ class PriceSurface:
 
 
 def _check_dominance(ask: PriceSurface, bid: PriceSurface) -> None:
-    gap = ask.values - bid.values
-    scale = max(1.0, float(np.abs(ask.values).max()))
-    worst = float(gap.min())
+    # max(1, |ask|_inf) read off the extremes, without an |ask| temporary
+    scale = max(1.0, float(ask.values.max()), -float(ask.values.min()))
+    worst = float((ask.values - bid.values).min())
     if worst < -1e-7 * scale:
         raise ConsistencyError(
             f"ask surface fell below bid by {-worst:.3e} (tolerance {1e-7 * scale:.1e})"
@@ -434,15 +434,14 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     with a repeated pick, the march runs ahead: it marches the next
     min(s, _RUN_AHEAD) steps on the held factors, each one gttrs written
     into its slice, and then picks once on the stacked slices (``select``
-    takes a stack, with each slice's |v|_inf in a column).  Every leading
-    slice whose pick repeats the selection is its step's value, the value
-    and pick the step-by-step march gives bit for bit.  The first slice
-    whose pick moves, or that is not finite, is handed over as its step's
-    first iterate, solve and pick included, and that step goes on one
-    iterate at a time; the slices after it are discarded.  The handed-over
-    step restarts the streak, so a run never outgrows the steps that
-    preceded it.  At POLICY_MAX_ITERS = 1 no pick ends a step, so no run
-    starts.  A run holds no more than _RUN_AHEAD slices' temporaries.
+    takes a stack, with each slice's |v|_inf in a column).  A run only
+    accepts: each leading slice that is finite, solved with info 0 and
+    picked as the selection is its step's value, bit for bit, and the
+    rest are discarded.  The step where the run stopped is marched from
+    its own first solve, so no failure is raised inside a run; its pick
+    moves or it fails, so it restarts the streak.  At POLICY_MAX_ITERS = 1
+    no pick ends a step, so no run starts.  A run holds no more than
+    _RUN_AHEAD slices' temporaries.
 
     Returns the stack of slices in march order, u0 first, the number of
     linear solves whose iterates the march used (a discarded slice of a
@@ -517,7 +516,6 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     record = np.empty((n_time, n - 2), dtype=bool if n_cand == 2 else np.int8)
     factored = None
     step = streak = 0
-    handed = None  # a run's first slice that needs the step's own iterates
     while step < n_time:
         if streak >= _RUN_AFTER:
             ahead = min(streak, _RUN_AHEAD, n_time - step)
@@ -526,29 +524,21 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
                 v = out[j + 1]
                 v[:] = out[j]
                 v[0], v[-1] = boundary_of(j)
-                _, info = dgttrs(*lu, v, overwrite_b=1)
-                if info != 0:
-                    ahead = j + 1 - step  # the step's own checks report it
-                    break
+                if dgttrs(*lu, v, overwrite_b=1)[1] != 0:
+                    v[0] = math.nan  # not kept: the step's own solve reports it
             block = out[step + 1:step + 1 + ahead]
             v_max = np.abs(block).max(axis=1)
             fine = np.isfinite(v_max)
-            if info != 0:
-                fine[-1] = False
             n_fine = ahead if fine.all() else int(fine.argmin())
-            picks = select(block[:n_fine], v_max[:n_fine, None], sel)
-            held = (picks == sel).all(axis=1)
+            held = (select(block[:n_fine], v_max[:n_fine, None], sel) == sel).all(axis=1)
             took = n_fine if held.all() else int(held.argmin())
             record[step:step + took] = sel
             solves += took
-            max_step_solves = max(max_step_solves, min(took, 1))
             step += took
             streak += took
-            u = out[step]
             if took == ahead:
                 continue
-            handed = (out[step + 1], info if took == ahead - 1 else 0, float(v_max[took]),
-                      picks[took] if took < n_fine else None)
+            u = out[step]
         bc_lo, bc_hi = boundary_of(step)
         u_iter = u
         solves_before = solves
@@ -563,25 +553,19 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
                     raise NumericalFailure("implicit step has no finite solution", step=step,
                                            info=info, residual=math.nan, **diagnostics)
                 factored = key
-            if handed is None:
-                # gttrs overwrites only its right-hand side
-                rhs = u.copy()
-                rhs[0] = bc_lo
-                rhs[-1] = bc_hi
-                u_new, info = dgttrs(*lu, rhs, overwrite_b=1)
-                u_max = float(np.abs(u_new).max())
-                sel_new = None
-            else:
-                u_new, info, u_max, sel_new = handed
-                handed = None
+            # gttrs overwrites only its right-hand side
+            rhs = u.copy()
+            rhs[0] = bc_lo
+            rhs[-1] = bc_hi
+            u_new, info = dgttrs(*lu, rhs, overwrite_b=1)
             solves += 1
+            u_max = float(np.abs(u_new).max())
             if info != 0 or not math.isfinite(u_max):
                 raise NumericalFailure("implicit step has no finite solution", step=step,
                                        info=info, residual=float(np.abs(u_new - u_iter).max()),
                                        **diagnostics)
             record[step] = sel
-            if sel_new is None:
-                sel_new = select(u_new, u_max, sel)
+            sel_new = select(u_new, u_max, sel)
             if sel_new.tobytes() == key and it < POLICY_MAX_ITERS:
                 streak = streak + 1 if it == 1 else 0
                 break

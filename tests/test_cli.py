@@ -238,6 +238,35 @@ class TestConfigSections:
                "eta": 5.0, "n_steps": "x"}
         assert config_errors(cfg) == ["n_steps: unknown key (strict mode)"]
 
+    @pytest.mark.parametrize("cfg, error", [
+        (price_config(rate=math.nan), "rate: expected a finite number, got nan"),
+        (price_config(maturity=math.inf), "maturity: expected a finite number, got inf"),
+        (price_config(spot=math.inf), "spot: expected a finite number, got inf"),
+        (price_config(spot_domain=[20.0, math.nan]),
+         "spot_domain: expected finite [x_min, x_max], got [20.0, nan]"),
+        ({"command": "cps", "band": dict(BAND), "path_file": "unused.csv",
+          "epsilon": math.inf}, "epsilon: expected a finite number, got inf"),
+        ({"command": "simulate", "band": dict(BAND), "s0": 100.0, "horizon": math.inf,
+          "control": {"mu": 0.03, "sigma": 0.2}}, "horizon: expected a finite number, got inf"),
+    ], ids=["rate", "maturity", "spot", "spot_domain", "cps_epsilon", "simulate_horizon"])
+    def test_non_finite_number_names_its_field(self, tmp_path, capsys, monkeypatch, cfg,
+                                               error):
+        # json.dumps writes NaN and Infinity literals, which json.loads reads back
+        assert config_errors(cfg) == [error]
+
+        def refuse(config):
+            raise AssertionError("a rejected config was run")
+
+        monkeypatch.setattr(bidask.cli, "run", refuse)
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert main([cfg["command"], "--config", str(f)]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [f"  - {error}"]
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        assert config_errors(price_config(rate=10**400)) == [
+            f"rate: expected a finite number, got {10**400}"]
+
     @pytest.mark.parametrize("grid", [0, [], "", False])
     def test_falsy_grid_is_not_an_object(self, grid):
         assert config_errors(price_config(grid=grid)) == ["grid: expected an object"]

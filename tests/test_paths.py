@@ -62,6 +62,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             SampledPath(np.array([0.0, 1.0]), np.array([1.0, -2.0]), positive=True)
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf]],
+                             ids=["nan_point", "inf_end"])
+    def test_path_times_must_be_finite(self, times):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            SampledPath(np.array(times), np.ones(3))
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            PathEnsemble(np.array(times), np.ones((2, 3)))
+
+    def test_positive_path_rejects_nan(self):
+        # so a NaN never reaches the shadow path's sandwich check
+        with pytest.raises(ValueError, match="nonpositive or NaN"):
+            SampledPath(np.array([0.0, 0.5, 1.0]), np.array([1.0, math.nan, 2.0]), positive=True)
+        SampledPath(np.array([0.0, 0.5, 1.0]), np.array([1.0, math.nan, 2.0]))
+
     def test_control_levels_must_stay_in_band(self):
         with pytest.raises(ValueError, match="band"):
             ControlProcess.constant(0.05, 0.5, band=BAND)

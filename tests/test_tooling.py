@@ -77,7 +77,6 @@ BAND = bidask.UncertaintyBand(0.0, 0.05, 0.1, 0.3)
 GRID = np.linspace(0.0, 1.0, 9)
 PROBLEM = bidask.PricingProblem(bidask.ScalarFunctionSpec.call(100.0), 1.0, 0.03, BAND,
                                 (20.0, 500.0))
-FGBM = bidask.FgbmSpec(0.3, BAND, tuple(GRID))
 
 
 def const(sigma):
@@ -85,19 +84,25 @@ def const(sigma):
     return bidask.ControlProcess.constant(0.03, sigma)
 
 
-# each simulator called with (n_paths, start value, scenario volatility)
-# under BAND; the first two take no start
+def fgbm(grid):
+    return bidask.FgbmSpec(0.3, BAND, tuple(grid))
+
+
+# each simulator called with (n_paths, start value, scenario volatility,
+# time grid) under BAND; the first two take no start
 SIMULATORS = {
-    "simulate_gbm_increments": lambda n, s0, sig=0.2: bidask.simulate_gbm_increments(
-        const(sig), GRID, 1, n, band=BAND),
-    "simulate_fgbm": lambda n, s0, sig=0.2: bidask.simulate_fgbm(FGBM, sig, 1, n),
-    "simulate_asset_paths": lambda n, s0, sig=0.2: bidask.simulate_asset_paths(
-        const(sig), s0, GRID, 1, n, band=BAND),
-    "mc_ask_bid": lambda n, s0, sig=0.2: bidask.mc_ask_bid(PROBLEM, [const(sig)], GRID, 1, s0, n),
-    "estimate_tube_capacity": lambda n, s0, sig=0.2: bidask.estimate_tube_capacity(
-        bidask.SampledPath(GRID, np.full(len(GRID), s0)), 5.0, BAND, [const(sig)], 1, n),
-    "simulate_fgbm_asset": lambda n, s0, sig=0.2: bidask.simulate_fgbm_asset(
-        FGBM, 0.01, s0, sig, 1, n),
+    "simulate_gbm_increments": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_gbm_increments(
+        const(sig), grid, 1, n, band=BAND),
+    "simulate_fgbm": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_fgbm(
+        fgbm(grid), sig, 1, n),
+    "simulate_asset_paths": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_asset_paths(
+        const(sig), s0, grid, 1, n, band=BAND),
+    "mc_ask_bid": lambda n, s0, sig=0.2, grid=GRID: bidask.mc_ask_bid(
+        PROBLEM, [const(sig)], grid, 1, s0, n),
+    "estimate_tube_capacity": lambda n, s0, sig=0.2, grid=GRID: bidask.estimate_tube_capacity(
+        bidask.SampledPath(grid, np.full(len(grid), s0)), 5.0, BAND, [const(sig)], 1, n),
+    "simulate_fgbm_asset": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_fgbm_asset(
+        fgbm(grid), 0.01, s0, sig, 1, n),
 }
 
 
@@ -130,6 +135,14 @@ def test_simulator_needs_a_positive_start(name, start, no_draw):
 def test_simulator_needs_a_control_inside_its_band(name, no_draw):
     with pytest.raises(ValueError, match="band"):
         SIMULATORS[name](10, 100.0, 0.5)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf]],
+                         ids=["nan_point", "inf_end"])
+@pytest.mark.parametrize("name", list(SIMULATORS))
+def test_simulator_needs_a_finite_grid(name, grid, no_draw):
+    with pytest.raises(ValueError, match="time grid must be finite"):
+        SIMULATORS[name](10, 100.0, grid=np.array(grid))
 
 
 def test_state_feedback_rule_has_no_driving_path():
