@@ -1,12 +1,13 @@
 """Config-driven command line front end with deterministic reports.
 
-Configs are strict JSON: unknown keys are fatal, every violation is
-collected (not just the first) and each error names the path of its field,
-such as ``pricing.grid.n_space``; a NaN or Infinity, which ``json`` reads,
-fails at its field.  A null optional section (``grid``, ``scenario``,
-``asset``, ``pricing``) is the same as an absent one.  The effective
-config after defaulting is echoed into the report so any result
-is reproducible from its own output: ``parse(emit(c)) == c``.  Reports are
+Configs are strict JSON: a key is known exactly when its command's reader
+reads it and any other key is fatal; every violation is collected (not just
+the first) and each error names the path of its field, such as
+``pricing.grid.n_space``; a NaN or Infinity, which ``json`` reads, fails at
+its field.  A null optional section (``grid``, ``scenario``, ``asset``,
+``pricing``) is the same as an absent one.  The effective config after
+defaulting is echoed into the report so any result is reproducible from
+its own output: ``parse(emit(c)) == c``.  Reports are
 rendered with fixed 12-significant-digit floats and deterministic key
 order, so identical configs produce byte-identical reports; the timing
 section therefore carries deterministic work counters (grid sizes, draw
@@ -42,9 +43,6 @@ from .pde import GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair
 from .sublinear import ScalarFunctionSpec, UncertaintyBand
 
 __all__ = ["RunConfig", "Report", "parse_config", "emit_config", "run", "main"]
-
-COMMANDS = ("price", "simulate", "fgbm", "cps", "hedge", "capacity")
-
 
 class CommandFailure(RuntimeError):
     """A command failed; the message carries the command context."""
@@ -160,22 +158,32 @@ def emit_config(config: RunConfig) -> str:
 
 
 class _Reader:
-    """Walks a config dict, accumulating every violation with its path."""
+    """Walks a config dict, accumulating every violation with its path; a key
+    that no ``get`` or ``section`` asked for fails in ``reject_unread``."""
 
-    def __init__(self):
+    def __init__(self, cfg):
         self.errors = []
+        # (path prefix, object, keys asked) by id; the command is read by hand,
+        # before any reader, since it picks the readers
+        self._asked = {id(cfg): ("", cfg, {"command"})}
 
     def fail(self, path, msg):
         self.errors.append(f"{path}: {msg}")
 
-    def reject_unknown(self, d, path, known):
-        for key in d:
-            if key not in known:
-                self.fail(path + key, "unknown key (strict mode)")
+    def _ask(self, d, key):
+        if id(d) in self._asked:
+            self._asked[id(d)][2].add(key)
 
-    def section(self, cfg, key, known, *, prefix="", required=False):
-        """``cfg[key]`` checked as an object with keys in ``known``, or None
-        when absent or null (an error only when ``required``)."""
+    def reject_unread(self):
+        for prefix, d, asked in self._asked.values():
+            for key in d:
+                if key not in asked:
+                    self.fail(prefix + key, "unknown key (strict mode)")
+
+    def section(self, cfg, key, *, prefix="", required=False):
+        """``cfg[key]`` checked as an object, or None when absent or null (an
+        error only when ``required``); its keys are the ones its reader reads."""
+        self._ask(cfg, key)
         path = f"{prefix}{key}"
         d = cfg.get(key)
         if d is None and not required:
@@ -184,11 +192,12 @@ class _Reader:
             self.fail(path, "expected an object" if key in cfg else
                       "required section is missing")
             return None
-        self.reject_unknown(d, path + ".", known)
+        self._asked.setdefault(id(d), (path + ".", d, set()))
         return d
 
     def get(self, d, key, path, *, required=False, default=None, kind=None,
             check=None):
+        self._ask(d, key)
         full = path + key
         if key not in d or d[key] is None:
             if required:
@@ -247,24 +256,15 @@ def _spot_interval(v):
 
 
 def _read_band(r, cfg):
-    d = r.section(cfg, "band", {"mu_lo", "mu_hi", "sigma_lo", "sigma_hi"},
-                  required=True)
+    d = r.section(cfg, "band", required=True)
     if d is None:
         return None, {}
     echo = {key: r.get(d, key, "band.", required=True, kind=float)
             for key in ("mu_lo", "mu_hi", "sigma_lo", "sigma_hi")}
     if None in echo.values():
         return None, echo
-    mu_lo, mu_hi, sigma_lo, sigma_hi = echo.values()
-    if mu_lo > mu_hi:
-        r.fail("band.mu_lo/band.mu_hi", f"mu_lo={mu_lo:g} exceeds mu_hi={mu_hi:g}")
-        return None, echo
-    if sigma_lo > sigma_hi:
-        r.fail("band.sigma_lo/band.sigma_hi",
-               f"sigma_lo={sigma_lo:g} exceeds sigma_hi={sigma_hi:g}")
-        return None, echo
     try:
-        return UncertaintyBand(mu_lo, mu_hi, sigma_lo, sigma_hi), echo
+        return UncertaintyBand(**echo), echo
     except ValueError as e:
         r.fail("band", str(e))
         return None, echo
@@ -272,8 +272,7 @@ def _read_band(r, cfg):
 
 def _read_payoff(r, cfg, prefix=""):
     key = prefix + "payoff"
-    d = r.section(cfg, "payoff", {"kind", "strike", "exponent", "knots"},
-                  prefix=prefix, required=True)
+    d = r.section(cfg, "payoff", prefix=prefix, required=True)
     if d is None:
         return None, {}
     path = key + "."
@@ -315,7 +314,7 @@ def _read_payoff(r, cfg, prefix=""):
 
 def _read_grid(r, cfg, prefix=""):
     path = prefix + "grid."
-    d = r.section(cfg, "grid", {"n_space", "n_time", "stretching"}, prefix=prefix) or {}
+    d = r.section(cfg, "grid", prefix=prefix) or {}
     return GridSpec(
         r.get(d, "n_space", path, kind=int, default=400, check=_at_least_16),
         r.get(d, "n_time", path, kind=int, default=400, check=_at_least_16),
@@ -362,18 +361,16 @@ def _read_pricing(r, cfg, band, built, prefix="", spot=False):
 
 def _read_control(r, cfg, band):
     raw = cfg.get("control")
-    piecewise = isinstance(raw, dict) and "breakpoints" in raw
-    fields = ("breakpoints", "sigma_levels", "mu_levels") if piecewise else ("mu", "sigma")
-    d = r.section(cfg, "control", set(fields), required=True)
-    if d is None:
-        return None, {}
-    echo = {key: r.get(d, key, "control.", required=True,
-                       kind=list if piecewise else float) for key in fields}
+    if not (isinstance(raw, dict) and "breakpoints" in raw):
+        return _read_constant_control(r, cfg, "control", band, required=True)
+    d = r.section(cfg, "control", required=True)
+    echo = {key: r.get(d, key, "control.", required=True, kind=list)
+            for key in ("breakpoints", "sigma_levels", "mu_levels")}
     if None in echo.values():
         return None, echo
-    levels = echo.values() if piecewise else ([0.0], [echo["sigma"]], [echo["mu"]])
     try:
-        return ControlProcess(*(tuple(map(float, v)) for v in levels), band=band), echo
+        return ControlProcess(*(tuple(map(float, v)) for v in echo.values()),
+                              band=band), echo
     except (TypeError, ValueError) as e:
         r.fail("control", str(e))
         return None, echo
@@ -385,8 +382,7 @@ def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
     ``band``, built at parse time, and its echo (None when absent); a level
     outside the band fails at ``{prefix}{key}.sigma`` or ``{prefix}{key}.mu``.
     With an ``n_steps`` default the section also takes a step count."""
-    known = {"mu", "sigma"} if n_steps is None else {"mu", "sigma", "n_steps"}
-    d = r.section(cfg, key, known, prefix=prefix, required=required)
+    d = r.section(cfg, key, prefix=prefix, required=required)
     if d is None:
         return None, None
     path = f"{prefix}{key}."
@@ -407,20 +403,6 @@ def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
         return None, echo
 
 
-_COMMON_KEYS = {"command", "seed", "format", "output", "band"}
-
-_COMMAND_KEYS = {
-    "price": {"payoff", "maturity", "rate", "spot", "spot_domain", "grid"},
-    "simulate": {"s0", "horizon", "n_steps", "n_paths", "control", "paths_out"},
-    "fgbm": {"hurst", "sigma", "horizon", "n_steps", "n_paths", "method",
-             "asset", "paths_out"},
-    "cps": {"path_file", "epsilon", "pricing"},
-    "hedge": {"payoff", "maturity", "rate", "spot", "spot_domain", "grid",
-              "path_file", "scenario"},
-    "capacity": {"center_file", "eta", "n_paths", "controls"},
-}
-
-
 def parse_config(text: str, command: str | None = None) -> RunConfig:
     """Validate a JSON config; raises ConfigError listing every violation."""
     return _check_config(_load_config(text), command)
@@ -437,7 +419,7 @@ def _load_config(text: str) -> dict:
 
 
 def _check_config(cfg: dict, command: str | None) -> RunConfig:
-    r = _Reader()
+    r = _Reader(cfg)
     cmd = cfg.get("command", command)
     if cmd is None:
         r.fail("command", "required key is missing")
@@ -448,7 +430,6 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
     if r.errors:
         raise ConfigError(r.errors)
 
-    r.reject_unknown(cfg, "", _COMMON_KEYS | _COMMAND_KEYS[cmd])
     seed = r.get(cfg, "seed", "", kind=int, default=0,
                  check=lambda v: None if 0 <= v < 2**64 else "must fit in 64 bits")
     fmt = r.get(cfg, "format", "", kind=str, default="json",
@@ -502,7 +483,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
                        else "must be 'factorization' or 'volterra'")
         paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
         asset_echo = None
-        d = r.section(cfg, "asset", {"s0", "drift"})
+        d = r.section(cfg, "asset")
         if d is not None:
             asset_echo = {
                 "s0": r.get(d, "s0", "asset.", required=True, kind=float, check=_positive),
@@ -518,7 +499,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
     elif cmd == "cps":
         path_file = r.get(cfg, "path_file", "", required=True, kind=str)
         epsilon = r.get(cfg, "epsilon", "", required=True, kind=float, check=_positive)
-        d = r.section(cfg, "pricing", {"payoff", "maturity", "rate", "spot_domain", "grid"})
+        d = r.section(cfg, "pricing")
         pricing_echo = None if d is None else _read_pricing(r, d, band, built, "pricing.")
         eff.update({"path_file": path_file, "epsilon": epsilon,
                     "pricing": pricing_echo})
@@ -542,6 +523,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
         eff.update({"center_file": center_file, "eta": eta,
                     "n_paths": n_paths, "controls": controls_echo})
 
+    r.reject_unread()
     if r.errors:
         raise ConfigError(r.errors)
     return RunConfig(command=cmd, effective=eff, _built=built)
@@ -712,6 +694,8 @@ _RUNNERS = {
     "hedge": _run_hedge,
     "capacity": _run_capacity,
 }
+
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> Report:

@@ -239,7 +239,8 @@ def _delta_stats(source: SampledPath, shadow: SampledPath, eps: float) -> DeltaS
 @dataclass(frozen=True)
 class CpsQuote:
     """A PDE quote; ``lower``/``upper`` are the value rescaled by (1+eps)^-3
-    and (1+eps)^3, not the price of any claim (see ROADMAP item 4)."""
+    and (1+eps)^3, not the price of any claim (see the ROADMAP item "CPS
+    quotes that bracket the claim by construction")."""
 
     value: float
     lower: float
@@ -260,7 +261,8 @@ def cps_price(path: SampledPath, problem: PricingProblem, eps: float,
     Builds the eps-shadow system, prices the claim with the ask/bid PDE
     pair on the problem's band, evaluates both at (0, S~_0), and rescales
     each value by the worst-case shadow/source gap (1+eps)^±3: a rescaled
-    value, not the price of any claim (see ROADMAP item 4).
+    value, not the price of any claim (see the ROADMAP item "CPS quotes
+    that bracket the claim by construction").
     """
     if path.horizon < problem.maturity - _time_tol(problem.maturity):
         raise ValueError(

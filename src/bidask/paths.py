@@ -149,8 +149,8 @@ class ControlProcess:
         mu = np.asarray(self.mu_levels, dtype=float)
         if len(bp) == 0 or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        if np.any(np.diff(bp) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not ((np.diff(bp) > 0.0).all() and math.isfinite(bp[-1])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
         if len(sg) != len(bp) or len(mu) != len(bp):
             raise ValueError("need one sigma and one mu level per breakpoint")
         if np.any(sg < 0.0):

@@ -199,8 +199,9 @@ class PriceSurface:
             raise ValueError(f"unknown surface side {self.side!r}")
         if self.values.shape != (len(self.times), len(self.space_nodes)):
             raise ValueError("values shape does not match times x space_nodes")
-        if np.any(np.diff(self.times) <= 0) or np.any(np.diff(self.space_nodes) <= 0):
-            raise ValueError("times and space_nodes must be strictly increasing")
+        if not all(np.isfinite(x).all() and (np.diff(x) > 0.0).all()
+                   for x in (self.times, self.space_nodes)):
+            raise ValueError("times and space_nodes must be finite and strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("surface values must be finite")
         if self.selection is not None and np.shape(self.selection) != (
@@ -283,9 +284,11 @@ def _snap_nodes(w: np.ndarray, knots, to_w=float) -> list:
     """Move, in place, the interior node of ``w`` nearest each knot onto it.
 
     Knots are taken in increasing order, each onto a node right of the
-    last one moved; a move that would break monotonicity is skipped.
-    Returns the (node index, knot) pairs that were moved.
+    last one moved; a move that would leave a spacing of 1e-8 of the
+    uniform step or less (round-off, or a break in monotonicity) is
+    skipped.  Returns the (node index, knot) pairs that were moved.
     """
+    tol = 1e-8 * (w[-1] - w[0]) / (len(w) - 1)
     last = 0
     snapped = []
     for knot in sorted(set(knots)):
@@ -294,7 +297,7 @@ def _snap_nodes(w: np.ndarray, knots, to_w=float) -> list:
         j = min(max(j, last + 1), len(w) - 2)
         old = w[j]
         w[j] = wk
-        if w[j] <= w[j - 1] or w[j] >= w[j + 1]:
+        if w[j] - w[j - 1] <= tol or w[j + 1] - w[j] <= tol:
             w[j] = old
             continue
         snapped.append((j, knot))

@@ -88,7 +88,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(cfg))
         assert exc.value.errors == [
-            "control: sigma levels (0.5,) leave the band [0.1, 0.3]"]
+            "control.sigma: sigma levels (0.5,) leave the band [0.1, 0.3]"]
 
     def test_negative_pricing_payoff_names_its_field(self):
         cfg = {
@@ -110,7 +110,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("pricing, fields", [
         ({"payoff": {"kind": "call"}}, ["pricing.payoff.strike"]),
         ({"grid": {"n_space": 8, "bogus": 1}},
-         ["pricing.grid.bogus", "pricing.grid.n_space"]),
+         ["pricing.grid.n_space", "pricing.grid.bogus"]),
         ({"spot_domain": ["a", 1]}, ["pricing.spot_domain"]),
         ({"spot_domain": [True, 500.0]}, ["pricing.spot_domain"]),
     ])
@@ -267,11 +267,63 @@ class TestConfigSections:
         assert config_errors(price_config(rate=10**400)) == [
             f"rate: expected a finite number, got {10**400}"]
 
+    def test_nan_breakpoint_fails_at_the_control(self):
+        cfg = {"command": "simulate", "band": dict(BAND), "s0": 100.0, "horizon": 1.0,
+               "control": {"breakpoints": [0.0, math.nan], "sigma_levels": [0.1, 0.3],
+                           "mu_levels": [0.01, 0.05]}}
+        assert config_errors(cfg) == [
+            "control: breakpoints must be finite and strictly increasing"]
+
     @pytest.mark.parametrize("grid", [0, [], "", False])
     def test_falsy_grid_is_not_an_object(self, grid):
         assert config_errors(price_config(grid=grid)) == ["grid: expected an object"]
         assert config_errors(cps_pricing_config(grid=grid)) == [
             "pricing.grid: expected an object"]
+
+
+GRID = {"n_space": 64, "n_time": 64, "stretching": "uniform_price"}
+
+# one valid config of each shape, every optional section present
+STRICT_SHAPES = {
+    "price": price_config(grid=dict(GRID)),
+    "hedge": hedge_config(grid=dict(GRID)),
+    "simulate": {"command": "simulate", "band": dict(BAND), "s0": 100.0,
+                 "horizon": 1.0, "control": {"mu": 0.03, "sigma": 0.2}},
+    "simulate_piecewise": {"command": "simulate", "band": dict(BAND), "s0": 100.0,
+                           "horizon": 1.0,
+                           "control": {"breakpoints": [0.0, 0.5],
+                                       "sigma_levels": [0.1, 0.3],
+                                       "mu_levels": [0.01, 0.05]}},
+    "fgbm_asset": {"command": "fgbm", "band": dict(BAND), "hurst": 0.7, "sigma": 0.2,
+                   "horizon": 1.0, "asset": {"s0": 100.0, "drift": 0.02}},
+    "cps_pricing": cps_pricing_config(grid=dict(GRID)),
+    "capacity_controls": {"command": "capacity", "band": dict(BAND),
+                          "center_file": "c.csv", "eta": 5.0,
+                          "controls": [{"mu": 0.02, "sigma": 0.1},
+                                       {"mu": 0.04, "sigma": 0.3}]},
+}
+
+
+def _objects(obj, path=""):
+    """Every object nested in ``obj`` (itself first) by its key path prefix."""
+    if isinstance(obj, dict):
+        yield path, obj
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _objects(value, f"{path}{key}.")
+
+
+@pytest.mark.parametrize("shape, path", [
+    pytest.param(shape, path, id=f"{shape}:{path or '.'}")
+    for shape, cfg in STRICT_SHAPES.items() for path, _ in _objects(cfg)])
+def test_unread_key_fails_at_its_full_path(shape, path):
+    # a key is known exactly when the command's reader reads it, at every level
+    cfg = json.loads(json.dumps(STRICT_SHAPES[shape]))
+    parse_config(json.dumps(cfg))
+    dict(_objects(cfg))[path]["bogus"] = 1
+    assert config_errors(cfg) == [f"{path}bogus: unknown key (strict mode)"]
 
 
 def _optional(key, values):

@@ -86,6 +86,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             ControlProcess((0.5,), (0.2,), (0.05,))
 
+    def test_control_breakpoints_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            ControlProcess((0.0, math.nan), (0.2, 0.3), (0.0, 0.0))
+
     def test_control_lookup(self):
         c = ControlProcess((0.0, 0.5), (0.1, 0.3), (0.02, 0.04))
         assert c.sigma_at(0.25) == 0.1

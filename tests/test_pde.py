@@ -20,6 +20,7 @@ from bidask import (
     ScalarFunctionSpec,
     UncertaintyBand,
     black_scholes_closed_form,
+    g_normal_expectation,
     solve_bsb_ask,
     solve_bsb_bid,
     solve_bsb_pair,
@@ -136,6 +137,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             PriceSurface(np.array([0.0, 1.0]), np.array([1.0, 2.0]),
                          np.zeros((3, 2)), "ask")
+
+    @pytest.mark.parametrize("times, nodes", [([0.0, math.nan, 1.0], [1.0, 2.0]),
+                                              ([0.0, 0.5, 1.0], [1.0, math.nan])],
+                             ids=["nan_time", "nan_node"])
+    def test_surface_grids_must_be_finite(self, times, nodes):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            PriceSurface(np.array(times), np.array(nodes), np.zeros((3, 2)), "ask")
 
 
 class TestBlackScholesReduction:
@@ -793,11 +801,21 @@ class TestMarchProperty:
     @given(phi=heat_payoffs(), band=sigma_bands(st.floats(-0.05, 0.0), st.floats(0.01, 0.08)),
            horizon=st.floats(0.25, 2.0), grid=MARCH_GRIDS)
     def test_g_heat_under_a_drift_band(self, phi, band, horizon, grid):
-        # a kink within round-off of the origin node leaves a spacing whose
-        # rows overflow: the outcome is then the same NumericalFailure
-        with np.errstate(all="ignore"):
-            assert_march_is_per_step(pytest.MonkeyPatch,
-                                     lambda: solve_g_heat(phi, band, horizon, grid))
+        assert_march_is_per_step(pytest.MonkeyPatch,
+                                 lambda: solve_g_heat(phi, band, horizon, grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=criterion3_problems(), grid=MARCH_GRIDS)
+def test_pair_dominates_and_is_monotone_in_the_band(problem, grid):
+    # criterion 3's invariants at every node, on both stretchings: the ask
+    # is above the bid, and widening the band raises the ask and lowers the bid
+    ask, bid = solve_bsb_pair(problem, grid)
+    ask_w, bid_w = solve_bsb_pair(replace(problem, band=widened(problem.band)), grid)
+    tol = 1e-9 * max(1.0, float(np.abs(ask.values).max()))
+    assert np.all(ask.values - bid.values >= -tol)
+    assert np.all(ask_w.values - ask.values >= -tol)
+    assert np.all(bid_w.values - bid.values <= tol)
 
 
 class TestFactorizations:
@@ -1013,6 +1031,16 @@ class TestGHeat:
         band = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
         with pytest.raises(ValueError):
             solve_g_heat(ScalarFunctionSpec.identity(), band, -1.0, GridSpec(64, 64))
+
+    def test_kink_within_round_off_of_the_origin_keeps_the_grid(self):
+        # the origin keeps its node, and the kink is not pushed onto the next
+        # node 6.2e-82 away, where the rows would overflow
+        band = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
+        phi = ScalarFunctionSpec.call(6.2e-82)
+        surf = solve_g_heat(phi, band, 1.0, GridSpec(400, 400))
+        assert np.all(np.diff(surf.space_nodes) > 0.5 * np.diff(surf.space_nodes).max())
+        assert g_normal_expectation(phi, band, 1.0) == pytest.approx(
+            0.3 / math.sqrt(2.0 * math.pi), abs=2e-3)
 
 
 class TestSurfaceLookup:
