@@ -418,6 +418,13 @@ def _load_config(text: str) -> dict:
     return cfg
 
 
+def _read_sampling(r, cfg) -> dict:
+    """The sampler keys ``simulate`` and ``fgbm`` share, in echo order."""
+    return {"horizon": r.get(cfg, "horizon", "", required=True, kind=float, check=_positive),
+            "n_steps": r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least_one),
+            "n_paths": r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least_one)}
+
+
 def _check_config(cfg: dict, command: str | None) -> RunConfig:
     r = _Reader(cfg)
     cmd = cfg.get("command", command)
@@ -455,13 +462,10 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
 
     elif cmd == "simulate":
         s0 = r.get(cfg, "s0", "", required=True, kind=float, check=_positive)
-        horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=_positive)
-        n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least_one)
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least_one)
+        sampling = _read_sampling(r, cfg)
         built["control"], control_echo = _read_control(r, cfg, band)
         paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
-        eff.update({"s0": s0, "horizon": horizon, "n_steps": n_steps,
-                    "n_paths": n_paths, "control": control_echo,
+        eff.update({"s0": s0, **sampling, "control": control_echo,
                     "paths_out": paths_out})
 
     elif cmd == "fgbm":
@@ -475,9 +479,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
         hurst = r.get(cfg, "hurst", "", required=True, kind=float,
                       check=lambda v: None if 0 < v < 1 else "must lie in (0, 1)")
         sigma = r.get(cfg, "sigma", "", required=True, kind=float, check=in_band)
-        horizon = r.get(cfg, "horizon", "", required=True, kind=float, check=_positive)
-        n_steps = r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least_one)
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least_one)
+        sampling = _read_sampling(r, cfg)
         method = r.get(cfg, "method", "", kind=str, default="factorization",
                        check=lambda v: None if v in ("factorization", "volterra")
                        else "must be 'factorization' or 'volterra'")
@@ -492,8 +494,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
             if method == "volterra":
                 r.fail("method", "asset paths are sampled exactly; "
                        "'volterra' cannot drive them")
-        eff.update({"hurst": hurst, "sigma": sigma, "horizon": horizon,
-                    "n_steps": n_steps, "n_paths": n_paths, "method": method,
+        eff.update({"hurst": hurst, "sigma": sigma, **sampling, "method": method,
                     "asset": asset_echo, "paths_out": paths_out})
 
     elif cmd == "cps":
@@ -575,12 +576,7 @@ def _run_simulate(eff, built):
         "terminal_min": float(terminal.min()),
         "terminal_max": float(terminal.max()),
     }
-    if eff["paths_out"]:
-        write_ensemble_file(paths, eff["paths_out"])
-        outputs["paths_out"] = eff["paths_out"]
-    timing = {"rng_normal_draws": eff["n_paths"] * eff["n_steps"],
-              "time_steps": eff["n_steps"]}
-    return outputs, timing
+    return _sampler_tail(eff, paths, outputs, eff["n_steps"])
 
 
 def _run_fgbm(eff, built):
@@ -600,12 +596,16 @@ def _run_fgbm(eff, built):
         "terminal_mean": float(terminal.mean()),
         "terminal_var": float(terminal.var(ddof=1)) if len(paths) > 1 else 0.0,
     }
+    return _sampler_tail(eff, paths, outputs, _normals_per_path(grid, method))
+
+
+def _sampler_tail(eff, paths, outputs, draws_per_path):
+    """A sampler's outputs and timing, after writing ``paths_out`` if set."""
     if eff["paths_out"]:
         write_ensemble_file(paths, eff["paths_out"])
         outputs["paths_out"] = eff["paths_out"]
-    timing = {"rng_normal_draws": eff["n_paths"] * _normals_per_path(grid, method),
-              "time_steps": eff["n_steps"]}
-    return outputs, timing
+    return outputs, {"rng_normal_draws": eff["n_paths"] * draws_per_path,
+                     "time_steps": eff["n_steps"]}
 
 
 def _crossing_rows(cps):

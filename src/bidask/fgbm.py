@@ -17,8 +17,8 @@ covariance envelopes.  Two sampling methods are exposed:
 * discrete Volterra synthesis (``volterra``): B_H(t_i) ~= sum_j K_H(t_i,
   s_j*) dB_j with the square-integrable kernel K_H evaluated at increment
   midpoints, which also powers conditional means given the driving noise.
-  The kernel is in closed form: an incomplete Beta function for H < 1/2, a
-  Gauss hypergeometric function for H > 1/2.
+  The kernel is in closed form, one Gauss hypergeometric function for
+  every H.
 
 Every grid starts at 0, where the noise is 0.  Nothing is cached between
 calls: each call builds its eigenvalues, factor or kernel matrix afresh.
@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.special import beta as _beta
-from scipy.special import betainc as _betainc
 from scipy.special import hyp2f1 as _hyp2f1
 
 from .errors import NumericalFailure
-from .paths import PathEnsemble, SampledPath, _as_grid, _check_start, _draw_normals
+from .paths import (PathEnsemble, SampledPath, _as_grid, _check_start, _draw_normals,
+                    _time_tol)
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -78,8 +77,8 @@ def fgbm_covariance(s: float, t: float, H: float, band: UncertaintyBand):
         raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(s < 0.0) or np.any(t < 0.0):
-        raise ValueError("covariance times must be nonnegative")
+    if not np.all((0.0 <= s) & (s < np.inf) & (0.0 <= t) & (t < np.inf)):
+        raise ValueError("covariance times must be finite and nonnegative")
     base = 0.5 * (np.abs(t) ** (2 * H) + np.abs(s) ** (2 * H) - np.abs(t - s) ** (2 * H))
     upper = band.sigma_hi**2 * base
     lower = band.sigma_lo**2 * base
@@ -90,7 +89,8 @@ def fgbm_covariance(s: float, t: float, H: float, band: UncertaintyBand):
 
 def moving_avg_constant(H: float) -> float:
     """Normalisation of the moving-average representation of the noise:
-    sqrt(2H sin(pi H) Gamma(2H)) / Gamma(H + 1/2).  Equals 1 at H = 1/2."""
+    sqrt(2H sin(pi H) Gamma(2H)) / Gamma(H + 1/2), which is also the
+    constant c_H of ``volterra_kernel``.  Equals 1 at H = 1/2."""
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
     num = math.sqrt(2.0 * H * math.sin(math.pi * H) * math.gamma(2.0 * H))
@@ -103,48 +103,25 @@ def moving_avg_constant(H: float) -> float:
 
 
 def _kernel(t, s, H: float) -> np.ndarray:
-    """K_H(t, s) elementwise over broadcast arrays with 0 < s < t (unchecked).
-
-    Both branches are closed forms of the integral in the kernel's
-    definition.  For H > 1/2, Euler's integral gives
-    int_s^t (u-s)^(H-3/2) u^(H-1/2) du
-      = (t-s)^(H-1/2) s^(H-1/2) 2F1(1/2-H, H-1/2; H+1/2; -(t-s)/s) / (H-1/2).
-    For H < 1/2 the integral reduces (substituting u -> s/v) to an
-    incomplete Beta tail.
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if H == 0.5:
-        return np.ones(np.broadcast(t, s).shape)
-    if H > 0.5:
-        c = math.sqrt(H * (2.0 * H - 1.0) / _beta(2.0 - 2.0 * H, H - 0.5))
-        hyp = _hyp2f1(0.5 - H, H - 0.5, H + 0.5, -(t - s) / s)
-        return c * (t - s) ** (H - 0.5) * hyp / (H - 0.5)
-
-    c = math.sqrt(2.0 * H / ((1.0 - 2.0 * H) * _beta(1.0 - 2.0 * H, H + 0.5)))
-    # int_s^t u^(H-3/2) (u-s)^(H-1/2) du == s^(2H-1) B(1-2H, H+1/2)
-    #   * I_{(t-s)/t}(H+1/2, 1-2H)   (regularised incomplete Beta,
-    # complementary argument form to stay accurate as s -> t)
-    a, b = 1.0 - 2.0 * H, H + 0.5
-    integral = s ** (2.0 * H - 1.0) * _beta(a, b) * _betainc(b, a, (t - s) / t)
-    direct = (t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
-    return c * (direct - (H - 0.5) * s ** (0.5 - H) * integral)
+    """K_H(t, s) elementwise over broadcast arrays with 0 < s < t (unchecked):
+    the Molchan-Golosov form c_H (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s),
+    c_H = moving_avg_constant(H), for every H in (0, 1); exactly 1 at H = 1/2."""
+    return moving_avg_constant(H) * (t - s) ** (H - 0.5) \
+        * _hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
 
 
 def volterra_kernel(t: float, s: float, H: float) -> float:
     """Square-integrable kernel writing the fractional noise as an integral
     against ordinary driving noise: B_H(t) = int_0^t K_H(t, s) dB_s.
 
-    Two closed-form branches split at H = 1/2: an incomplete Beta tail for
-    H < 1/2 and a Gauss hypergeometric function for H > 1/2, so nothing is
-    integrated numerically.  H = 1/2 itself is the identity kernel (the
-    second-branch constant is singular there, and the driving noise is
-    already the process).
+    One Gauss hypergeometric closed form for every Hurst index, so nothing
+    is integrated numerically; at H = 1/2 it is the identity, the driving
+    noise being already the process.  Needs 0 < s < t < inf.
     """
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
-    if not (0.0 < s < t):
-        raise ValueError(f"kernel needs 0 < s < t, got s={s!r}, t={t!r}")
+    if not (0.0 < s < t < math.inf):
+        raise ValueError(f"kernel needs 0 < s < t < inf, got s={s!r}, t={t!r}")
     return float(_kernel(t, s, H))
 
 
@@ -316,11 +293,15 @@ def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
 def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
                           H: float) -> float:
     """Best forecast of the fractional noise at t given driving noise to v:
-    the discrete Volterra sum over increments contained in [0, v]."""
+    the discrete Volterra sum over increments contained in [0, v].  Needs
+    finite 0 <= v <= t, with v no later than the driving path's end."""
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
-    if v < 0.0 or v > t + 1e-12:
-        raise ValueError(f"need 0 <= v <= t, got v={v!r}, t={t!r}")
+    if not (0.0 <= v <= t + 1e-12 and t < math.inf):
+        raise ValueError(f"need finite 0 <= v <= t, got v={v!r}, t={t!r}")
+    end = driving_increments.horizon
+    if v > end + _time_tol(end):
+        raise ValueError(f"v={v!r} lies past the driving path's end {end!r}")
     if v == 0.0:
         return 0.0
     times = driving_increments.times

@@ -47,6 +47,23 @@ def quadrature_kernel(t, s, H):
     return c * s ** (0.5 - H) * val
 
 
+def quadrature_kernel_below_half(t, s, H):
+    """Oracle for H < 1/2: c [(t/s)^(H-1/2) (t-s)^(H-1/2)
+    - (H-1/2) s^(1/2-H) int_s^t u^(H-3/2) (u-s)^(H-1/2) du] by adaptive
+    quadrature after u = s + (t-s) w^2, split where u = 2s."""
+    c = math.sqrt(2.0 * H / ((1.0 - 2.0 * H) * beta(1.0 - 2.0 * H, H + 0.5)))
+
+    def f(w):
+        return 2.0 * (t - s) ** (H + 0.5) * w ** (2.0 * H) \
+            * (s + (t - s) * w * w) ** (H - 1.5)
+
+    split = math.sqrt(s / (t - s))
+    val, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200,
+                  points=[split] if split < 1.0 else None)
+    direct = (t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
+    return c * (direct - (H - 0.5) * s ** (0.5 - H) * val)
+
+
 class TestCovariance:
     def test_diagonal(self):
         up, lo = fgbm_covariance(0.7, 0.7, 0.4, BAND)
@@ -76,6 +93,10 @@ class TestCovariance:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             fgbm_covariance(-0.1, 1.0, 0.7, BAND)
+        # times that are not finite
+        for s, t in ((math.nan, 1.0), (0.5, math.inf), (np.array([0.5, math.nan]), 1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fgbm_covariance(s, t, 0.7, BAND)
 
     def test_rejects_bad_hurst(self):
         with pytest.raises(ValueError):
@@ -140,6 +161,16 @@ class TestVolterraKernel:
                 assert volterra_kernel(t, s, H) == pytest.approx(
                     quadrature_kernel(t, s, H), rel=1e-9)
 
+    @pytest.mark.parametrize("H", [0.05, 0.3, 0.45, 0.499])
+    def test_closed_form_matches_quadrature_below_half(self, H):
+        # s/t = 1e-12 only where quad converges (not at H <= 0.3)
+        fracs = (1e-8, 1e-4, 0.25, 0.5, 0.9, 1.0 - 1e-6) + ((1e-12,) if H > 0.3 else ())
+        for t in (1.0, 0.3):
+            for frac in fracs:
+                s = frac * t
+                assert volterra_kernel(t, s, H) == pytest.approx(
+                    quadrature_kernel_below_half(t, s, H), rel=1e-9)
+
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
     def test_matrix_matches_scalar_kernel(self, H):
         grid = np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.1, 12))))
@@ -157,6 +188,10 @@ class TestVolterraKernel:
             volterra_kernel(0.5, 0.7, 0.7)
         with pytest.raises(ValueError):
             volterra_kernel(1.0, 0.5, 0.0)
+        for t, s, H in ((math.inf, 0.5, 0.7), (math.inf, 0.5, 0.3),
+                        (math.nan, 0.5, 0.7), (1.0, math.nan, 0.3)):
+            with pytest.raises(ValueError):
+                volterra_kernel(t, s, H)
 
 
 class TestSpecValidation:
@@ -382,6 +417,11 @@ class TestConditionalMean:
         drv = SampledPath(grid, np.zeros_like(grid))
         with pytest.raises(ValueError):
             fgbm_conditional_mean(drv, 0.9, 0.5, 0.7)
+        # v past the driving path's end, and dates that are not finite
+        short = SampledPath(grid[:9], np.zeros(9))
+        for v, t in ((0.9, 1.0), (0.3, math.nan), (math.nan, 1.0), (0.3, math.inf)):
+            with pytest.raises(ValueError):
+                fgbm_conditional_mean(short, v, t, 0.7)
 
 
 class TestFractionalAsset:
