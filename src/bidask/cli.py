@@ -4,12 +4,12 @@ Configs are strict JSON: a key is known exactly when its command's reader
 reads it and any other key is fatal; every violation is collected (not just
 the first) and each error names the path of its field, such as
 ``pricing.grid.n_space``; a NaN or Infinity, which ``json`` reads, fails at
-its field.  A null optional section (``grid``, ``scenario``, ``asset``,
-``pricing``) is the same as an absent one.  The effective config after
-defaulting is echoed into the report so any result is reproducible from
-its own output: ``parse(emit(c)) == c``.  Reports are
-rendered with fixed 12-significant-digit floats and deterministic key
-order, so identical configs produce byte-identical reports; the timing
+its field, and a control's mu and sigma outside the band fail at both.  A
+null optional section (``grid``, ``scenario``, ``asset``, ``pricing``) is
+the same as an absent one.  The effective config after defaulting is
+echoed into the report so any result is reproducible from its own output:
+``parse(emit(c)) == c``.  Reports are rendered with fixed
+12-significant-digit floats and deterministic key order, so identical configs produce byte-identical reports; the timing
 section therefore carries deterministic work counters (grid sizes, draw
 counts, the linear solves of each PDE march), not wall clocks.
 """
@@ -248,6 +248,17 @@ def _finite(x) -> bool:
         return False
 
 
+def _in_band(band, level):
+    """The ``check`` of a ``level`` ("mu" or "sigma") read under ``band``: a
+    sigma is nonnegative, and a level obeys the band rule once the band is
+    built."""
+    def check(v):
+        if level == "sigma" and v < 0:
+            return "must be nonnegative"
+        return None if band is None else band.violation(**{level: v})
+    return check
+
+
 def _spot_interval(v):
     if len(v) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            and _finite(x) for x in v):
@@ -379,28 +390,22 @@ def _read_control(r, cfg, band):
 def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
                            n_steps=None):
     """The {mu, sigma} section ``cfg[key]`` as a constant control inside
-    ``band``, built at parse time, and its echo (None when absent); a level
-    outside the band fails at ``{prefix}{key}.sigma`` or ``{prefix}{key}.mu``.
-    With an ``n_steps`` default the section also takes a step count."""
+    ``band``, built at parse time, and its echo (None when absent); each
+    level outside the band fails at its own field, ``{prefix}{key}.mu`` or
+    ``{prefix}{key}.sigma``.  With an ``n_steps`` default the section also
+    takes a step count."""
     d = r.section(cfg, key, prefix=prefix, required=required)
     if d is None:
         return None, None
     path = f"{prefix}{key}."
-    mu = r.get(d, "mu", path, required=True, kind=float)
-    sigma = r.get(d, "sigma", path, required=True, kind=float)
-    echo = {"mu": mu, "sigma": sigma}
+    echo = {level: r.get(d, level, path, required=True, kind=float,
+                         check=_in_band(band, level)) for level in ("mu", "sigma")}
     if n_steps is not None:
         echo["n_steps"] = r.get(d, "n_steps", path, kind=int, default=n_steps,
                                 check=_at_least_one)
-    if band is None or None in (mu, sigma):
+    if band is None or None in (echo["mu"], echo["sigma"]):
         return None, echo
-    try:
-        return ControlProcess.constant(mu, sigma, band=band), echo
-    except ValueError as e:
-        # ControlProcess checks sigma before mu
-        bad_sigma = sigma < 0.0 or not band.contains_sigma(sigma)
-        r.fail(path + ("sigma" if bad_sigma else "mu"), str(e))
-        return None, echo
+    return ControlProcess.constant(echo["mu"], echo["sigma"], band=band), echo
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
@@ -469,16 +474,10 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
                     "paths_out": paths_out})
 
     elif cmd == "fgbm":
-        def in_band(v):
-            if v < 0:
-                return "must be nonnegative"
-            if band is not None and not band.contains_sigma(v):
-                return f"{v:g} is outside the band [{band.sigma_lo:g}, {band.sigma_hi:g}]"
-            return None
-
         hurst = r.get(cfg, "hurst", "", required=True, kind=float,
                       check=lambda v: None if 0 < v < 1 else "must lie in (0, 1)")
-        sigma = r.get(cfg, "sigma", "", required=True, kind=float, check=in_band)
+        sigma = r.get(cfg, "sigma", "", required=True, kind=float,
+                      check=_in_band(band, "sigma"))
         sampling = _read_sampling(r, cfg)
         method = r.get(cfg, "method", "", kind=str, default="factorization",
                        check=lambda v: None if v in ("factorization", "volterra")

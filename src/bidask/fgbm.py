@@ -171,15 +171,12 @@ def _unit_cholesky(times: np.ndarray, H: float) -> np.ndarray:
 
 def _scenario_sigma(sigma, band: UncertaintyBand) -> float:
     s = np.asarray(sigma, dtype=float)
-    if s.ndim > 0:
-        if np.ptp(s) != 0.0:
-            raise ValueError("only constant-volatility scenarios are supported "
-                             "for fractional simulation")
-        s = s.flat[0]
-    s = float(s)
-    if not band.contains_sigma(s):
-        raise ValueError(f"sigma={s} outside the band [{band.sigma_lo}, {band.sigma_hi}]")
-    return s
+    if s.ndim > 0 and np.ptp(s) != 0.0:
+        raise ValueError("only constant-volatility scenarios are supported "
+                         "for fractional simulation")
+    if msg := band.violation(sigma=s):
+        raise ValueError(msg)
+    return float(s.flat[0])
 
 
 def _uniform_step(grid: np.ndarray) -> float | None:

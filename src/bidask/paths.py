@@ -75,15 +75,10 @@ __all__ = [
 
 def _checked_path(times, values, positive: bool, ndim: int):
     """Float times and values of one path (ndim 1) or one per row (ndim 2)."""
-    times = np.asarray(times, dtype=float)
+    times = _as_grid(times, min_points=1)
     values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or values.ndim != ndim or values.shape[-1] != len(times):
-        raise ValueError(f"times must be 1-d and values {ndim}-d, one value per time")
-    if len(times) < 1 or times[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    # a NaN fails every comparison, and an increasing grid is finite where its end is
-    if not ((np.diff(times) > 0.0).all() and math.isfinite(times[-1])):
-        raise ValueError("time grid must be finite and strictly increasing")
+    if values.ndim != ndim or values.shape[-1] != len(times):
+        raise ValueError(f"values must be {ndim}-d, one value per time")
     if positive and not (values > 0.0).all():
         raise ValueError("positive path has nonpositive or NaN values")
     return times, values
@@ -144,24 +139,15 @@ class ControlProcess:
     label: str | None = None
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
+        bp = _as_grid(self.breakpoints, "breakpoints", min_points=1)
         sg = np.asarray(self.sigma_levels, dtype=float)
         mu = np.asarray(self.mu_levels, dtype=float)
-        if len(bp) == 0 or bp[0] != 0.0:
-            raise ValueError("breakpoints must start at 0")
-        if not ((np.diff(bp) > 0.0).all() and math.isfinite(bp[-1])):
-            raise ValueError("breakpoints must be finite and strictly increasing")
         if len(sg) != len(bp) or len(mu) != len(bp):
             raise ValueError("need one sigma and one mu level per breakpoint")
         if np.any(sg < 0.0):
             raise ValueError("sigma levels must be nonnegative")
-        if self.band is not None:
-            if not self.band.contains_sigma(sg):
-                raise ValueError(f"sigma levels {self.sigma_levels} leave the band "
-                                 f"[{self.band.sigma_lo}, {self.band.sigma_hi}]")
-            if not self.band.contains_mu(mu):
-                raise ValueError(f"mu levels {self.mu_levels} leave the band "
-                                 f"[{self.band.mu_lo}, {self.band.mu_hi}]")
+        if self.band is not None and (msg := self.band.violation(sigma=sg, mu=mu)):
+            raise ValueError(msg)
 
     @classmethod
     def constant(cls, mu: float, sigma: float,
@@ -333,12 +319,18 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_grid(grid) -> np.ndarray:
+def _as_grid(grid, name: str = "time grid", min_points: int = 2) -> np.ndarray:
+    """``grid`` as a float array, checked as a time grid: 1-d with at least
+    ``min_points`` times, starting at 0, finite and strictly increasing.
+    The one check of a time grid; its errors call the grid ``name``."""
     g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or len(g) < min_points:
+        raise ValueError(f"{name} must be 1-d with at least {min_points} time(s)")
+    if g[0] != 0.0:
+        raise ValueError(f"{name} must start at 0")
     # a NaN fails every comparison; an increasing grid is finite where its end is
-    if (g.ndim != 1 or len(g) < 2 or g[0] != 0.0 or not (np.diff(g) > 0.0).all()
-            or not math.isfinite(g[-1])):
-        raise ValueError("time grid must be finite, strictly increasing and start at 0")
+    if not ((np.diff(g) > 0.0).all() and math.isfinite(g[-1])):
+        raise ValueError(f"{name} must be finite and strictly increasing")
     return g
 
 
@@ -362,19 +354,16 @@ def _check_scenarios(S0: float, controls, grid: np.ndarray,
 
 def _check_control(control: ControlProcess | BangBangRule, grid: np.ndarray,
                    band: UncertaintyBand | None) -> None:
-    """Reject levels outside the band a control runs under (a
-    ControlProcess without one: its own) and breakpoints off the grid.  A
-    BangBangRule's levels are its sigma table and its drift."""
+    """Reject levels outside the band a control runs under, if any (a
+    ControlProcess's own band was checked when it was built), and
+    breakpoints off the grid.  A BangBangRule's levels are its sigma table
+    and its drift."""
     if isinstance(control, BangBangRule):
         sigma, mu, breakpoints = control.sigma_table, control.mu_value, ()
     else:
-        band = band if band is not None else control.band
         sigma, mu, breakpoints = control.sigma_levels, control.mu_levels, control.breakpoints[1:]
-    if band is not None:
-        if not band.contains_sigma(sigma):
-            raise ValueError("control sigma levels leave the uncertainty band")
-        if not band.contains_mu(mu):
-            raise ValueError("control mu levels leave the uncertainty band")
+    if band is not None and (msg := band.violation(sigma=sigma, mu=mu)):
+        raise ValueError(msg)
     horizon = grid[-1]
     for b in breakpoints:
         if b < horizon and np.min(np.abs(grid - b)) > _time_tol(horizon):

@@ -414,12 +414,13 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     round-off bound 32 eps max_k sum|L_k| |v|_inf, the row sums taken once
     per march.  So candidates that tie up to round-off keep the selection.
     With two candidates a pick is the sign of one product, on the
-    difference of their rows.  The first pick, on the initial slice, starts
-    from candidate 0; a node is decided there when one candidate beats every
-    other by more than the bound, and a tied node takes the pick of the
-    nearest decided node where that pick is one of its ties (every node
-    keeps candidate 0 when none is decided).  So a claim linear in its
-    wings starts at the pick of its kinks, not at a round-off one.
+    difference of their rows.  The first pick, on the initial slice, is one
+    rule for any number of candidates: it starts from candidate 0; a node
+    is decided there when one candidate beats every other by more than the
+    bound, and a tied node takes the pick of the nearest decided node where
+    that pick is one of its ties (every node keeps candidate 0 when none is
+    decided).  So a claim linear in its wings starts at the pick of its
+    kinks, not at a round-off one.
 
     After each solve the pick comes first.  A pick that repeats the
     selection ends the step: the iterate already solves it, so it is the
@@ -474,6 +475,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     # a tie bound per unit of |v|_inf
     tie = 32.0 * np.finfo(float).eps * float(np.abs(rows).sum(axis=0).max())
 
+    cols = np.arange(n - 2)
     if n_cand == 2:
         diff = rows[:, 1] - rows[:, 0]
 
@@ -481,17 +483,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
             g = diff[0] * v[..., :-2] + diff[1] * v[..., 1:-1] + diff[2] * v[..., 2:]
             bound = tie * v_max
             return (g > bound) | (sel & (g >= -bound))
-
-        def first_pick(v, v_max):
-            g = diff[0] * v[:-2] + diff[1] * v[1:-1] + diff[2] * v[2:]
-            bound = tie * v_max
-            pick = g > bound
-            near = _nearest_decided(np.abs(g) > bound)
-            # at a tie either candidate is within round-off of the other
-            return pick if near is None else pick[near]
     else:
-        cols = np.arange(n - 2)
-
         def select(v, v_max, sel):
             # candidates on the second-to-last axis, below any stacking axis
             v = v[..., None, :]
@@ -502,19 +494,21 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
                                        axis=-2)[..., 0, :]
             return np.where(g_best - g_sel > tie * v_max, best, sel)
 
-        def first_pick(v, v_max):
-            g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
-            best = g.argmax(axis=0)
-            tied = g[best, cols] - g <= tie * v_max  # within round-off of the best
-            sel = np.where(tied[0], 0, best)
-            near = _nearest_decided(tied.sum(axis=0) == 1)
-            if near is None:
-                return sel
-            # a tied node takes the nearest decided pick where that is one of its ties
-            pick = sel[near]
-            return np.where(tied[pick, cols], pick, sel)
+    def first_pick(v, v_max):
+        g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
+        best = g.argmax(axis=0)
+        tied = g[best, cols] - g <= tie * v_max  # within round-off of the best
+        sel = np.where(tied[0], 0, best)
+        near = _nearest_decided(tied.sum(axis=0) == 1)
+        if near is None:
+            return sel
+        # a tied node takes the nearest decided pick where that is one of its ties
+        pick = sel[near]
+        return np.where(tied[pick, cols], pick, sel)
 
     sel = first_pick(u, float(np.abs(u).max()))
+    if n_cand == 2:
+        sel = sel.astype(bool)  # the two-candidate select works on bools
     # the selection that gave each step's value, one byte per node
     record = np.empty((n_time, n - 2), dtype=bool if n_cand == 2 else np.int8)
     factored = None

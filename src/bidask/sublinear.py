@@ -40,6 +40,7 @@ class UncertaintyBand:
 
     Volatilities are nonnegative with sigma_hi > 0; an all-zero volatility
     band is rejected because every pricing object here degenerates with it.
+    ``violation`` is the one rule for whether levels lie in the band.
     """
 
     mu_lo: float
@@ -61,13 +62,18 @@ class UncertaintyBand:
         if self.sigma_hi <= 0.0:
             raise ValueError("sigma_hi must be positive (degenerate zero-volatility band)")
 
-    def contains_sigma(self, sigma) -> bool:
-        s = np.asarray(sigma, dtype=float)
-        return bool(np.all(s >= self.sigma_lo - 1e-12) and np.all(s <= self.sigma_hi + 1e-12))
-
-    def contains_mu(self, mu) -> bool:
-        m = np.asarray(mu, dtype=float)
-        return bool(np.all(m >= self.mu_lo - 1e-12) and np.all(m <= self.mu_hi + 1e-12))
+    def violation(self, *, sigma=(), mu=()) -> str | None:
+        """None when every level lies in its interval up to 1e-12 (a NaN lies
+        nowhere), else the message of the first coordinate to leave, sigma
+        before mu, naming it, its interval and one level outside it."""
+        for name, levels, lo, hi in (("sigma", sigma, self.sigma_lo, self.sigma_hi),
+                                     ("mu", mu, self.mu_lo, self.mu_hi)):
+            x = np.asarray(levels, dtype=float).ravel()
+            inside = (x >= lo - 1e-12) & (x <= hi + 1e-12)
+            if not inside.all():
+                return (f"{name} levels leave the uncertainty band [{lo}, {hi}], "
+                        f"as {x[inside.argmin()]} does")
+        return None
 
     def zero_drift(self) -> "UncertaintyBand":
         """Same volatility interval, drift collapsed to {0}."""

@@ -88,7 +88,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(cfg))
         assert exc.value.errors == [
-            "control.sigma: sigma levels (0.5,) leave the band [0.1, 0.3]"]
+            "control.sigma: sigma levels leave the uncertainty band [0.1, 0.3], as 0.5 does"]
 
     def test_negative_pricing_payoff_names_its_field(self):
         cfg = {
@@ -143,6 +143,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(cfg))
         assert [e.split(":")[0] for e in exc.value.errors] == ["controls.1.sigma"]
+
+    @pytest.mark.parametrize("command, field", [
+        ("simulate", "control"), ("hedge", "scenario"), ("capacity", "controls.0")])
+    def test_constant_control_outside_in_both_levels_names_both_fields(self, command,
+                                                                       field):
+        both = {"mu": 0.5, "sigma": 0.9}
+        cfg = {"simulate": {"command": "simulate", "s0": 100.0, "horizon": 1.0,
+                            "control": both},
+               "hedge": price_config(command="hedge", scenario=both),
+               "capacity": {"command": "capacity", "center_file": "unused.csv",
+                            "eta": 0.1, "controls": [both]}}[command]
+        cfg["band"] = {"mu_lo": 0.0, "mu_hi": 0.1, "sigma_lo": 0.1, "sigma_hi": 0.3}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert exc.value.errors == [
+            f"{field}.mu: mu levels leave the uncertainty band [0.0, 0.1], as 0.5 does",
+            f"{field}.sigma: sigma levels leave the uncertainty band [0.1, 0.3], as 0.9 does"]
 
     def test_round_trip_is_canonical(self):
         # emit o parse is idempotent: the first emission canonicalises
@@ -791,7 +808,7 @@ class TestCommandLine:
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(cfg))
         assert [e.split(":")[0] for e in exc.value.errors] == ["sigma"]
-        assert "outside the band" in exc.value.errors[0]
+        assert "sigma levels leave the uncertainty band" in exc.value.errors[0]
 
     def test_capacity_counts_the_normals_it_draws(self):
         # one draw serves the whole control family
