@@ -17,7 +17,6 @@ counts, the linear solves of each PDE march), not wall clocks.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -28,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cps import build_shadow_path, cps_price
 from .errors import ConfigError
-from .fgbm import FgbmSpec, _normals_per_path, simulate_fgbm, simulate_fgbm_asset
+from .fgbm import METHODS, FgbmSpec, _normals_per_path, simulate_fgbm, simulate_fgbm_asset
 from .paths import (
     ControlProcess,
     _time_tol,
@@ -39,7 +38,7 @@ from .paths import (
     simulate_asset_paths,
     write_ensemble_file,
 )
-from .pde import GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair
+from .pde import STRETCHINGS, GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair
 from .sublinear import ScalarFunctionSpec, UncertaintyBand
 
 __all__ = ["RunConfig", "Report", "parse_config", "emit_config", "run", "main"]
@@ -83,16 +82,9 @@ class Report:
         }
 
     def render(self, fmt: str) -> str:
-        doc = self.as_document()
-        if fmt == "json":
-            return _render_json(doc) + "\n"
-        if fmt == "csv":
-            buf = io.StringIO()
-            buf.write("key,value\n")
-            for key, value in _flatten(doc):
-                buf.write(f"{key},{_scalar_text(value, quote_strings=False)}\n")
-            return buf.getvalue()
-        raise ValueError(f"unknown report format {fmt!r}")
+        if fmt not in _RENDERERS:
+            raise ValueError(f"unknown report format {fmt!r}")
+        return _RENDERERS[fmt](self.as_document())
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +137,16 @@ def _flatten(obj, prefix=""):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
         yield prefix.rstrip("."), obj
+
+
+def _render_csv(doc) -> str:
+    return "key,value\n" + "".join(f"{key},{_scalar_text(value, quote_strings=False)}\n"
+                                    for key, value in _flatten(doc))
+
+
+_RENDERERS = {"json": lambda doc: _render_json(doc) + "\n", "csv": _render_csv}
+
+FORMATS = tuple(_RENDERERS)
 
 
 def emit_config(config: RunConfig) -> str:
@@ -226,6 +228,11 @@ class _Reader:
                 self.fail(full, msg)
                 return default
         return v
+
+
+def _one_of(names):
+    """The ``check`` of a name from the closed set ``names``."""
+    return lambda v: None if v in names else "must be " + " or ".join(map(repr, names))
 
 
 def _positive(v):
@@ -330,8 +337,7 @@ def _read_grid(r, cfg, prefix=""):
         r.get(d, "n_space", path, kind=int, default=400, check=_at_least_16),
         r.get(d, "n_time", path, kind=int, default=400, check=_at_least_16),
         r.get(d, "stretching", path, kind=str, default="uniform_log",
-              check=lambda v: None if v in ("uniform_log", "uniform_price")
-              else "must be 'uniform_log' or 'uniform_price'"))
+              check=_one_of(STRETCHINGS)))
 
 
 def _read_pricing(r, cfg, band, built, prefix="", spot=False):
@@ -359,6 +365,9 @@ def _read_pricing(r, cfg, band, built, prefix="", spot=False):
         except OverflowError:
             r.fail(prefix + "spot_domain", "the default domain "
                    "spot*exp(+-8*sigma_hi*sqrt(maturity)) overflows; give a spot_domain")
+    if None not in (s0, domain) and not domain[0] <= s0 <= domain[1]:
+        r.fail(prefix + "spot", f"{s0:g} is outside the spot_domain "
+               f"[{domain[0]:g}, {domain[1]:g}]")
     echo["spot_domain"] = domain
     echo["grid"] = asdict(grid)
     if None not in (band, payoff, maturity, domain):
@@ -444,8 +453,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
 
     seed = r.get(cfg, "seed", "", kind=int, default=0,
                  check=lambda v: None if 0 <= v < 2**64 else "must fit in 64 bits")
-    fmt = r.get(cfg, "format", "", kind=str, default="json",
-                check=lambda v: None if v in ("json", "csv") else "must be 'json' or 'csv'")
+    fmt = r.get(cfg, "format", "", kind=str, default="json", check=_one_of(FORMATS))
     output = r.get(cfg, "output", "", kind=str, default=None)
 
     eff = {"command": cmd, "seed": seed, "format": fmt, "output": output}
@@ -480,8 +488,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
                       check=_in_band(band, "sigma"))
         sampling = _read_sampling(r, cfg)
         method = r.get(cfg, "method", "", kind=str, default="factorization",
-                       check=lambda v: None if v in ("factorization", "volterra")
-                       else "must be 'factorization' or 'volterra'")
+                       check=_one_of(METHODS))
         paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
         asset_echo = None
         d = r.section(cfg, "asset")
@@ -731,7 +738,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="report file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
+        p.add_argument("--format", choices=FORMATS, default=None,
                        help="override report format")
     args = parser.parse_args(argv)
 

@@ -52,6 +52,9 @@ __all__ = [
     "simulate_fgbm_asset",
 ]
 
+# the sampling methods of ``simulate_fgbm``
+METHODS = ("factorization", "volterra")
+
 @dataclass(frozen=True)
 class FgbmSpec:
     """Hurst index, volatility band, and simulation grid (starting at 0)."""
@@ -243,7 +246,7 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
                   method: str) -> np.ndarray:
     """(n_paths, n+1) noise values on ``spec.grid``, row j for path j,
     column 0 all zeros."""
-    if method not in ("factorization", "volterra"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     sig = _scenario_sigma(sigma, spec.band)
     grid = spec.grid_array

@@ -465,7 +465,7 @@ def _market_price_of_risk(theta, sig):
     return np.divide(theta, sig, out=np.zeros(np.shape(sig)), where=~zero_sig)
 
 
-def deflator_path(control: ControlProcess, r: float, grid,
+def deflator_path(control: ControlProcess, r: float,
                   driving_increments: SampledPath) -> SampledPath:
     """Deflator trajectory H on the grid of the driving noise, H_0 = 1.
 
@@ -478,10 +478,7 @@ def deflator_path(control: ControlProcess, r: float, grid,
     premium raises SingularControlError.  A BangBangRule raises ValueError:
     its volatility depends on the asset path, not on the driving path alone.
     """
-    grid = _as_grid(grid)
-    if len(grid) != len(driving_increments.times) or not np.allclose(
-            grid, driving_increments.times, rtol=0.0, atol=1e-12):
-        raise ValueError("grid must match the driving path's time grid")
+    grid = driving_increments.times
     dt = np.diff(grid)
     sig, mu = _step_levels(control, grid)
     dB = np.diff(driving_increments.values)

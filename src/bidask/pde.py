@@ -86,6 +86,8 @@ _READ_BLOCK = 64
 # repeated their pick, by as many steps as that streak and at most _RUN_AHEAD
 _RUN_AFTER = 6
 _RUN_AHEAD = 32
+# the spacing rules of the spatial nodes
+STRETCHINGS = ("uniform_log", "uniform_price")
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n_space < 16 or self.n_time < 16:
             raise ValueError("grid needs n_space >= 16 and n_time >= 16")
-        if self.stretching not in ("uniform_log", "uniform_price"):
+        if self.stretching not in STRETCHINGS:
             raise ValueError(f"unknown stretching {self.stretching!r}")
 
 

@@ -219,6 +219,28 @@ class TestConfigSections:
                            "spot*exp(+-8*sigma_hi*sqrt(maturity)) overflows; "
                            "give a spot_domain"]
 
+    @pytest.mark.parametrize("spot", [100.0, 500.0], ids=["below", "above"])
+    @pytest.mark.parametrize("config", [price_config, hedge_config], ids=["price", "hedge"])
+    def test_spot_outside_the_domain_fails_at_spot(self, config, spot):
+        assert config_errors(config(spot=spot, spot_domain=[120.0, 300.0])) == [
+            f"spot: {spot:g} is outside the spot_domain [120, 300]"]
+        for end in (120.0, 300.0):  # the domain holds its ends, as cps_price's does
+            parse_config(json.dumps(config(spot=end, spot_domain=[120.0, 300.0])))
+
+    @pytest.mark.parametrize("names, field, config", [
+        (pde.STRETCHINGS, "grid.stretching",
+         lambda v: price_config(grid={"n_space": 16, "n_time": 16, "stretching": v})),
+        (bidask.fgbm.METHODS, "method",
+         lambda v: {"command": "fgbm", "band": dict(BAND), "hurst": 0.7, "sigma": 0.2,
+                    "horizon": 1.0, "method": v}),
+        (bidask.cli.FORMATS, "format", lambda v: price_config(format=v)),
+    ], ids=["stretching", "method", "format"])
+    def test_closed_name_sets_parse_every_name_and_no_other(self, names, field, config):
+        for name in names:
+            parse_config(json.dumps(config(name)))
+        listed = " or ".join(repr(name) for name in names)
+        assert config_errors(config("bogus")) == [f"{field}: must be {listed}"]
+
     def test_missing_band_field_has_no_follow_on_error(self):
         band = {k: v for k, v in BAND.items() if k != "mu_hi"}
         assert config_errors(price_config(band=band)) == [

@@ -174,20 +174,20 @@ class TestDeflator:
     def test_mu_equals_rate_is_pure_discounting(self):
         c = ControlProcess.constant(0.05, 0.2)
         b = simulate_gbm_increments(c, GRID, seed=3, n_paths=1)[0]
-        h = deflator_path(c, 0.05, GRID, b)
+        h = deflator_path(c, 0.05, b)
         assert np.array_equal(h.values, np.exp(-0.05 * GRID))
 
     def test_starts_at_one(self):
         c = ControlProcess.constant(0.02, 0.15)
         b = simulate_gbm_increments(c, GRID, seed=5, n_paths=1)[0]
-        h = deflator_path(c, 0.05, GRID, b)
+        h = deflator_path(c, 0.05, b)
         assert h.values[0] == 1.0
 
     def test_exponential_martingale_mean_one(self):
         # r = 0 with nonzero drift: E[H_T] = 1
         c = ControlProcess.constant(0.1, 0.2)
         paths = simulate_gbm_increments(c, grid_of(64), seed=11, n_paths=4000)
-        ht = np.array([deflator_path(c, 0.0, grid_of(64), p).values[-1] for p in paths])
+        ht = np.array([deflator_path(c, 0.0, p).values[-1] for p in paths])
         se = ht.std(ddof=1) / math.sqrt(len(ht))
         assert abs(ht.mean() - 1.0) < 3 * se
 
@@ -195,19 +195,13 @@ class TestDeflator:
         c = ControlProcess.constant(0.1, 0.0)
         b = SampledPath(GRID, np.zeros_like(GRID))
         with pytest.raises(SingularControlError):
-            deflator_path(c, 0.05, GRID, b)
+            deflator_path(c, 0.05, b)
 
     def test_zero_vol_without_premium_is_fine(self):
         c = ControlProcess.constant(0.05, 0.0)
         b = SampledPath(GRID, np.zeros_like(GRID))
-        h = deflator_path(c, 0.05, GRID, b)
+        h = deflator_path(c, 0.05, b)
         assert np.array_equal(h.values, np.exp(-0.05 * GRID))
-
-    def test_grid_mismatch_rejected(self):
-        c = ControlProcess.constant(0.05, 0.2)
-        b = simulate_gbm_increments(c, GRID, seed=3, n_paths=1)[0]
-        with pytest.raises(ValueError):
-            deflator_path(c, 0.05, grid_of(100), b)
 
     def test_state_feedback_rule_rejected(self):
         rule = bang_bang_control_from_surface(solve_bsb_ask(make_problem(BAND),
@@ -215,7 +209,7 @@ class TestDeflator:
         b = simulate_gbm_increments(ControlProcess.constant(0.05, 0.2), GRID, seed=3,
                                     n_paths=1)[0]
         with pytest.raises(ValueError, match="state-feedback rule has no deflator path"):
-            deflator_path(rule, 0.05, GRID, b)
+            deflator_path(rule, 0.05, b)
 
 
 def make_problem(band, payoff=None, rate=0.05, maturity=1.0):

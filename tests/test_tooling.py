@@ -152,7 +152,7 @@ def test_state_feedback_rule_has_no_driving_path():
         bidask.simulate_gbm_increments(rule, GRID, 1, 10)
     driving = bidask.simulate_gbm_increments(const(0.2), GRID, 1, 1)[0]
     with pytest.raises(ValueError, match="state-feedback rule has no deflator path"):
-        bidask.deflator_path(rule, 0.03, GRID, driving)
+        bidask.deflator_path(rule, 0.03, driving)
 
 
 def test_capacity_command_needs_a_positive_centre(tmp_path, capsys):
