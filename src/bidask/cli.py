@@ -2,16 +2,16 @@
 
 Configs are strict JSON: a key is known exactly when its command's reader
 reads it and any other key is fatal; every violation is collected (not just
-the first) and each error names the path of its field, such as
-``pricing.grid.n_space``; a NaN or Infinity, which ``json`` reads, fails at
-its field, and a control's mu and sigma outside the band fail at both.  A
-null optional section (``grid``, ``scenario``, ``asset``, ``pricing``) is
-the same as an absent one.  The effective config after defaulting is
-echoed into the report so any result is reproducible from its own output:
-``parse(emit(c)) == c``.  Reports are rendered with fixed
-12-significant-digit floats and deterministic key order, so identical configs produce byte-identical reports; the timing
-section therefore carries deterministic work counters (grid sizes, draw
-counts, the linear solves of each PDE march), not wall clocks.
+the first, so a control's mu and sigma outside the band both fail) and each
+error names the path of its field, such as ``pricing.grid.n_space``; a NaN
+or Infinity, which ``json`` reads, fails at its field.  A null optional
+section (``grid``, ``scenario``, ``asset``, ``pricing``) is the same as an
+absent one.  The effective config after defaulting is echoed into the
+report so any result is reproducible from its own output:
+``parse(emit(c)) == c``.  Reports are rendered with fixed 12-significant-digit
+floats and deterministic key order, so identical configs produce
+byte-identical reports; the timing section therefore carries deterministic
+work counters (grid sizes, draw counts, PDE linear solves), not wall clocks.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .pde import STRETCHINGS, GridSpec, PricingProblem, solve_bsb_ask, solve_bsb
 from .sublinear import ScalarFunctionSpec, UncertaintyBand
 
 __all__ = ["RunConfig", "Report", "parse_config", "emit_config", "run", "main"]
+
+FORMATS = ("json", "csv")
+
 
 class CommandFailure(RuntimeError):
     """A command failed; the message carries the command context."""
@@ -82,9 +85,13 @@ class Report:
         }
 
     def render(self, fmt: str) -> str:
-        if fmt not in _RENDERERS:
+        if fmt not in FORMATS:
             raise ValueError(f"unknown report format {fmt!r}")
-        return _RENDERERS[fmt](self.as_document())
+        doc = self.as_document()
+        if fmt == "json":
+            return _render_json(doc) + "\n"
+        return "key,value\n" + "".join(f"{key},{_scalar_text(value, quote_strings=False)}\n"
+                                        for key, value in _flatten(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +144,6 @@ def _flatten(obj, prefix=""):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
         yield prefix.rstrip("."), obj
-
-
-def _render_csv(doc) -> str:
-    return "key,value\n" + "".join(f"{key},{_scalar_text(value, quote_strings=False)}\n"
-                                    for key, value in _flatten(doc))
-
-
-_RENDERERS = {"json": lambda doc: _render_json(doc) + "\n", "csv": _render_csv}
-
-FORMATS = tuple(_RENDERERS)
 
 
 def emit_config(config: RunConfig) -> str:
@@ -231,7 +228,6 @@ class _Reader:
 
 
 def _one_of(names):
-    """The ``check`` of a name from the closed set ``names``."""
     return lambda v: None if v in names else "must be " + " or ".join(map(repr, names))
 
 
@@ -256,9 +252,8 @@ def _finite(x) -> bool:
 
 
 def _in_band(band, level):
-    """The ``check`` of a ``level`` ("mu" or "sigma") read under ``band``: a
-    sigma is nonnegative, and a level obeys the band rule once the band is
-    built."""
+    """The ``check`` of a ``level``, "mu" or "sigma": a sigma is nonnegative,
+    and a level obeys the band rule once ``band`` is built."""
     def check(v):
         if level == "sigma" and v < 0:
             return "must be nonnegative"
@@ -401,8 +396,7 @@ def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
     """The {mu, sigma} section ``cfg[key]`` as a constant control inside
     ``band``, built at parse time, and its echo (None when absent); each
     level outside the band fails at its own field, ``{prefix}{key}.mu`` or
-    ``{prefix}{key}.sigma``.  With an ``n_steps`` default the section also
-    takes a step count."""
+    ``.sigma``.  With an ``n_steps`` default it also takes a step count."""
     d = r.section(cfg, key, prefix=prefix, required=required)
     if d is None:
         return None, None

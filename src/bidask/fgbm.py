@@ -52,8 +52,8 @@ __all__ = [
     "simulate_fgbm_asset",
 ]
 
-# the sampling methods of ``simulate_fgbm``
 METHODS = ("factorization", "volterra")
+
 
 @dataclass(frozen=True)
 class FgbmSpec:

@@ -346,7 +346,9 @@ def _check_start(S0: float) -> None:
 
 def _check_scenarios(S0: float, controls, grid: np.ndarray,
                      band: UncertaintyBand | None) -> None:
-    """The start value and every control, checked before any normal is drawn."""
+    """S0 and every control of a nonempty family, checked before any draw."""
+    if not controls:
+        raise ValueError("control family must be nonempty")
     _check_start(S0)
     for control in controls:
         _check_control(control, grid, band)
@@ -354,10 +356,9 @@ def _check_scenarios(S0: float, controls, grid: np.ndarray,
 
 def _check_control(control: ControlProcess | BangBangRule, grid: np.ndarray,
                    band: UncertaintyBand | None) -> None:
-    """Reject levels outside the band a control runs under, if any (a
-    ControlProcess's own band was checked when it was built), and
-    breakpoints off the grid.  A BangBangRule's levels are its sigma table
-    and its drift."""
+    """Reject levels outside the band a control runs under (its own band was
+    checked when it was built) and breakpoints off the grid.  A
+    BangBangRule's levels are its sigma table and its drift."""
     if isinstance(control, BangBangRule):
         sigma, mu, breakpoints = control.sigma_table, control.mu_value, ()
     else:
@@ -505,8 +506,6 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     or, for a rule, the matrix of volatilities the steps used.
     """
     controls = list(controls)
-    if not controls:
-        raise ValueError("control family must be nonempty")
     grid = _as_grid(grid)
     if abs(grid[-1] - problem.maturity) > _time_tol(problem.maturity):
         raise ValueError("time grid must end at the claim maturity")
@@ -556,8 +555,6 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     S0 and every control are checked before the draw.
     """
     controls = list(controls)
-    if not controls:
-        raise ValueError("control family must be nonempty")
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ValueError(f"tube radius must be nonnegative, got {eta!r}")
     grid = center.times

@@ -86,7 +86,6 @@ _READ_BLOCK = 64
 # repeated their pick, by as many steps as that streak and at most _RUN_AHEAD
 _RUN_AFTER = 6
 _RUN_AHEAD = 32
-# the spacing rules of the spatial nodes
 STRETCHINGS = ("uniform_log", "uniform_price")
 
 
@@ -417,12 +416,11 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     per march.  So candidates that tie up to round-off keep the selection.
     With two candidates a pick is the sign of one product, on the
     difference of their rows.  The first pick, on the initial slice, is one
-    rule for any number of candidates: it starts from candidate 0; a node
-    is decided there when one candidate beats every other by more than the
-    bound, and a tied node takes the pick of the nearest decided node where
-    that pick is one of its ties (every node keeps candidate 0 when none is
-    decided).  So a claim linear in its wings starts at the pick of its
-    kinks, not at a round-off one.
+    rule for any number of candidates: from candidate 0, a node is decided
+    when one candidate beats every other by more than the bound, and a tied
+    node takes the pick of the nearest decided node where that pick is one
+    of its ties (all keep candidate 0 when none is decided).  So a claim
+    linear in its wings starts at the pick of its kinks, not a round-off one.
 
     After each solve the pick comes first.  A pick that repeats the
     selection ends the step: the iterate already solves it, so it is the

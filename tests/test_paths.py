@@ -348,6 +348,16 @@ class TestRuleUnderItsBand:
         estimate_tube_capacity(self.center(), 5.0, self.WIDE, [rule], seed=1, n_paths=10)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda: mc_ask_bid(make_problem(BAND), [], GRID, seed=1, spot=100.0, n_paths=10),
+    lambda: estimate_tube_capacity(SampledPath(GRID, np.full(len(GRID), 100.0)), 5.0,
+                                   BAND, [], seed=1, n_paths=10),
+], ids=["mc_ask_bid", "estimate_tube_capacity"])
+def test_empty_control_family_is_rejected(estimate):
+    with pytest.raises(ValueError, match="control family must be nonempty"):
+        estimate()
+
+
 class TestTubeCapacity:
     def setup_method(self):
         self.center = SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)),
