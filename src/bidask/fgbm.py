@@ -193,10 +193,26 @@ def _uniform_step(grid: np.ndarray) -> float | None:
 
 def _fgn_autocovariance(n: int, H: float) -> np.ndarray:
     """gamma(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2, k = 0..n: the
-    autocovariance of unit-step, unit-volatility fractional Gaussian noise."""
-    k = np.arange(n + 1, dtype=float)
-    return 0.5 * (np.abs(k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H)
-                  + np.abs(k - 1.0) ** (2 * H))
+    autocovariance of unit-step, unit-volatility fractional Gaussian noise.
+
+    The difference would cancel terms of size k^2H, so gamma(1) is taken as
+    expm1((2H - 1) log 2) and gamma(k >= 2) as the series k^2H sum_j
+    C(2H, 2j) k^-2j: its terms share one sign and the factor 2H (2H - 1),
+    exactly 0 at H = 1/2, and Horner's rule sums them to round-off with 28
+    terms below k = 16 and 8 from there.
+    """
+    a = 2.0 * H
+    k = np.arange(2.0, n + 1.0)
+    y = 1.0 / (k * k)
+    s = np.ones(len(k))  # sum_j C(2H, 2j) y^(j-1) / C(2H, 2), y = 1 / k^2
+    for j in range(27, 0, -1):
+        m = len(k) if j < 8 else 14  # entries k = 2..15 take the terms past the 8th
+        ratio = (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2))
+        s[:m] = 1.0 + ratio * y[:m] * s[:m]  # ratio = C(2H, 2j + 2) / C(2H, 2j)
+    gamma = np.empty(n + 1)
+    gamma[:2] = 1.0, math.expm1((a - 1.0) * math.log(2.0))
+    gamma[2:] = H * (a - 1.0) * y * k ** a * s
+    return gamma
 
 
 def _circulant_eigenvalues(gamma: np.ndarray, H: float) -> np.ndarray:

@@ -330,6 +330,28 @@ class TestCirculantEmbedding:
         assert lam.shape == (n + 1,) and lam.min() >= 0.0
         assert np.max(np.abs(np.fft.irfft(lam, 2 * n)[:n + 1] - gamma)) <= 1e-12
 
+    @pytest.mark.parametrize("H", [0.01, 0.1, 0.3, 0.45, 0.5001, 0.7, 0.9, 0.99, 0.9999])
+    def test_autocovariance_against_high_precision_oracle(self, H):
+        import mpmath
+
+        ks = sorted({*range(0, 65537, 37), 1, 2, 3, 65536})
+        gamma = _fgn_autocovariance(65536, H)
+        with mpmath.workdps(40):
+            a = 2 * mpmath.mpf(H)
+            worst = max(abs(gamma[k] / ((mpmath.mpf(k + 1) ** a - 2 * mpmath.mpf(k) ** a
+                                         + abs(mpmath.mpf(k - 1)) ** a) / 2) - 1)
+                        for k in ks)
+        assert worst <= 1e-13
+
+    def test_autocovariance_is_white_at_half(self):
+        assert np.array_equal(_fgn_autocovariance(4096, 0.5), np.eye(1, 4097)[0])
+
+    def test_circulant_route_near_one(self):
+        # the three-term difference lost enough digits here for the smallest
+        # circulant eigenvalue to read -8.4e-5
+        spec = FgbmSpec(0.9999, BAND, tuple(np.linspace(0.0, 1.0, 65537)))
+        assert np.isfinite(simulate_fgbm(spec, 0.2, seed=1, n_paths=1).values).all()
+
     def test_negative_eigenvalue_raises_with_its_value(self):
         with pytest.raises(NumericalFailure) as exc:
             _circulant_eigenvalues(np.array([1.0, 0.9, -0.8]), 0.7)
