@@ -325,7 +325,7 @@ def _as_grid(grid, name: str = "time grid", min_points: int = 2) -> np.ndarray:
     The one check of a time grid; its errors call the grid ``name``."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < min_points:
-        raise ValueError(f"{name} must be 1-d with at least {min_points} time(s)")
+        raise ValueError(f"{name} must be 1-d with {min_points} or more times")
     if g[0] != 0.0:
         raise ValueError(f"{name} must start at 0")
     # a NaN fails every comparison; an increasing grid is finite where its end is
