@@ -475,7 +475,6 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     # a tie bound per unit of |v|_inf
     tie = 32.0 * np.finfo(float).eps * float(np.abs(rows).sum(axis=0).max())
 
-    cols = np.arange(n - 2)
     if n_cand == 2:
         diff = rows[:, 1] - rows[:, 0]
 
@@ -497,6 +496,7 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     def first_pick(v, v_max):
         g = rows[0] * v[:-2] + rows[1] * v[1:-1] + rows[2] * v[2:]
         best = g.argmax(axis=0)
+        cols = np.arange(n - 2)
         tied = g[best, cols] - g <= tie * v_max  # within round-off of the best
         sel = np.where(tied[0], 0, best)
         near = _nearest_decided(tied.sum(axis=0) == 1)
