@@ -27,7 +27,14 @@ import numpy as np
 from . import __version__
 from .cps import build_shadow_path, cps_price
 from .errors import ConfigError
-from .fgbm import METHODS, FgbmSpec, _normals_per_path, simulate_fgbm, simulate_fgbm_asset
+from .fgbm import (
+    METHODS,
+    FgbmSpec,
+    _normals_per_path,
+    hurst_violation,
+    simulate_fgbm,
+    simulate_fgbm_asset,
+)
 from .paths import (
     ControlProcess,
     _time_tol,
@@ -476,8 +483,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
                     "paths_out": paths_out})
 
     elif cmd == "fgbm":
-        hurst = r.get(cfg, "hurst", "", required=True, kind=float,
-                      check=lambda v: None if 0 < v < 1 else "must lie in (0, 1)")
+        hurst = r.get(cfg, "hurst", "", required=True, kind=float, check=hurst_violation)
         sigma = r.get(cfg, "sigma", "", required=True, kind=float,
                       check=_in_band(band, "sigma"))
         sampling = _read_sampling(r, cfg)

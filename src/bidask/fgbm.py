@@ -26,6 +26,12 @@ calls: each call builds its eigenvalues, factor or kernel matrix afresh.
 Only constant-sigma scenarios are supported: scaling the covariance by a
 constant is exact, while a time-varying volatility has no closed
 covariance here.
+
+scipy is imported inside the two calls that use it: ``cholesky`` when a
+non-uniform grid is factorised and ``hyp2f1`` when the Volterra kernel is
+evaluated.  So exact sampling on a uniform grid, like ``import bidask``,
+loads neither ``scipy.linalg`` nor ``scipy.special``, whose import costs
+more than the call.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.special import hyp2f1 as _hyp2f1
 
 from .errors import NumericalFailure
 from .paths import (PathEnsemble, SampledPath, _as_grid, _check_start, _draw_normals,
@@ -55,6 +59,12 @@ __all__ = [
 METHODS = ("factorization", "volterra")
 
 
+def hurst_violation(H) -> str | None:
+    """None when the Hurst index H lies in (0, 1) (a NaN does not), else the
+    message naming it."""
+    return None if 0.0 < H < 1.0 else f"Hurst index must lie in (0, 1), got {H!r}"
+
+
 @dataclass(frozen=True)
 class FgbmSpec:
     """Hurst index, volatility band, and simulation grid (starting at 0)."""
@@ -64,8 +74,8 @@ class FgbmSpec:
     grid: tuple
 
     def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0):
-            raise ValueError(f"Hurst index must lie in (0, 1), got {self.hurst!r}")
+        if msg := hurst_violation(self.hurst):
+            raise ValueError(msg)
         _as_grid(self.grid)
 
     @property
@@ -76,8 +86,8 @@ class FgbmSpec:
 def fgbm_covariance(s: float, t: float, H: float, band: UncertaintyBand):
     """Upper/lower covariance envelope of the fractional noise at (s, t):
     sigma^2 (s^2H + t^2H - |t-s|^2H) / 2 at the band's two volatility ends."""
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
+    if msg := hurst_violation(H):
+        raise ValueError(msg)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= s) & (s < np.inf) & (0.0 <= t) & (t < np.inf)):
@@ -94,8 +104,8 @@ def moving_avg_constant(H: float) -> float:
     """Normalisation of the moving-average representation of the noise:
     sqrt(2H sin(pi H) Gamma(2H)) / Gamma(H + 1/2), which is also the
     constant c_H of ``volterra_kernel``.  Equals 1 at H = 1/2."""
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
+    if msg := hurst_violation(H):
+        raise ValueError(msg)
     num = math.sqrt(2.0 * H * math.sin(math.pi * H) * math.gamma(2.0 * H))
     return num / math.gamma(H + 0.5)
 
@@ -109,8 +119,10 @@ def _kernel(t, s, H: float) -> np.ndarray:
     """K_H(t, s) elementwise over broadcast arrays with 0 < s < t (unchecked):
     the Molchan-Golosov form c_H (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s),
     c_H = moving_avg_constant(H), for every H in (0, 1); exactly 1 at H = 1/2."""
+    from scipy.special import hyp2f1
+
     return moving_avg_constant(H) * (t - s) ** (H - 0.5) \
-        * _hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
+        * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
 
 
 def volterra_kernel(t: float, s: float, H: float) -> float:
@@ -121,8 +133,8 @@ def volterra_kernel(t: float, s: float, H: float) -> float:
     is integrated numerically; at H = 1/2 it is the identity, the driving
     noise being already the process.  Needs 0 < s < t < inf.
     """
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
+    if msg := hurst_violation(H):
+        raise ValueError(msg)
     if not (0.0 < s < t < math.inf):
         raise ValueError(f"kernel needs 0 < s < t < inf, got s={s!r}, t={t!r}")
     return float(_kernel(t, s, H))
@@ -153,6 +165,8 @@ def _unit_cholesky(times: np.ndarray, H: float) -> np.ndarray:
     Tiny diagonal regularisation (up to 1e-12 relative) is attempted before
     declaring the matrix numerically indefinite.
     """
+    from scipy.linalg import cholesky
+
     tt = times[:, None]
     ss = times[None, :]
     R = 0.5 * (tt ** (2 * H) + ss ** (2 * H) - np.abs(tt - ss) ** (2 * H))
@@ -311,8 +325,8 @@ def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
     """Best forecast of the fractional noise at t given driving noise to v:
     the discrete Volterra sum over increments contained in [0, v].  Needs
     finite 0 <= v <= t, with v no later than the driving path's end."""
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
+    if msg := hurst_violation(H):
+        raise ValueError(msg)
     if not (0.0 <= v <= t + 1e-12 and t < math.inf):
         raise ValueError(f"need finite 0 <= v <= t, got v={v!r}, t={t!r}")
     end = driving_increments.horizon

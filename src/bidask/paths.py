@@ -206,9 +206,6 @@ class BangBangRule:
         i = _in_force(self.times, t)
         return self.sigma_table[i, _nearest_node(self.nodes, np.asarray(s) * self.scale[i])]
 
-    def mu_state(self, t: float, s):
-        return np.full(np.shape(np.asarray(s)), self.mu_value)
-
 
 def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
     """Index of the node nearest each value of s; a tie goes to the right."""

@@ -49,6 +49,11 @@ Boundary conditions are Dirichlet from the payoff's linear extrapolation
 a F + b at the domain ends.  It solves the forward BSB equation exactly,
 so V keeps the payoff's end values; the heat equation's boundary follows
 its exact solution for linear data.
+
+scipy is imported inside the two calls that use it: LAPACK's gttrf and
+gttrs once per ``_march``, and ``ndtr`` in ``black_scholes_closed_form``.
+Loading ``scipy.linalg`` takes longer than loading the rest of the
+package, so a process that solves no PDE never loads it.
 """
 
 from __future__ import annotations
@@ -58,8 +63,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import ndtr
 
 from .errors import ConsistencyError, NumericalFailure
 from .sublinear import ScalarFunctionSpec, UncertaintyBand, g_drift_vol, maximal_expectation
@@ -454,6 +457,8 @@ def _march(u0, rows, dt, n_time, boundary_of, context):
     interior nodes, the selection whose system gave slice s + 1 (bool with
     two candidates, True for candidate 1; the candidate's index otherwise).
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     n = len(u0)
     n_cand = rows.shape[1]
     diagnostics = {"n_space": n - 1, "n_time": n_time, **context}
@@ -708,6 +713,8 @@ def black_scholes_closed_form(
     spot: float, strike: float, r: float, sigma: float, T: float, kind: str = "call"
 ) -> float:
     """Classical lognormal call/put value; used as a reduction oracle."""
+    from scipy.special import ndtr
+
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     for name, v in (("spot", spot), ("strike", strike), ("sigma", sigma), ("T", T)):

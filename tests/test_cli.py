@@ -888,7 +888,36 @@ class TestFreshInterpreter:
 
     def test_import_leaves_heavy_scipy_modules_out(self):
         proc = _run_python(["-c", "import sys, bidask; print(sorted(m for m in "
-                            "('scipy.optimize', 'scipy.integrate', 'scipy.stats') "
-                            "if m in sys.modules))"])
+                            "('scipy.optimize', 'scipy.integrate', 'scipy.stats', "
+                            "'scipy.linalg', 'scipy.special') if m in sys.modules))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_that_solve_no_pde_leave_scipy_out(self):
+        # each config runs through parse_config, run and render in one
+        # interpreter, which then lists the scipy modules loaded so far: the
+        # four commands that solve no PDE load neither, and a price run after
+        # them loads LAPACK
+        configs = [
+            {"command": "simulate", "band": dict(BAND), "s0": 100.0, "horizon": 1.0,
+             "n_steps": 16, "n_paths": 4, "control": {"mu": 0.03, "sigma": 0.2}},
+            {"command": "capacity", "band": dict(BAND),
+             "center_file": str(sample_path_file()), "eta": 5.0, "n_paths": 10},
+            {"command": "cps", "band": dict(BAND), "path_file": str(sample_path_file()),
+             "epsilon": 0.05},
+            {"command": "fgbm", "band": dict(BAND), "hurst": 0.7, "sigma": 0.2,
+             "horizon": 1.0, "n_steps": 32, "n_paths": 2},
+            price_config(grid={"n_space": 32, "n_time": 16}),
+        ]
+        script = ("import json, sys\n"
+                  "from bidask import parse_config, run\n"
+                  "for cfg in json.load(sys.stdin):\n"
+                  "    config = parse_config(json.dumps(cfg))\n"
+                  "    run(config).render(config.effective['format'])\n"
+                  "    print([m for m in ('scipy.linalg', 'scipy.special') "
+                  "if m in sys.modules])\n")
+        proc = _run_python(["-c", script], input=json.dumps(configs))
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()
+        assert loaded[:4] == ["[]"] * 4
+        assert "'scipy.linalg'" in loaded[4]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg import cholesky
 from scipy.special import beta
@@ -364,7 +365,7 @@ class TestCirculantEmbedding:
         def refuse(*args, **kwargs):
             raise AssertionError("Cholesky factor built on a uniform grid")
 
-        monkeypatch.setattr(bidask.fgbm, "cholesky", refuse)
+        monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
         spec = FgbmSpec(0.63, BAND, tuple(np.linspace(0, 2, 101)))
         paths = simulate_fgbm(spec, 0.2, seed=1, n_paths=3)
         assert all(len(p) == 101 and p.values[0] == 0.0 for p in paths)

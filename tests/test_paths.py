@@ -733,8 +733,7 @@ class TestTableDrivenAdversary:
         for i in range(n_steps):
             s = ref_S[:, i]
             sg = rule.sigma_state(grid[i], s)
-            m = rule.mu_state(grid[i], s)
-            ref_S[:, i + 1] = s * np.exp((m - 0.5 * sg * sg) * dt[i]
+            ref_S[:, i + 1] = s * np.exp((rule.mu_value - 0.5 * sg * sg) * dt[i]
                                          + sg * math.sqrt(dt[i]) * z[:, i])
             ref_sig[:, i] = sg
         return ref_S, ref_sig

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
@@ -694,14 +695,14 @@ class TestRunAhead:
         # gttrs reports info -5 on the right-hand side of step 20, marked by
         # its boundary value: a run meets it first, and the step's own solve
         # raises it as the step-by-step march does
-        real = pde.dgttrs
+        real = scipy.linalg.lapack.dgttrs
 
         def failing(*args, **kwargs):
             marked = args[5][0] == 20.0
             x, info = real(*args, **kwargs)
             return x, -5 if marked else info
 
-        monkeypatch.setattr(pde, "dgttrs", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", failing)
         monkeypatch.setitem(globals(), "dgttrs", failing)  # per_step_march's own
         rows = np.zeros((3, 1, 4))
         rows[:, 0] = np.array([1.0, -2.0, 1.0])[:, None]
@@ -728,13 +729,13 @@ class TestRunAhead:
         # runs solve slices past the first whose pick moves; the march drops
         # them, so the counters are those of the step-by-step march
         calls = []
-        real = pde.dgttrs
+        real = scipy.linalg.lapack.dgttrs
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pde, "dgttrs", counted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counted)
         prob, grid = case_problem(PIECE_33, 0.0), GridSpec(400, 400, "uniform_price")
         ask = solve_bsb_ask(prob, grid)
         assert len(calls) > ask.linear_solves
