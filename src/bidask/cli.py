@@ -27,14 +27,8 @@ import numpy as np
 from . import __version__
 from .cps import build_shadow_path, cps_price
 from .errors import ConfigError
-from .fgbm import (
-    METHODS,
-    FgbmSpec,
-    _normals_per_path,
-    hurst_violation,
-    simulate_fgbm,
-    simulate_fgbm_asset,
-)
+from .fgbm import (METHODS, FgbmSpec, _normals_per_path, hurst_violation, simulate_fgbm,
+                   simulate_fgbm_asset)
 from .paths import (
     ControlProcess,
     _time_tol,

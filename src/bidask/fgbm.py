@@ -29,9 +29,9 @@ covariance here.
 
 scipy is imported inside the two calls that use it: ``cholesky`` when a
 non-uniform grid is factorised and ``hyp2f1`` when the Volterra kernel is
-evaluated.  So exact sampling on a uniform grid, like ``import bidask``,
-loads neither ``scipy.linalg`` nor ``scipy.special``, whose import costs
-more than the call.
+evaluated.  So exact sampling on a uniform grid loads neither
+``scipy.linalg`` nor ``scipy.special``, whose import takes longer than
+such a call.
 """
 
 from __future__ import annotations
