@@ -1,17 +1,20 @@
 """Config-driven command line front end with deterministic reports.
 
 Configs are strict JSON: a key is known exactly when its command's reader
-reads it and any other key is fatal; every violation is collected (not just
-the first, so a control's mu and sigma outside the band both fail) and each
-error names the path of its field, such as ``pricing.grid.n_space``; a NaN
-or Infinity, which ``json`` reads, fails at its field.  A null optional
-section (``grid``, ``scenario``, ``asset``, ``pricing``) is the same as an
-absent one.  The effective config after defaulting is echoed into the
-report so any result is reproducible from its own output:
-``parse(emit(c)) == c``.  Reports are rendered with fixed 12-significant-digit
-floats and deterministic key order, so identical configs produce
-byte-identical reports; the timing section therefore carries deterministic
-work counters (grid sizes, draw counts, PDE linear solves), not wall clocks.
+reads it (a payoff's, the one field ``sublinear.KINDS`` gives its kind) and
+any other key is fatal; every violation is collected (not just the first,
+so a control's mu and sigma outside the band both fail) and each error names
+the path of its field, such as ``pricing.grid.n_space``.  No bool or string
+passes as a number, in a list either; a NaN or Infinity, which ``json``
+reads, fails a scalar field, and fails a list where its payoff or control
+rejects it.  A null optional section (``grid``, ``scenario``, ``asset``,
+``pricing``) is the same as an absent one.  The effective config after
+defaulting is echoed into the report so any result is reproducible from
+its own output: ``parse(emit(c)) == c``.  Reports are rendered with fixed
+12-significant-digit floats and deterministic key order, so identical
+configs produce byte-identical reports; the timing section therefore
+carries deterministic work counters (grid sizes, draw counts, PDE linear
+solves), not wall clocks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .paths import (
     write_ensemble_file,
 )
 from .pde import STRETCHINGS, GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair
-from .sublinear import ScalarFunctionSpec, UncertaintyBand
+from .sublinear import KINDS, ScalarFunctionSpec, UncertaintyBand
 
 __all__ = ["RunConfig", "Report", "parse_config", "emit_config", "run", "main"]
 
@@ -204,27 +207,20 @@ class _Reader:
                 self.fail(full, "required key is missing")
             return default
         v = d[key]
-        if kind is not None:
-            if kind is float:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    self.fail(full, f"expected a number, got {v!r}")
-                    return default
-                if not _finite(v):
-                    self.fail(full, f"expected a finite number, got {v!r}")
-                    return default
-                v = float(v)
-            elif kind is int:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    self.fail(full, f"expected an integer, got {v!r}")
-                    return default
-            elif not isinstance(v, kind):
-                self.fail(full, f"expected {kind.__name__}, got {v!r}")
-                return default
-        if check is not None:
+        if kind is float:
+            msg = _number_fault(v)
+            v = v if msg else float(v)
+        elif kind is int:
+            msg = (f"expected an integer, got {v!r}"
+                   if isinstance(v, bool) or not isinstance(v, int) else None)
+        else:
+            msg = (f"expected {kind.__name__}, got {v!r}"
+                   if kind is not None and not isinstance(v, kind) else None)
+        if not msg and check is not None:
             msg = check(v)
-            if msg:
-                self.fail(full, msg)
-                return default
+        if msg:
+            self.fail(full, msg)
+            return default
         return v
 
 
@@ -236,20 +232,30 @@ def _positive(v):
     return None if v > 0 else "must be positive"
 
 
-def _at_least_one(v):
-    return None if v >= 1 else "must be >= 1"
+def _at_least(n):
+    return lambda v: None if v >= n else f"must be >= {n}"
 
 
-def _at_least_16(v):
-    return None if v >= 16 else "must be >= 16"
+def _number_fault(v, finite=True):
+    """The number rule: what keeps the JSON value ``v`` from being a number (a
+    bool is not one) or, if ``finite``, a finite float; None when nothing does."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return f"expected a number, got {v!r}"
+    if finite and not abs(v) <= sys.float_info.max:  # a NaN compares False
+        return f"expected a finite number, got {v!r}"
+    return None
 
 
-def _finite(x) -> bool:
-    """Whether the JSON number ``x`` is a finite float."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer past the float range
-        return False
+def _numbers(v, width=0):
+    """The ``check`` of a list of numbers, or of ``width``-long lists of them: the
+    number rule's type half per entry; the list's owner rules on finiteness."""
+    for i, entry in enumerate(v):
+        if width and not (isinstance(entry, list) and len(entry) == width):
+            return f"entry {i}: expected a list of {width} numbers, got {entry!r}"
+        for x in entry if width else [entry]:
+            if msg := _number_fault(x, finite=False):
+                return f"entry {i}: {msg}"
+    return None
 
 
 def _in_band(band, level):
@@ -263,8 +269,7 @@ def _in_band(band, level):
 
 
 def _spot_interval(v):
-    if len(v) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           and _finite(x) for x in v):
+    if len(v) == 2 and not any(map(_number_fault, v)):
         return None
     return f"expected finite [x_min, x_max], got {v!r}"
 
@@ -290,49 +295,32 @@ def _read_payoff(r, cfg, prefix=""):
     if d is None:
         return None, {}
     path = key + "."
-    kind = r.get(d, "kind", path, required=True, kind=str)
-    strike = r.get(d, "strike", path, kind=float)
-    exponent = r.get(d, "exponent", path, kind=float)
-    knots = r.get(d, "knots", path, kind=list)
+    kind = r.get(d, "kind", path, required=True, kind=str, check=_one_of(KINDS))
     echo = {"kind": kind}
-    if strike is not None:
-        echo["strike"] = strike
-    if exponent is not None:
-        echo["exponent"] = exponent
-    if knots is not None:
-        echo["knots"] = knots
+    name = KINDS.get(kind)
+    if name == "knots":
+        echo[name] = r.get(d, name, path, required=True, kind=list,
+                           check=lambda v: _numbers(v, width=2))
+    elif name is not None:
+        echo[name] = r.get(d, name, path, required=True, kind=float)
+    if None in echo.values():
+        return None, echo
+    ctor = getattr(ScalarFunctionSpec, kind)
     try:
-        if kind in ("call", "put"):
-            if strike is None:
-                r.fail(f"{path}strike", f"{kind} payoff needs a strike")
-                return None, echo
-            return getattr(ScalarFunctionSpec, kind)(strike), echo
-        if kind == "identity":
-            return ScalarFunctionSpec.identity(), echo
-        if kind == "power":
-            if exponent is None:
-                r.fail(f"{path}exponent", "power payoff needs an exponent")
-                return None, echo
-            return ScalarFunctionSpec.power(exponent), echo
-        if kind in ("piecewise_linear", "table"):
-            if knots is None:
-                r.fail(f"{path}knots", f"{kind} payoff needs knots")
-                return None, echo
-            ctor = getattr(ScalarFunctionSpec, kind)
-            return ctor([(float(x), float(y)) for x, y in knots]), echo
-        r.fail(f"{path}kind", f"unsupported payoff kind {kind!r}")
-    except (TypeError, ValueError) as e:
+        return (ctor() if name is None else ctor(echo[name])), echo
+    except (OverflowError, ValueError) as e:
         r.fail(key, str(e))
-    return None, echo
+        return None, echo
 
 
 def _read_grid(r, cfg, prefix=""):
     path = prefix + "grid."
     d = r.section(cfg, "grid", prefix=prefix) or {}
+    base = GridSpec()
     return GridSpec(
-        r.get(d, "n_space", path, kind=int, default=400, check=_at_least_16),
-        r.get(d, "n_time", path, kind=int, default=400, check=_at_least_16),
-        r.get(d, "stretching", path, kind=str, default="uniform_log",
+        *(r.get(d, key, path, kind=int, default=getattr(base, key),
+                check=_at_least(GridSpec.MIN_STEPS)) for key in ("n_space", "n_time")),
+        r.get(d, "stretching", path, kind=str, default=base.stretching,
               check=_one_of(STRETCHINGS)))
 
 
@@ -380,14 +368,14 @@ def _read_control(r, cfg, band):
     if not (isinstance(raw, dict) and "breakpoints" in raw):
         return _read_constant_control(r, cfg, "control", band, required=True)
     d = r.section(cfg, "control", required=True)
-    echo = {key: r.get(d, key, "control.", required=True, kind=list)
+    echo = {key: r.get(d, key, "control.", required=True, kind=list, check=_numbers)
             for key in ("breakpoints", "sigma_levels", "mu_levels")}
     if None in echo.values():
         return None, echo
     try:
         return ControlProcess(*(tuple(map(float, v)) for v in echo.values()),
                               band=band), echo
-    except (TypeError, ValueError) as e:
+    except (OverflowError, ValueError) as e:
         r.fail("control", str(e))
         return None, echo
 
@@ -406,7 +394,7 @@ def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
                          check=_in_band(band, level)) for level in ("mu", "sigma")}
     if n_steps is not None:
         echo["n_steps"] = r.get(d, "n_steps", path, kind=int, default=n_steps,
-                                check=_at_least_one)
+                                check=_at_least(1))
     if band is None or None in (echo["mu"], echo["sigma"]):
         return None, echo
     return ControlProcess.constant(echo["mu"], echo["sigma"], band=band), echo
@@ -430,8 +418,8 @@ def _load_config(text: str) -> dict:
 def _read_sampling(r, cfg) -> dict:
     """The sampler keys ``simulate`` and ``fgbm`` share, in echo order."""
     return {"horizon": r.get(cfg, "horizon", "", required=True, kind=float, check=_positive),
-            "n_steps": r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least_one),
-            "n_paths": r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least_one)}
+            "n_steps": r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least(1)),
+            "n_paths": r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least(1))}
 
 
 def _check_config(cfg: dict, command: str | None) -> RunConfig:
@@ -509,7 +497,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
         center_file = r.get(cfg, "center_file", "", required=True, kind=str)
         eta = r.get(cfg, "eta", "", required=True, kind=float,
                     check=lambda v: None if v >= 0 else "must be nonnegative")
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1000, check=_at_least_one)
+        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1000, check=_at_least(1))
         items = r.get(cfg, "controls", "", check=lambda v: None if isinstance(v, list)
                       else "expected a list of {mu, sigma} objects")
         controls_echo = None
@@ -633,11 +621,10 @@ def _run_cps(eff, built):
     else:
         cps = build_shadow_path(path, eps)
         price_out = None
-    bound = (1.0 + eps) ** 3
     outputs = {
         "epsilon": eps,
         "n_crossings": int(np.count_nonzero(cps.signs)),
-        "sandwich_ok": bool(1.0 / bound <= cps.ratio_min and cps.ratio_max <= bound),
+        "sandwich_ok": cps.sandwich_ok,
         "sandwich_ratio_min": cps.ratio_min,
         "sandwich_ratio_max": cps.ratio_max,
         "delta1_within_eps": cps.delta_stats.frac_delta1_within,

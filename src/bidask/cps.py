@@ -87,6 +87,17 @@ class ConsistentPriceSystem:
     def crossing_times(self) -> np.ndarray:
         return self.source.times[self.tau_indices]
 
+    @property
+    def width(self) -> float:
+        """The sandwich width w = (1+eps)^3 (see the module docstring)."""
+        return (1.0 + self.epsilon) ** 3
+
+    @property
+    def sandwich_ok(self) -> bool:
+        """Whether S~/S lies in [1/w, w], up to 1e-12 relative."""
+        w = self.width
+        return self.ratio_min >= 1.0 / w * (1.0 - 1e-12) and self.ratio_max <= w * (1.0 + 1e-12)
+
 
 def extract_stopping_times(path: SampledPath, eps: float):
     """Grid crossing times of the relative band ((1+eps)^-1, 1+eps).
@@ -173,19 +184,8 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
     shadow_vals[anchor_idx] = np.concatenate(([X0], levels))  # anchors exact
 
     ratio = shadow_vals / path.values
-    bound = (1.0 + eps) ** 3
-    r_min, r_max = float(ratio.min()), float(ratio.max())
-    if r_min < 1.0 / bound * (1.0 - 1e-12) or r_max > bound * (1.0 + 1e-12):
-        jump = float(np.max(np.abs(np.diff(log_s)))) / step
-        raise ConsistencyError(
-            f"shadow/source ratio [{r_min:.6g}, {r_max:.6g}] violates the "
-            f"sandwich bound (1+eps)^-3..(1+eps)^3 = [{1.0 / bound:.6g}, {bound:.6g}]; "
-            f"the largest step |d log S| is {jump:.6g} log(1+eps), and the bound "
-            f"is guaranteed only for steps up to 1 log(1+eps)")
-
     shadow = SampledPath(path.times, shadow_vals, positive=True)
-    stats = _delta_stats(path, shadow, eps)
-    return ConsistentPriceSystem(
+    cps = ConsistentPriceSystem(
         epsilon=float(eps),
         tau_indices=taus,
         signs=signs,
@@ -193,10 +193,18 @@ def build_shadow_path(path: SampledPath, eps: float) -> ConsistentPriceSystem:
         shadow=shadow,
         source=path,
         overshoots=overshoots,
-        delta_stats=stats,
-        ratio_min=r_min,
-        ratio_max=r_max,
+        delta_stats=_delta_stats(path, shadow, eps),
+        ratio_min=float(ratio.min()),
+        ratio_max=float(ratio.max()),
     )
+    if not cps.sandwich_ok:
+        jump = float(np.max(np.abs(np.diff(log_s)))) / step
+        raise ConsistencyError(
+            f"shadow/source ratio [{cps.ratio_min:.6g}, {cps.ratio_max:.6g}] violates the "
+            f"sandwich bound [1/w, w] = [{1.0 / cps.width:.6g}, {cps.width:.6g}]; "
+            f"the largest step |d log S| is {jump:.6g} log(1+eps), and the bound "
+            f"is guaranteed only for steps up to 1 log(1+eps)")
+    return cps
 
 
 def _gaps(source: SampledPath, shadow: SampledPath):
@@ -274,7 +282,7 @@ def cps_price(path: SampledPath, problem: PricingProblem, eps: float,
         raise ValueError(f"shadow start {spot:g} outside the spot domain "
                          f"[{x_min:g}, {x_max:g}]")
     ask_surface, bid_surface = solve_bsb_pair(problem, grid)
-    width = (1.0 + eps) ** 3
+    width = cps.width
     ask_v = ask_surface.value_at(0.0, spot)
     bid_v = bid_surface.value_at(0.0, spot)
     ask = CpsQuote(ask_v, ask_v / width, ask_v * width)

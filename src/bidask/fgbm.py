@@ -83,6 +83,11 @@ class FgbmSpec:
         return np.asarray(self.grid, dtype=float)
 
 
+def _unit_covariance(s, t, H: float):
+    """Unit-volatility noise covariance (s^2H + t^2H - |t-s|^2H) / 2, s, t >= 0."""
+    return 0.5 * (t ** (2 * H) + s ** (2 * H) - np.abs(t - s) ** (2 * H))
+
+
 def fgbm_covariance(s: float, t: float, H: float, band: UncertaintyBand):
     """Upper/lower covariance envelope of the fractional noise at (s, t):
     sigma^2 (s^2H + t^2H - |t-s|^2H) / 2 at the band's two volatility ends."""
@@ -92,7 +97,7 @@ def fgbm_covariance(s: float, t: float, H: float, band: UncertaintyBand):
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= s) & (s < np.inf) & (0.0 <= t) & (t < np.inf)):
         raise ValueError("covariance times must be finite and nonnegative")
-    base = 0.5 * (np.abs(t) ** (2 * H) + np.abs(s) ** (2 * H) - np.abs(t - s) ** (2 * H))
+    base = _unit_covariance(s, t, H)
     upper = band.sigma_hi**2 * base
     lower = band.sigma_lo**2 * base
     if np.ndim(base) == 0:
@@ -167,9 +172,7 @@ def _unit_cholesky(times: np.ndarray, H: float) -> np.ndarray:
     """
     from scipy.linalg import cholesky
 
-    tt = times[:, None]
-    ss = times[None, :]
-    R = 0.5 * (tt ** (2 * H) + ss ** (2 * H) - np.abs(tt - ss) ** (2 * H))
+    R = _unit_covariance(times[None, :], times[:, None], H)
     scale = float(R.diagonal().max())
     L = None
     for jitter in (0.0, 1e-14, 1e-13, 1e-12):

@@ -99,10 +99,11 @@ class GridSpec:
     n_space: int = 400
     n_time: int = 400
     stretching: str = "uniform_log"
+    MIN_STEPS = 16  # the fewest space intervals and time steps; not a field
 
     def __post_init__(self):
-        if self.n_space < 16 or self.n_time < 16:
-            raise ValueError("grid needs n_space >= 16 and n_time >= 16")
+        if min(self.n_space, self.n_time) < self.MIN_STEPS:
+            raise ValueError(f"grid needs n_space and n_time >= {self.MIN_STEPS}")
         if self.stretching not in STRETCHINGS:
             raise ValueError(f"unknown stretching {self.stretching!r}")
 

@@ -84,7 +84,9 @@ class UncertaintyBand:
 # Test functions / payoffs
 # ---------------------------------------------------------------------------
 
-_KINDS = ("call", "put", "identity", "power", "piecewise_linear", "table")
+# each kind of the family and the one field that sets it (None: no field)
+KINDS = {"call": "strike", "put": "strike", "identity": None, "power": "exponent",
+         "piecewise_linear": "knots", "table": "knots"}
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,7 @@ class ScalarFunctionSpec:
     Supported kinds: ``call(strike)``, ``put(strike)``, ``identity``,
     ``power(exponent)``, ``piecewise_linear(knots)`` (linear extrapolation
     beyond the end knots) and ``table(samples)`` (constant extrapolation).
+    ``KINDS`` maps each kind to the one field its same-named constructor takes.
     ``scale`` multiplies the output, so the pointwise negation of any
     member stays inside the family; it is how lower expectations reuse the
     upper code path, and ``negation()``, the map x -> -x, is the identity
@@ -107,13 +110,12 @@ class ScalarFunctionSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown function kind {self.kind!r}")
-        if self.kind in ("call", "put") and not math.isfinite(self.strike):
-            raise ValueError("strike must be finite")
-        if self.kind == "power" and not math.isfinite(self.exponent):
-            raise ValueError("exponent must be finite")
-        if self.kind in ("piecewise_linear", "table"):
+        name = KINDS[self.kind]
+        if name in ("strike", "exponent") and not math.isfinite(getattr(self, name)):
+            raise ValueError(f"{name} must be finite")
+        if name == "knots":
             if len(self.knots) < 2:
                 raise ValueError(f"{self.kind} needs at least two knots")
             xs = np.array([k[0] for k in self.knots], dtype=float)
@@ -265,8 +267,6 @@ def g_normal_expectation(phi: ScalarFunctionSpec, band: UncertaintyBand, t: floa
     collapsed to {0}).  Delegates to the PDE engine, on a 400 x 400 grid
     with uniformly spaced nodes.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"horizon must be positive, got {t!r}")
     from . import pde  # local import: pde depends on this module
 
     grid = pde.GridSpec(n_space=400, n_time=400, stretching="uniform_price")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import bidask
 from bidask import ConfigError, emit_config, parse_config, pde, run
 from bidask.cli import COMMANDS, CommandFailure, main
+from bidask.sublinear import KINDS
 from perfbench import workloads
 from test_pde import per_step_march
 
@@ -318,6 +320,97 @@ class TestConfigSections:
         assert config_errors(price_config(grid=grid)) == ["grid: expected an object"]
         assert config_errors(cps_pricing_config(grid=grid)) == [
             "pricing.grid: expected an object"]
+
+    def test_grid_defaults_and_floor_come_from_grid_spec(self):
+        floor = pde.GridSpec.MIN_STEPS
+        c = parse_config(json.dumps(price_config(grid={"n_space": floor})))
+        assert c.effective["grid"] == {**asdict(pde.GridSpec()), "n_space": floor}
+        assert config_errors(price_config(grid={"n_time": floor - 1})) == [
+            f"grid.n_time: must be >= {floor}"]
+
+    @pytest.mark.parametrize("control, errors", [
+        ({"breakpoints": [0, "0.5"], "mu_levels": [False, 0.01]},
+         ["control.breakpoints: entry 1: expected a number, got '0.5'",
+          "control.mu_levels: entry 0: expected a number, got False"]),
+        ({"sigma_levels": [0.1, None]},
+         ["control.sigma_levels: entry 1: expected a number, got None"]),
+        # finiteness is the control's rule, an integer past the float range too
+        ({"breakpoints": [0, 10**400]}, ["control: int too large to convert to float"]),
+    ], ids=["string_and_bool", "null", "past_the_float_range"])
+    def test_control_list_entries_obey_the_number_rule(self, control, errors):
+        cfg = {"command": "simulate", "band": dict(BAND), "s0": 100.0, "horizon": 1.0,
+               "control": {"breakpoints": [0.0, 0.5], "sigma_levels": [0.1, 0.3],
+                           "mu_levels": [0.01, 0.05], **control}}
+        assert config_errors(cfg) == errors
+
+
+# a valid value of each payoff field, on price_config's spot domain
+PAYOFF_FIELDS = {"strike": 100.0, "exponent": 2.0,
+                 "knots": [[50.0, 10.0], [100.0, 0.0], [150.0, 10.0]]}
+
+
+def _payoff(kind, **extra):
+    """A valid payoff of ``kind``, plus the ``extra`` keys."""
+    own = KINDS[kind]
+    return {"kind": kind, **({own: PAYOFF_FIELDS[own]} if own else {}), **extra}
+
+
+class TestPayoffReader:
+    """A payoff takes exactly the one field ``sublinear.KINDS`` gives its kind."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_parses_and_echoes_only_its_field(self, kind):
+        c = parse_config(json.dumps(price_config(payoff=_payoff(kind))))
+        assert c.effective["payoff"] == _payoff(kind)
+        assert c._built["problem"].payoff.kind == kind
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, own in KINDS.items() for key in PAYOFF_FIELDS if key != own])
+    def test_a_field_its_kind_does_not_take_is_unknown(self, kind, key):
+        payoff = _payoff(kind, **{key: PAYOFF_FIELDS[key]})
+        assert config_errors(price_config(payoff=payoff)) == [
+            f"payoff.{key}: unknown key (strict mode)"]
+
+    def test_call_takes_no_exponent_or_knots(self):
+        payoff = {"kind": "call", "strike": 100, "exponent": 3, "knots": [[1, 2], [3, 4]]}
+        assert config_errors(price_config(payoff=payoff)) == [
+            "payoff.exponent: unknown key (strict mode)",
+            "payoff.knots: unknown key (strict mode)"]
+
+    @pytest.mark.parametrize("payoff, errors", [
+        ({"kind": "put"}, ["payoff.strike: required key is missing"]),
+        ({"kind": "power"}, ["payoff.exponent: required key is missing"]),
+        ({"kind": "piecewise_linear"}, ["payoff.knots: required key is missing"]),
+        ({"kind": "table"}, ["payoff.knots: required key is missing"]),
+        ({"kind": "straddle", "strike": 100.0},
+         ["payoff.kind: must be 'call' or 'put' or 'identity' or 'power' or "
+          "'piecewise_linear' or 'table'", "payoff.strike: unknown key (strict mode)"]),
+        ({"kind": "power", "exponent": "2"},
+         ["payoff.exponent: expected a number, got '2'"]),
+        ({"kind": "table", "knots": [[True, 0], ["80", 1], [200, 5]]},
+         ["payoff.knots: entry 0: expected a number, got True"]),
+        ({"kind": "table", "knots": [[50, 0], ["80", 1], [200, 5]]},
+         ["payoff.knots: entry 1: expected a number, got '80'"]),
+        ({"kind": "table", "knots": [[50, 0, 1], [200, 5]]},
+         ["payoff.knots: entry 0: expected a list of 2 numbers, got [50, 0, 1]"]),
+        ({"kind": "table", "knots": [50, 200]},
+         ["payoff.knots: entry 0: expected a list of 2 numbers, got 50"]),
+        # the family's own rejections, at the payoff
+        ({"kind": "table", "knots": [[50, 1]]}, ["payoff: table needs at least two knots"]),
+        ({"kind": "piecewise_linear", "knots": [[150, 0], [50, 1]]},
+         ["payoff: knot abscissae must be strictly increasing"]),
+        ({"kind": "table", "knots": [[50, math.nan], [150, 1]]},
+         ["payoff: knots must be finite"]),
+        ({"kind": "table", "knots": [[50, 10**400], [150, 1]]},
+         ["payoff: int too large to convert to float"]),
+    ], ids=["missing_strike", "missing_exponent", "missing_piecewise_knots",
+            "missing_table_knots", "unknown_kind", "string_exponent", "bool_knot",
+            "string_knot", "triple_knot", "flat_knots", "one_knot", "unsorted_knots",
+            "nan_knot", "knot_past_the_float_range"])
+    def test_payoff_errors_name_their_field(self, payoff, errors):
+        assert config_errors(price_config(payoff=payoff)) == errors
+        assert config_errors(cps_pricing_config(payoff=payoff)) == [
+            "pricing." + e for e in errors]
 
 
 GRID = {"n_space": 64, "n_time": 64, "stretching": "uniform_price"}

@@ -1,6 +1,7 @@
 """Shadow price system construction and pricing tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestShadowPath:
         with pytest.raises(ConsistencyError, match=r"largest step \|d log S\| is 6 log"):
             build_shadow_path(SampledPath(t, vals, positive=True), 0.1)
 
+    def test_sandwich_ok_is_the_shadow_paths_own_check(self):
+        # the report's flag is build_shadow_path's check, with its 1e-12 slack
+        cps = build_shadow_path(exp_path(), 0.1)
+        assert cps.width == (1.0 + 0.1) ** 3
+        assert cps.sandwich_ok
+        assert replace(cps, ratio_max=cps.width * (1.0 + 5e-13)).sandwich_ok
+        assert not replace(cps, ratio_max=cps.width * (1.0 + 2e-12)).sandwich_ok
+        assert replace(cps, ratio_min=1.0 / cps.width * (1.0 - 5e-13)).sandwich_ok
+        assert not replace(cps, ratio_min=1.0 / cps.width * (1.0 - 2e-12)).sandwich_ok
+
     @settings(max_examples=200, deadline=None)
     @given(eps=st.sampled_from([0.005, 0.01, 0.05, 0.2]),
            unit_steps=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300))
@@ -251,6 +262,15 @@ class TestCpsPrice:
         assert res.ask.value == pytest.approx(oracle, rel=2e-3)
         assert res.bid.value == pytest.approx(oracle, rel=2e-3)
         assert res.ask.lower <= res.ask.value <= res.ask.upper
+
+    def test_quotes_rescale_by_the_shadow_width(self):
+        c = ControlProcess.constant(0.03, 0.2, band=BAND)
+        path = simulate_asset_paths(c, 100.0, np.linspace(0, 1, 257), seed=3,
+                                    n_paths=1)[0]
+        res = cps_price(path, self.problem(BAND), 0.05, GridSpec(64, 64))
+        for quote in (res.ask, res.bid):
+            assert (quote.lower, quote.upper) == (quote.value / res.cps.width,
+                                                  quote.value * res.cps.width)
 
     def test_interval_tightens_with_eps(self):
         band = UncertaintyBand(0.0, 0.05, 0.1, 0.3)

@@ -1,6 +1,7 @@
 """Band, G-function, and worst-case expectation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bidask import (
     g_vol,
     maximal_expectation,
 )
+from bidask.sublinear import KINDS
 
 BAND = UncertaintyBand(mu_lo=0.01, mu_hi=0.05, sigma_lo=0.1, sigma_hi=0.3)
 
@@ -125,6 +127,33 @@ class TestScalarFunctionSpec:
         f = ScalarFunctionSpec.table([(0.0, 1.0), (1.0, 3.0)])
         assert f(5.0) == pytest.approx(3.0)
         assert f(-5.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_has_a_constructor_taking_its_field(self, kind):
+        field = KINDS[kind]
+        value = {"strike": 100.0, "exponent": 2.0, "knots": ((0.0, 1.0), (1.0, 2.0))}.get(field)
+        spec = getattr(ScalarFunctionSpec, kind)(*([] if field is None else [value]))
+        assert spec.kind == kind
+        if field is not None:
+            assert getattr(spec, field) == value
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "straddle"}, "unknown function kind 'straddle'"),
+        ({"kind": "call", "strike": math.nan}, "strike must be finite"),
+        ({"kind": "put", "strike": -math.inf}, "strike must be finite"),
+        ({"kind": "power", "exponent": math.inf}, "exponent must be finite"),
+        ({"kind": "identity", "scale": math.nan}, "scale must be finite"),
+        ({"kind": "table", "knots": ((0.0, math.nan), (1.0, 1.0))}, "knots must be finite"),
+        ({"kind": "piecewise_linear", "knots": ((math.inf, 0.0), (1.0, 1.0))},
+         "knots must be finite"),
+        ({"kind": "table", "knots": ((0.0, 1.0),)}, "table needs at least two knots"),
+        ({"kind": "piecewise_linear", "knots": ((1.0, 0.0), (1.0, 1.0))},
+         "knot abscissae must be strictly increasing"),
+    ], ids=["unknown_kind", "nan_strike", "infinite_strike", "infinite_exponent",
+            "nan_scale", "nan_knot", "infinite_knot", "one_knot", "repeated_abscissa"])
+    def test_rejects_what_the_family_does_not_hold(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScalarFunctionSpec(**fields)
 
     def test_rejects_unsorted_knots(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -244,6 +273,11 @@ class TestGNormalExpectation:
             [(-8.0, -8.0), (0.0, 0.0), (8.0, -8.0)])
         v = g_normal_expectation(hat, band, 1.0)
         assert v == pytest.approx(gaussian_expectation(hat, 0.1, 1.0), rel=3e-3)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_horizon_rule_is_the_heat_solvers(self, t):
+        with pytest.raises(ValueError, match=f"^horizon must be positive, got {t!r}$"):
+            g_normal_expectation(ScalarFunctionSpec.identity(), BAND, t)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
