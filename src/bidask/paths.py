@@ -9,18 +9,21 @@ independent centered Gaussian increments with variance sigma_i^2 dt, asset
 paths use the exact-per-step lognormal scheme, and the deflator discounts
 at the riskless rate while removing the scenario's risk premium.  For a
 time-based control both log S_T and the deflator exponent are linear in
-the path's normals, so Monte Carlo prices such a control from those two
+the Brownian increment over each piece of steps on which its levels are
+constant, so Monte Carlo draws one normal per path and piece of the
+family (see ``mc_ask_bid``) and prices such a control from those two
 terminal statistics without building its paths.
 
-Randomness: one named splittable generator (Philox keyed by the seed).
-Paths come in blocks of ``_RNG_BLOCK``; path j lies in block
+Randomness: one named splittable generator (Philox keyed by an integer
+seed).  Paths come in blocks of ``_RNG_BLOCK``; path j lies in block
 b = j // _RNG_BLOCK, which draws from counter b << 128.  Path j's values
-depend only on (seed, j), so growing n_paths never changes existing paths.
-The blocks are drawn concurrently on the usable CPUs, each into its own
-rows, so the result does not depend on the number of workers; on one
-usable CPU the draw is serial.  A call that compares a control family
-(``mc_ask_bid``, ``estimate_tube_capacity``) draws the normals once and
-runs every control on them: common random numbers.
+depend only on (seed, j) and the normals per path, so growing n_paths
+never changes existing paths.  The blocks are drawn concurrently on the
+usable CPUs, each into its own rows, so the result does not depend on the
+number of workers; on one usable CPU the draw is serial.  A call that
+compares a control family (``mc_ask_bid``, ``estimate_tube_capacity``)
+draws the normals once and runs every control on them: common random
+numbers.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
 grid; asset paths come from one kernel, which also gives the volatility
@@ -142,8 +145,10 @@ class ControlProcess:
         bp = _as_grid(self.breakpoints, "breakpoints", min_points=1)
         sg = np.asarray(self.sigma_levels, dtype=float)
         mu = np.asarray(self.mu_levels, dtype=float)
-        if len(sg) != len(bp) or len(mu) != len(bp):
+        if sg.shape != bp.shape or mu.shape != bp.shape:
             raise ValueError("need one sigma and one mu level per breakpoint")
+        if not (np.isfinite(sg).all() and np.isfinite(mu).all()):
+            raise ValueError("sigma and mu levels must be finite")
         if np.any(sg < 0.0):
             raise ValueError("sigma levels must be nonnegative")
         if self.band is not None and (msg := self.band.violation(sigma=sg, mu=mu)):
@@ -288,8 +293,12 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     one per block), each filling its own rows; numpy releases the GIL while
     it fills, and the result is the same for any number of workers.  One
     block, or one usable CPU, is drawn serially.  A block is never split:
-    the ziggurat takes a variable number of raw draws per normal.
+    the ziggurat takes a variable number of raw draws per normal.  A seed
+    that is not an integer (a float or a bool) raises ValueError: Philox
+    would truncate it to another seed's key.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     z = np.empty((n_paths, n_steps))
@@ -493,37 +502,52 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
 
     Each control yields an estimate of E[H_T payoff(S_T)] (deflated claim
     under that scenario); the ask is the largest estimate over the family and
-    the bid the smallest.  Every control runs on one draw of normals z (common
-    random numbers); n_paths < 1 or a spot (every path's S0) not finite and
-    positive raises ValueError, the spot and every control checked before
-    the draw.  A time-based control's log S_T = log S_0 +
-    sum (mu - sigma^2/2) dt + z . sigma sqrt(dt) needs no paths; a rule's come
-    from the kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 dt / 2
-    + sum lambda sqrt(dt) z)), lambda = (mu - r) / sigma, with sigma the row
+    the bid the smallest.  n_paths < 1 or a spot (every path's S0) not finite
+    and positive raises ValueError, the spot and every control checked
+    before the draw.
+
+    Every control runs on one draw z (common random numbers) of one normal
+    per path and piece.  The pieces are the maximal runs of grid steps on
+    which every time-based control's levels are constant, or every step
+    when the family holds a BangBangRule (its volatility may change at any
+    step), which then reads the full per-step draw.  A time-based control
+    prices from its piece increments, log S_T = log S_0 + sum (mu -
+    sigma^2/2) tau + z . sigma sqrt(tau) over pieces of length tau, so its
+    estimate depends on its family's pieces; a rule's paths come from the
+    kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 tau / 2 +
+    sum lambda sqrt(tau) z)), lambda = (mu - r) / sigma, with sigma the row
     or, for a rule, the matrix of volatilities the steps used.
     """
     controls = list(controls)
     grid = _as_grid(grid)
     if abs(grid[-1] - problem.maturity) > _time_tol(problem.maturity):
         raise ValueError("time grid must end at the claim maturity")
-    dt = np.diff(grid)
-    sqrt_dt = np.sqrt(dt)
     r = problem.rate
 
     _check_scenarios(spot, controls, grid, problem.band)
-    z = _draw_normals(seed, n_paths, len(dt))
+    levels = {idx: _step_levels(c, grid) for idx, c in enumerate(controls)
+              if not isinstance(c, BangBangRule)}
+    # a piece ends where a time-based control changes level, and at every
+    # step when a rule is in the family
+    change = np.full(len(grid) - 2, len(levels) < len(controls))
+    for sig, mu in levels.values():
+        change |= (sig[1:] != sig[:-1]) | (mu[1:] != mu[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    tau = np.diff(grid[np.append(starts, len(grid) - 1)])
+    sqrt_tau = np.sqrt(tau)
+    z = _draw_normals(seed, n_paths, len(starts))
     estimates = []
     for idx, control in enumerate(controls):
         if isinstance(control, BangBangRule):
             S, sig = _paths_from_normals(control, spot, grid, z)
             s_T, mu = S[:, -1], control.mu_value
         else:
-            sig, mu = _step_levels(control, grid)
-            s_T = spot * np.exp(np.sum((mu - 0.5 * sig * sig) * dt) + z @ (sig * sqrt_dt))
+            sig, mu = (step[starts] for step in levels[idx])
+            s_T = spot * np.exp(np.sum((mu - 0.5 * sig * sig) * tau) + z @ (sig * sqrt_tau))
         lam = _market_price_of_risk(mu - r, sig)
-        # einsum: no (n_paths, n_steps) temporary when sigma is a row
-        h_T = np.exp(-(r * grid[-1] + 0.5 * np.sum(lam * lam * dt, axis=-1)
-                       + np.einsum("...j,...j->...", z, lam * sqrt_dt)))
+        # einsum: no (n_paths, n_pieces) temporary when sigma is a row
+        h_T = np.exp(-(r * grid[-1] + 0.5 * np.sum(lam * lam * tau, axis=-1)
+                       + np.einsum("...j,...j->...", z, lam * sqrt_tau)))
         y = h_T * np.asarray(problem.payoff(s_T))
         value = float(np.mean(y))
         se = float(np.std(y, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

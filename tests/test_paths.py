@@ -90,6 +90,18 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             ControlProcess((0.0, math.nan), (0.2, 0.3), (0.0, 0.0))
 
+    @pytest.mark.parametrize("sigma, mu, match", [
+        ((math.nan,), (0.03,), "levels must be finite"),
+        ((0.2,), (math.inf,), "levels must be finite"),
+        (((0.2,),), (0.03,), "one sigma and one mu level per breakpoint"),
+        ((0.2,), ((0.03,),), "one sigma and one mu level per breakpoint"),
+    ], ids=["nan_sigma", "inf_mu", "2d_sigma", "2d_mu"])
+    def test_control_levels_must_be_finite_one_per_breakpoint(self, sigma, mu, match):
+        # without a band nothing else stops them: NaN or inf paths, or a
+        # broadcast error in every simulator
+        with pytest.raises(ValueError, match=match):
+            ControlProcess((0.0,), sigma, mu)
+
     def test_control_lookup(self):
         c = ControlProcess((0.0, 0.5), (0.1, 0.3), (0.02, 0.04))
         assert c.sigma_at(0.25) == 0.1
@@ -670,18 +682,32 @@ class TestTerminalStatistics:
         y = h_T * prob.payoff(S[:, -1])
         return float(np.mean(y)), float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
+    @classmethod
+    def piece_grid_estimate(cls, prob, control, grid, seed, n_paths):
+        # the full-path route on the control's piece grid, one step per
+        # piece: a level takes effect at the first time of ``grid`` at or
+        # after its breakpoint, so the control runs with its breakpoints
+        # moved there
+        starts = grid[np.searchsorted(grid, control.breakpoints)]
+        on_grid = ControlProcess(tuple(starts), control.sigma_levels, control.mu_levels)
+        return cls.full_path_estimate(prob, on_grid, np.append(starts, grid[-1]), seed,
+                                      n_paths)
+
     @pytest.mark.parametrize("control, band", [
         (ControlProcess.constant(0.05, 0.2), BAND),  # mu = r
         (ControlProcess((0.0, 0.25, 0.625), (0.1, 0.3, 0.2), (0.05, 0.05, 0.05)), BAND),
         (ControlProcess((0.0, 0.5), (0.3, 0.1), (0.01, 0.03)), BAND),  # mu != r
         (ControlProcess.constant(0.01, 0.3), BAND),  # mu != r
         (ControlProcess.constant(0.05, 0.0), UncertaintyBand(0.0, 0.05, 0.0, 0.3)),
+        # a breakpoint past a grid time by less than the alignment tolerance:
+        # its level starts one step later, at 17/64
+        (ControlProcess((0.0, 0.25 + 1e-10), (0.3, 0.1), (0.01, 0.03)), BAND),
     ])
     def test_matches_the_full_path_estimate(self, control, band):
         prob = make_problem(band)
         grid = grid_of(64)
         est, _ = mc_ask_bid(prob, [control], grid, seed=19, spot=100.0, n_paths=3000)
-        value, se = self.full_path_estimate(prob, control, grid, 19, 3000)
+        value, se = self.piece_grid_estimate(prob, control, grid, 19, 3000)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.std_error == pytest.approx(se, rel=1e-12, abs=1e-15)
 
@@ -718,6 +744,14 @@ class TestTerminalStatistics:
         assert in_family.control_id == rule.label
         assert in_family.value == made[0].value
         assert in_family.std_error == made[0].std_error
+        # a constant among constants: one piece, the same draw as alone
+        constants = [family[0], ControlProcess.constant(0.03, 0.2), family[2]]
+        made.clear()
+        mc_ask_bid(args[0], constants, *args[2:])
+        in_family = made[1]
+        made.clear()
+        mc_ask_bid(args[0], [constants[1]], *args[2:])
+        assert in_family == made[0]
 
 
 class TestTableDrivenAdversary:
@@ -796,11 +830,19 @@ class TestOneDrawPerFamily:
         monkeypatch.setattr(paths_mod, "_draw_normals", counted)
         return calls
 
-    def test_mc_ask_bid_draws_once(self, draws):
-        family = default_control_family(BAND) + [butterfly_rule()]
+    @pytest.mark.parametrize("extra, n_pieces", [
+        (None, 32),  # the butterfly rule: its volatility may change at every step
+        ([], 1),
+        # pieces start at 0, 1/4 (first control's sigma) and 3/4 (second's mu;
+        # its levels agree across 1/2, so no piece starts there)
+        ([ControlProcess((0.0, 0.25), (0.1, 0.3), (0.05, 0.05)),
+          ControlProcess((0.0, 0.5, 0.75), (0.2, 0.2, 0.2), (0.02, 0.02, 0.04))], 3),
+    ], ids=["rule", "constants", "piecewise"])
+    def test_mc_ask_bid_draws_once(self, draws, extra, n_pieces):
+        family = default_control_family(BAND) + ([butterfly_rule()] if extra is None else extra)
         mc_ask_bid(butterfly_problem(), family, grid_of(32), seed=4, spot=100.0,
                    n_paths=200)
-        assert draws == [(4, 200, 32)]
+        assert draws == [(4, 200, n_pieces)]
 
     def test_tube_capacity_draws_once(self, draws):
         center = SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)),

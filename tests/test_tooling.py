@@ -89,20 +89,21 @@ def fgbm(grid):
 
 
 # each simulator called with (n_paths, start value, scenario volatility,
-# time grid) under BAND; the first two take no start
+# time grid, seed) under BAND; the first two take no start
 SIMULATORS = {
-    "simulate_gbm_increments": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_gbm_increments(
-        const(sig), grid, 1, n, band=BAND),
-    "simulate_fgbm": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_fgbm(
-        fgbm(grid), sig, 1, n),
-    "simulate_asset_paths": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_asset_paths(
-        const(sig), s0, grid, 1, n, band=BAND),
-    "mc_ask_bid": lambda n, s0, sig=0.2, grid=GRID: bidask.mc_ask_bid(
-        PROBLEM, [const(sig)], grid, 1, s0, n),
-    "estimate_tube_capacity": lambda n, s0, sig=0.2, grid=GRID: bidask.estimate_tube_capacity(
-        bidask.SampledPath(grid, np.full(len(grid), s0)), 5.0, BAND, [const(sig)], 1, n),
-    "simulate_fgbm_asset": lambda n, s0, sig=0.2, grid=GRID: bidask.simulate_fgbm_asset(
-        fgbm(grid), 0.01, s0, sig, 1, n),
+    "simulate_gbm_increments": lambda n, s0, sig=0.2, grid=GRID, seed=1:
+        bidask.simulate_gbm_increments(const(sig), grid, seed, n, band=BAND),
+    "simulate_fgbm": lambda n, s0, sig=0.2, grid=GRID, seed=1:
+        bidask.simulate_fgbm(fgbm(grid), sig, seed, n),
+    "simulate_asset_paths": lambda n, s0, sig=0.2, grid=GRID, seed=1:
+        bidask.simulate_asset_paths(const(sig), s0, grid, seed, n, band=BAND),
+    "mc_ask_bid": lambda n, s0, sig=0.2, grid=GRID, seed=1:
+        bidask.mc_ask_bid(PROBLEM, [const(sig)], grid, seed, s0, n),
+    "estimate_tube_capacity": lambda n, s0, sig=0.2, grid=GRID, seed=1:
+        bidask.estimate_tube_capacity(bidask.SampledPath(grid, np.full(len(grid), s0)), 5.0,
+                                      BAND, [const(sig)], seed, n),
+    "simulate_fgbm_asset": lambda n, s0, sig=0.2, grid=GRID, seed=1:
+        bidask.simulate_fgbm_asset(fgbm(grid), 0.01, s0, sig, seed, n),
 }
 
 
@@ -122,6 +123,15 @@ def test_simulator_needs_a_path(name, n_paths):
     SIMULATORS[name](1, 100.0)
     with pytest.raises(ValueError, match="n_paths"):
         SIMULATORS[name](n_paths, 100.0)
+
+
+@pytest.mark.parametrize("seed", [1.9, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", list(SIMULATORS))
+def test_simulator_needs_an_integer_seed(name, seed):
+    # Philox would truncate the key: 1.9 and True would draw seed 1's normals
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SIMULATORS[name](10, 100.0, seed=seed)
+    SIMULATORS[name](10, 100.0, seed=np.int64(1))
 
 
 @pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
