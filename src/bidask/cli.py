@@ -39,10 +39,12 @@ from .paths import (
     estimate_tube_capacity,
     hedge_verify,
     read_path_file,
+    seed_violation,
     simulate_asset_paths,
     write_ensemble_file,
 )
-from .pde import STRETCHINGS, GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair
+from .pde import (STRETCHINGS, GridSpec, PricingProblem, solve_bsb_ask, solve_bsb_pair,
+                  stretching_violation)
 from .sublinear import KINDS, ScalarFunctionSpec, UncertaintyBand
 
 __all__ = ["RunConfig", "Report", "parse_config", "emit_config", "run", "main"]
@@ -356,9 +358,13 @@ def _read_pricing(r, cfg, band, built, prefix="", spot=False):
     echo["grid"] = asdict(grid)
     if None not in (band, payoff, maturity, domain):
         try:
-            built["problem"] = PricingProblem(payoff, maturity, rate, band, tuple(domain))
+            problem = built["problem"] = PricingProblem(payoff, maturity, rate, band,
+                                                        tuple(domain))
         except ValueError as e:
             r.fail(f"{prefix}payoff/{prefix}spot_domain", str(e))
+        else:
+            if msg := stretching_violation(grid.stretching, problem.maturity_domain[0]):
+                r.fail(prefix + "spot_domain", msg)
         built["grid"] = grid
     return echo
 
@@ -434,8 +440,7 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
     if r.errors:
         raise ConfigError(r.errors)
 
-    seed = r.get(cfg, "seed", "", kind=int, default=0,
-                 check=lambda v: None if 0 <= v < 2**64 else "must fit in 64 bits")
+    seed = r.get(cfg, "seed", "", kind=int, default=0, check=seed_violation)
     fmt = r.get(cfg, "format", "", kind=str, default="json", check=_one_of(FORMATS))
     output = r.get(cfg, "output", "", kind=str, default=None)
 
@@ -498,8 +503,9 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
         eta = r.get(cfg, "eta", "", required=True, kind=float,
                     check=lambda v: None if v >= 0 else "must be nonnegative")
         n_paths = r.get(cfg, "n_paths", "", kind=int, default=1000, check=_at_least(1))
-        items = r.get(cfg, "controls", "", check=lambda v: None if isinstance(v, list)
-                      else "expected a list of {mu, sigma} objects")
+        items = r.get(cfg, "controls", "", check=lambda v: (
+            "expected a list of {mu, sigma} objects" if not isinstance(v, list)
+            else None if v else "control family must be nonempty"))
         controls_echo = None
         if items is not None:
             by_index = dict(enumerate(items))

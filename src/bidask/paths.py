@@ -18,12 +18,9 @@ Randomness: one named splittable generator (Philox keyed by an integer
 seed).  Paths come in blocks of ``_RNG_BLOCK``; path j lies in block
 b = j // _RNG_BLOCK, which draws from counter b << 128.  Path j's values
 depend only on (seed, j) and the normals per path, so growing n_paths
-never changes existing paths.  The blocks are drawn concurrently on the
-usable CPUs, each into its own rows, so the result does not depend on the
-number of workers; on one usable CPU the draw is serial.  A call that
-compares a control family (``mc_ask_bid``, ``estimate_tube_capacity``)
-draws the normals once and runs every control on them: common random
-numbers.
+never changes existing paths.  A call that compares a control family
+(``mc_ask_bid``, ``estimate_tube_capacity``) draws the normals once and
+runs every control on them: common random numbers.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
 grid; asset paths come from one kernel, which also gives the volatility
@@ -33,9 +30,7 @@ each step used.  A ``BangBangRule`` holds a table of the band end it picks.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -276,11 +271,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def seed_violation(seed) -> str | None:
+    """None when ``seed`` is an integer in [0, 2**64) (a bool is not one),
+    else the message saying what it is not.  Philox would truncate a float
+    or a bool to another seed's key."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        return f"must be an integer, got {seed!r}"
+    return None if 0 <= seed < 2**64 else f"must fit in 64 bits, got {seed!r}"
 
 
 def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
@@ -289,34 +286,19 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     Paths are grouped into fixed blocks of _RNG_BLOCK, each drawn from its
     own counter-offset substream, so row j depends only on (seed, j,
     n_steps): growing n_paths appends rows without touching existing ones.
-    The blocks are drawn concurrently, one thread per usable CPU (at most
-    one per block), each filling its own rows; numpy releases the GIL while
-    it fills, and the result is the same for any number of workers.  One
-    block, or one usable CPU, is drawn serially.  A block is never split:
-    the ziggurat takes a variable number of raw draws per normal.  A seed
-    that is not an integer (a float or a bool) raises ValueError: Philox
-    would truncate it to another seed's key.
+    A block is never split: the ziggurat takes a variable number of raw
+    draws per normal.  A seed that breaks ``seed_violation`` raises
+    ValueError.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if msg := seed_violation(seed):
+        raise ValueError(f"seed {msg}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     z = np.empty((n_paths, n_steps))
-    n_blocks = (n_paths + _RNG_BLOCK - 1) // _RNG_BLOCK
-
-    def fill(block):
-        lo = block * _RNG_BLOCK
+    for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
         # a partial block is a row prefix of the full one: draws are
         # consumed row-major, so requesting fewer rows changes nothing
         _block_rng(seed, block).standard_normal(out=z[lo:lo + _RNG_BLOCK])
-
-    workers = min(n_blocks, _usable_cpus()) if n_blocks > 1 else 1
-    if workers == 1:
-        for block in range(n_blocks):
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_blocks)))  # re-raises a block's error
     return z
 
 

@@ -108,6 +108,14 @@ class GridSpec:
             raise ValueError(f"unknown stretching {self.stretching!r}")
 
 
+def stretching_violation(stretching: str, lower: float) -> str | None:
+    """None when a grid of ``stretching`` can span a domain whose lower end
+    is ``lower``, else the message: a log grid needs lower > 0."""
+    if stretching == "uniform_log" and not lower > 0.0:
+        return "uniform_log grids need a strictly positive lower domain end"
+    return None
+
+
 @dataclass(frozen=True)
 class PricingProblem:
     """A European claim plus the market data needed to price it.
@@ -320,9 +328,9 @@ def _build_space_nodes(problem: PricingProblem, grid: GridSpec):
     snapped onto the nearest interior node.
     """
     f_min, f_max = problem.maturity_domain
+    if msg := stretching_violation(grid.stretching, f_min):
+        raise ValueError(msg)
     if grid.stretching == "uniform_log":
-        if f_min <= 0.0:
-            raise ValueError("uniform_log grids need a strictly positive lower domain end")
         w = np.linspace(math.log(f_min), math.log(f_max), grid.n_space + 1)
         to_w = math.log
     else:

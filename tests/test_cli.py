@@ -279,6 +279,26 @@ class TestConfigSections:
                "eta": 5.0, "n_steps": "x"}
         assert config_errors(cfg) == ["n_steps: unknown key (strict mode)"]
 
+    def test_capacity_needs_a_control(self):
+        cfg = {"command": "capacity", "band": dict(BAND), "center_file": "c.csv",
+               "eta": 5.0, "controls": []}
+        assert config_errors(cfg) == ["controls: control family must be nonempty"]
+
+    @pytest.mark.parametrize("config, field", [
+        (price_config, "spot_domain"), (hedge_config, "spot_domain"),
+        (lambda **kw: cps_pricing_config(**kw), "pricing.spot_domain"),
+    ], ids=["price", "hedge", "cps"])
+    def test_log_grid_needs_a_positive_domain_end(self, config, field):
+        assert config_errors(config(spot_domain=[0.0, 400.0])) == [
+            f"{field}: uniform_log grids need a strictly positive lower domain end"]
+        parsed = parse_config(json.dumps(config(
+            spot_domain=[0.0, 400.0],
+            grid={"n_space": 64, "n_time": 32, "stretching": "uniform_price"})))
+        ask = pde.solve_bsb_ask(parsed._built["problem"], parsed._built["grid"])
+        assert ask.space_nodes[0] == 0.0 and ask.value_at(0.0, 100.0) > 0.0
+        if config is price_config:
+            assert run(parsed).outputs["ask"] == ask.value_at(0.0, 100.0)
+
     @pytest.mark.parametrize("cfg, error", [
         (price_config(rate=math.nan), "rate: expected a finite number, got nan"),
         (price_config(maturity=math.inf), "maturity: expected a finite number, got inf"),
@@ -568,7 +588,7 @@ def _configs(draw):
             st.fixed_dictionaries({"center_file": st.just("center.csv"),
                                    "eta": _between(0.0, 100.0)}),
             _optional("n_paths", _counts),
-            _optional("controls", st.lists(_levels(band), max_size=4)))))
+            _optional("controls", st.lists(_levels(band), min_size=1, max_size=4)))))
     return cfg
 
 
@@ -616,25 +636,6 @@ class TestRun:
         assert report.outputs["n_paths"] == 4
         header = out.read_text().splitlines()[0]
         assert header == "time,value_0,value_1,value_2,value_3"
-
-    def test_two_block_simulate_renders_as_the_serial_draw(self, monkeypatch):
-        # 5000 paths are two blocks of normals, drawn on two threads
-        cfg = json.dumps({
-            "command": "simulate", "seed": 21,
-            "band": {"mu_lo": 0.0, "mu_hi": 0.1, "sigma_lo": 0.1, "sigma_hi": 0.3},
-            "s0": 100.0, "horizon": 1.0, "n_steps": 64, "n_paths": 5000,
-            "control": {"mu": 0.05, "sigma": 0.2},
-        })
-        monkeypatch.setattr(bidask.paths, "_usable_cpus", lambda: 2)
-        threaded = [run(parse_config(cfg)).render("json") for _ in range(2)]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
-
-        monkeypatch.setattr(bidask.paths, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(bidask.paths, "ThreadPoolExecutor", refuse)
-        serial = run(parse_config(cfg)).render("json")
-        assert threaded[0] == threaded[1] == serial
 
     def test_piecewise_control_accepted(self):
         cfg = {
@@ -985,6 +986,14 @@ class TestFreshInterpreter:
                             "'scipy.linalg', 'scipy.special') if m in sys.modules))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_and_a_two_block_draw_start_no_thread(self):
+        proc = _run_python(["-c", "import sys, threading, bidask\n"
+                            "bidask.paths._draw_normals(1, 2 * 4096 + 1, 2)\n"
+                            "print('concurrent.futures' in sys.modules, "
+                            "threading.active_count())"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1"]
 
     def test_commands_that_solve_no_pde_leave_scipy_out(self):
         # each config runs through parse_config, run and render in one

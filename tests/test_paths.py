@@ -2,8 +2,6 @@
 
 import io
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -988,68 +986,20 @@ class TestSimulatorsReturnTheirMatrix:
         assert isinstance(got, PathEnsemble) and got.values.shape == (3, 9) and got.positive
 
 
-class TestParallelDraw:
-    """The blocks are drawn concurrently; every draw equals the serial
-    block loop bitwise, whatever the number of workers."""
+class TestBlockDraw:
+    """Every draw equals, bitwise, its rows of whole blocks, each block
+    drawn in full from its own counter-offset stream."""
 
     @staticmethod
-    def serial(seed, n_paths, n_steps):
+    def by_block(seed, n_paths, n_steps):
         z = np.empty((n_paths, n_steps))
         for block, lo in enumerate(range(0, n_paths, 4096)):
-            paths_mod._block_rng(seed, block).standard_normal(out=z[lo:lo + 4096])
+            full = paths_mod._block_rng(seed, block).standard_normal((4096, n_steps))
+            z[lo:lo + 4096] = full[:n_paths - lo]
         return z
 
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
-
-        monkeypatch.setattr(paths_mod, "ThreadPoolExecutor", refuse)
-
-    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
     @pytest.mark.parametrize("n_paths", [1, 4096, 4097, 3 * 4096 + 17, 20000])
-    def test_equals_the_serial_block_loop(self, monkeypatch, n_paths, cpus):
-        if cpus is not None:  # None: the machine's own usable CPUs
-            monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: cpus)
+    def test_equals_the_block_loop(self, n_paths):
         assert paths_mod._RNG_BLOCK == 4096
         assert np.array_equal(paths_mod._draw_normals(9, n_paths, 24),
-                              self.serial(9, n_paths, 24))
-
-    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # a lost or misplaced block write breaks bitwise equality
-        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for seed in range(3):
-                assert np.array_equal(paths_mod._draw_normals(seed, 8 * 4096 + 5, 6),
-                                      self.serial(seed, 8 * 4096 + 5, 6))
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_one_block_builds_no_pool(self, monkeypatch, no_pool):
-        def no_lookup():
-            raise AssertionError("CPU count looked up for one block")
-
-        monkeypatch.setattr(paths_mod, "_usable_cpus", no_lookup)
-        assert np.array_equal(paths_mod._draw_normals(4, 4096, 8), self.serial(4, 4096, 8))
-
-    def test_one_usable_cpu_draws_serially(self, monkeypatch, no_pool):
-        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 1)
-        assert np.array_equal(paths_mod._draw_normals(4, 5 * 4096, 8),
-                              self.serial(4, 5 * 4096, 8))
-
-    def test_bad_seed_raises_the_same_error(self, monkeypatch):
-        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 2)
-        errors = []
-        for n_paths in (10, 5 * 4096):
-            with pytest.raises(ValueError) as exc:
-                paths_mod._draw_normals(-1, n_paths, 4)
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1]
-
-    def test_no_thread_outlives_the_draw(self, monkeypatch):
-        monkeypatch.setattr(paths_mod, "_usable_cpus", lambda: 4)
-        before = threading.active_count()
-        paths_mod._draw_normals(2, 5 * 4096, 8)
-        assert threading.active_count() == before
+                              self.by_block(9, n_paths, 24))

@@ -125,13 +125,19 @@ def test_simulator_needs_a_path(name, n_paths):
         SIMULATORS[name](n_paths, 100.0)
 
 
-@pytest.mark.parametrize("seed", [1.9, True], ids=["float", "bool"])
+@pytest.mark.parametrize("seed, message", [
+    (1.9, "must be an integer"), (True, "must be an integer"),
+    (-1, "must fit in 64 bits"), (2**64, "must fit in 64 bits"),
+    (2**130, "must fit in 64 bits"),
+], ids=["float", "bool", "negative", "2**64", "2**130"])
 @pytest.mark.parametrize("name", list(SIMULATORS))
-def test_simulator_needs_an_integer_seed(name, seed):
-    # Philox would truncate the key: 1.9 and True would draw seed 1's normals
-    with pytest.raises(ValueError, match="seed must be an integer"):
+def test_simulator_needs_an_integer_seed(name, seed, message):
+    # Philox would truncate the key (1.9 and True would draw seed 1's
+    # normals) and takes any key below 2**128; the CLI's seed fits in 64 bits
+    with pytest.raises(ValueError, match=f"seed {message}, got {seed!r}"):
         SIMULATORS[name](10, 100.0, seed=seed)
     SIMULATORS[name](10, 100.0, seed=np.int64(1))
+    SIMULATORS[name](10, 100.0, seed=np.uint64(2**64 - 1))
 
 
 @pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
