@@ -286,7 +286,7 @@ class TestConfigSections:
 
     @pytest.mark.parametrize("config, field", [
         (price_config, "spot_domain"), (hedge_config, "spot_domain"),
-        (lambda **kw: cps_pricing_config(**kw), "pricing.spot_domain"),
+        (cps_pricing_config, "pricing.spot_domain"),
     ], ids=["price", "hedge", "cps"])
     def test_log_grid_needs_a_positive_domain_end(self, config, field):
         assert config_errors(config(spot_domain=[0.0, 400.0])) == [
