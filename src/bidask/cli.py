@@ -656,7 +656,7 @@ def _run_hedge(eff, built):
         tgrid = np.linspace(0.0, eff["maturity"], eff["scenario"]["n_steps"] + 1)
         path = simulate_asset_paths(built["scenario"], eff["spot"], tgrid, eff["seed"],
                                     1, band=band)[0]
-    report = hedge_verify(surface, path, eff["rate"])
+    report = hedge_verify(surface, path)
     outputs = {
         "initial_capital": float(report.wealth.values[0]),
         "terminal_wealth": float(report.wealth.values[-1]),

@@ -344,17 +344,20 @@ def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
     return float(np.sum(_kernel(t, mids[used], H) * dB[used]))
 
 
-def simulate_fgbm_asset(spec: FgbmSpec, b, S0: float, sigma, seed: int,
+def simulate_fgbm_asset(spec: FgbmSpec, b: float, S0: float, sigma, seed: int,
                         n_paths: int) -> PathEnsemble:
-    """Positive asset paths driven by fractional noise with deterministic
-    drift rate b(t), as a PathEnsemble: S_{i+1} = S_i exp(b(t_i) dt + dB_H),
-    with the noise ``simulate_fgbm`` samples exactly at the same seed;
-    n_paths < 1 or an S0 not finite and positive raises ValueError."""
+    """Positive asset paths driven by fractional noise with constant drift
+    rate b, as a PathEnsemble: S_{i+1} = S_i exp(b dt_i + dB_H), with the
+    noise ``simulate_fgbm`` samples exactly at the same seed.  n_paths < 1,
+    an S0 not finite and positive, or a b not a finite real number (a bool
+    is not one) raises ValueError, S0 and b checked before the draw."""
     _check_start(S0)
+    real = isinstance(b, (int, float, np.integer, np.floating)) and not isinstance(b, bool)
+    if not (real and math.isfinite(b)):
+        raise ValueError(f"drift rate b must be a finite real number, got {b!r}")
     grid = spec.grid_array
-    drift = b if callable(b) else (lambda _t, _b=float(b): _b)
     noise = _noise_matrix(spec, sigma, seed, n_paths, "factorization")
-    b_dt = np.array([drift(tl) for tl in grid[:-1]]) * np.diff(grid)
+    b_dt = float(b) * np.diff(grid)
     vals = np.empty_like(noise)
     vals[:, 0] = S0
     vals[:, 1:] = S0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))

@@ -23,8 +23,8 @@ never changes existing paths.  A call that compares a control family
 runs every control on them: common random numbers.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
-grid; asset paths come from one kernel, which also gives the volatility
-each step used.  A ``BangBangRule`` holds a table of the band end it picks.
+grid; asset paths come from one kernel.  A ``BangBangRule`` holds a table
+of the band end it picks.
 """
 
 from __future__ import annotations
@@ -202,7 +202,9 @@ class BangBangRule:
     label: str
     scale: np.ndarray
 
-    def sigma_state(self, t: float, s):
+    def sigma_state(self, t, s):
+        """The band end picked at times t and spots s, broadcast together
+        (a row of dates takes one column of spots per date)."""
         i = _in_force(self.times, t)
         return self.sigma_table[i, _nearest_node(self.nodes, np.asarray(s) * self.scale[i])]
 
@@ -393,27 +395,25 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
     S0 and the control checked before any normal is drawn."""
     grid = _as_grid(grid)
     _check_scenarios(S0, [control], grid, band)
-    S, _ = _paths_from_normals(control, S0, grid, _draw_normals(seed, n_paths, len(grid) - 1))
+    S = _paths_from_normals(control, S0, grid, _draw_normals(seed, n_paths, len(grid) - 1))
     return PathEnsemble(grid, S, positive=True)
 
 
 def _paths_from_normals(control, S0, grid, z):
     """The scenario kernel: asset paths (n_paths, n_grid) from the normals
-    z (n_paths, n_steps), and the volatility each step used: a row of
-    n_steps for a time-based control (fully vectorised), one row per path
-    for a BangBangRule (stepped forward in time, reading its table).  Its
-    callers check S0 and the control (``_check_scenarios``) before they
-    draw z."""
+    z (n_paths, n_steps), fully vectorised for a time-based control and
+    stepped forward in time for a BangBangRule, which reads its table at
+    each step.  Its callers check S0 and the control
+    (``_check_scenarios``) before they draw z."""
     dt = np.diff(grid)
     n_paths, n_steps = z.shape
 
     if isinstance(control, BangBangRule):
         rows = _in_force(control.times, grid[:-1])
         mu = control.mu_value
-        # time-major, so every step reads and writes contiguous rows
+        # time-major, so every step reads and writes a contiguous row of S; z is read by column
         S = np.empty((n_steps + 1, n_paths))
         S[0] = S0
-        sig_used = np.empty((n_steps, n_paths))
         table = control.sigma_table
         flat = np.all(table == table[:, :1], axis=1)
         # BangBangRule.sigma_state inlined, its row index taken for all steps
@@ -429,15 +429,14 @@ def _paths_from_normals(control, S0, grid, z):
                 sg = table[row][_nearest_node(control.nodes, S[i] * control.scale[row])]
             S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i]
                                      + sg * math.sqrt(dt[i]) * z[:, i])
-            sig_used[i] = sg
-        return S.T, sig_used.T
+        return S.T
 
     sig, mu = _step_levels(control, grid)
     log_inc = (mu - 0.5 * sig * sig) * dt + sig * np.sqrt(dt) * z
     S = np.empty((n_paths, n_steps + 1))
     S[:, 0] = S0
     S[:, 1:] = S0 * np.exp(np.cumsum(log_inc, axis=1))
-    return S, sig
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +497,7 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     estimate depends on its family's pieces; a rule's paths come from the
     kernel.  Every deflator is H_T = exp(-(r T + sum lambda^2 tau / 2 +
     sum lambda sqrt(tau) z)), lambda = (mu - r) / sigma, with sigma the row
-    or, for a rule, the matrix of volatilities the steps used.
+    or, for a rule, its ``sigma_state`` read off each path at each step.
     """
     controls = list(controls)
     grid = _as_grid(grid)
@@ -521,7 +520,8 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
     estimates = []
     for idx, control in enumerate(controls):
         if isinstance(control, BangBangRule):
-            S, sig = _paths_from_normals(control, spot, grid, z)
+            S = _paths_from_normals(control, spot, grid, z)
+            sig = control.sigma_state(grid[:-1], S[:, :-1])  # every step at once
             s_T, mu = S[:, -1], control.mu_value
         else:
             sig, mu = (step[starts] for step in levels[idx])
@@ -566,7 +566,7 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     z = _draw_normals(seed, n_paths, len(grid) - 1)
     best = 0.0
     for control in controls:
-        S, _ = _paths_from_normals(control, S0, grid, z)
+        S = _paths_from_normals(control, S0, grid, z)
         inside = np.all(np.abs(S - center.values[None, :]) < eta, axis=1)
         best = max(best, float(np.mean(inside)))
     return best
@@ -739,14 +739,15 @@ class HedgeReport:
     cost: SampledPath
 
 
-def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> HedgeReport:
+def hedge_verify(surface: PriceSurface, asset_path: SampledPath) -> HedgeReport:
     """Delta-hedge the surface's claim along one realised path.
 
-    The wealth Y is ``_delta_hedge``'s, the cost C_i = Y_i - u(t_i, S_i)
-    with u from ``surface.value_at(times, s)``, and the terminal shortfall
-    max(0, u(t_n, S_n) - Y_n), u(t_n, .) the payoff when the path ends at
-    the surface's maturity.  A path that runs past the surface's last time
-    raises ValueError, and one leaving the surface's domain DomainExitError.
+    The wealth Y is ``_delta_hedge``'s (cash grows at ``surface.rate``), the
+    cost C_i = Y_i - u(t_i, S_i) with u from ``surface.value_at(times, s)``,
+    and the terminal shortfall max(0, u(t_n, S_n) - Y_n), u(t_n, .) the
+    payoff when the path ends at the surface's maturity.  A path that runs
+    past the surface's last time raises ValueError, and one leaving the
+    surface's domain DomainExitError.
     """
     times = asset_path.times
     s = asset_path.values
@@ -762,7 +763,7 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
         raise DomainExitError(f"path exits the surface domain [{lo:g}, {hi:g}] at "
                               f"t={times[k]:g}", exit_time=float(times[k]))
 
-    (wealth,) = _delta_hedge(surface, times, s[None, :], r)
+    (wealth,) = _delta_hedge(surface, times, s[None, :])
     u_on_path = surface.value_at(times, s)
     cost = wealth - u_on_path
     d_cost = np.diff(cost)
@@ -776,13 +777,14 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath, r: float) -> He
     )
 
 
-def _delta_hedge(surface: PriceSurface, times, S, r):
+def _delta_hedge(surface: PriceSurface, times, S):
     """Wealth Y, in S's shape, of the surface's self-financing delta hedge
     along each row of S (n_paths, n_steps+1): Y_0 = u(t_0, S_0) and Y_{i+1}
-    = Y_i + r (Y_i - theta_i S_i) dt_i + theta_i (S_{i+1} - S_i), where u
-    is ``value_at`` and theta_i = du/dx(t_i, S_i) one dated ``delta_at``.
-    The recursion Y_{i+1} = g_i Y_i + c_i is unrolled with cumulative growth
-    factors, so no per-path python loop is needed."""
+    = Y_i + r (Y_i - theta_i S_i) dt_i + theta_i (S_{i+1} - S_i), where r
+    is ``surface.rate``, u ``value_at`` and theta_i = du/dx(t_i, S_i) one
+    dated ``delta_at``.  The recursion Y_{i+1} = g_i Y_i + c_i is unrolled
+    with cumulative growth factors, so no per-path python loop is needed."""
+    r = surface.rate
     S = np.ascontiguousarray(S.T)  # time-major: each step reads and writes one row
     theta = surface.delta_at(times[:-1], S[:-1])
     dt = np.diff(times)[:, None]
@@ -842,19 +844,13 @@ def read_path_file(src, positive: bool = False) -> SampledPath:
     return SampledPath(data[:, 0], data[:, 1], positive=positive)
 
 
-def write_ensemble_file(paths, dest) -> None:
-    """Multi-column variant: header 'time,value_0,...', shared time grid.
-    Takes any sequence of paths (a PathEnsemble or a list of SampledPath)."""
-    paths = list(paths)
-    if not paths:
+def write_ensemble_file(paths: PathEnsemble, dest) -> None:
+    """Multi-column variant: header 'time,value_0,...', one row per time of
+    the ensemble's grid; an empty ensemble raises ValueError."""
+    if not len(paths):
         raise ValueError("ensemble must be nonempty")
-    times = paths[0].times
-    for p in paths[1:]:
-        if len(p.times) != len(times) or not np.array_equal(p.times, times):
-            raise ValueError("ensemble paths must share one time grid")
-
     header = "time," + ",".join(f"value_{j}" for j in range(len(paths)))
-    _write_table(dest, header, times, np.array([p.values for p in paths]).T)
+    _write_table(dest, header, paths.times, paths.values.T)
 
 
 def read_ensemble_file(src, positive: bool = False) -> PathEnsemble:

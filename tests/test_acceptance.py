@@ -164,12 +164,12 @@ def test_criterion_4_mc_pde_consistency():
     assert ok
 
 
-def _batch_surplus(surface, times, S, r):
+def _batch_surplus(surface, times, S):
     """Terminal wealth minus payoff of the surface's delta hedge, per path.
 
     The hedge starts from the surface value at the first spot.
     """
-    return _delta_hedge(surface, times, S, r)[:, -1] - surface.value_at(times[-1], S[:, -1])
+    return _delta_hedge(surface, times, S)[:, -1] - surface.value_at(times[-1], S[:, -1])
 
 
 def test_criterion_5_superhedging_shortfall():
@@ -206,7 +206,7 @@ def test_criterion_5_superhedging_shortfall():
     for n_steps in (1000, 2000):
         times = np.linspace(0.0, T, n_steps + 1)
         S = simulate_asset_paths(rule, S0, times, seed=777, n_paths=10_000).values
-        surplus = _batch_surplus(surface, times, S, R)
+        surplus = _batch_surplus(surface, times, S)
         fracs[n_steps] = float(np.mean(np.maximum(-surplus, 0.0) <= tol))
         means[n_steps] = float(surplus.mean())
         sds[n_steps] = float(surplus.std(ddof=1))

@@ -455,17 +455,6 @@ class TestFractionalAsset:
         p = simulate_fgbm_asset(spec, 0.04, 100.0, 0.0, seed=5, n_paths=1)[0]
         assert np.allclose(p.values, 100.0 * np.exp(0.04 * grid), rtol=1e-12)
 
-    def test_callable_drift(self):
-        band = UncertaintyBand(0.0, 0.0, 0.0, 0.3)
-        grid = np.linspace(0, 1, 9)
-        spec = FgbmSpec(0.7, band, tuple(grid))
-        p = simulate_fgbm_asset(spec, lambda t: 0.1 * t, 50.0, 0.0, seed=5,
-                                n_paths=1)[0]
-        # left-endpoint rule for the drift integral
-        expected = 50.0 * np.exp(np.concatenate(
-            ([0.0], np.cumsum(0.1 * grid[:-1] * np.diff(grid)))))
-        assert np.allclose(p.values, expected, rtol=1e-12)
-
     def test_half_hurst_log_increments_are_gaussian_scenario(self):
         grid = np.linspace(0, 1, 17)
         spec = FgbmSpec(0.5, BAND, tuple(grid))
@@ -480,12 +469,12 @@ class TestFractionalAsset:
         np.linspace(0, 1, 65),
         np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.1, 12)))),
     ])
-    @pytest.mark.parametrize("b", [0.03, lambda t: 0.1 * t - 0.02])
+    # any real number is a drift rate: an int and a numpy integer too
+    @pytest.mark.parametrize("b", [0.03, 0, np.int64(1)], ids=["0.03", "int", "np.int64"])
     def test_exponentiates_the_noise_simulate_fgbm_draws(self, grid, b):
         spec = FgbmSpec(0.7, BAND, tuple(grid))
         noise = np.array([p.values for p in simulate_fgbm(spec, 0.2, seed=7, n_paths=6)])
-        drift = b if callable(b) else (lambda _t: b)
-        b_dt = np.array([drift(t) for t in grid[:-1]]) * np.diff(grid)
+        b_dt = np.full(len(grid) - 1, b) * np.diff(grid)
         want = 100.0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))
         got = np.array([p.values for p in
                         simulate_fgbm_asset(spec, b, 100.0, 0.2, seed=7, n_paths=6)])

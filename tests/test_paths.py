@@ -510,7 +510,7 @@ class TestHedgeVerify:
         surf = solve_bsb_ask(prob, GridSpec(100, 100))
         c = ControlProcess.constant(0.03, 0.2, band=band)
         path = simulate_asset_paths(c, 100.0, grid_of(200), seed=6, n_paths=1)[0]
-        rep = hedge_verify(surf, path, 0.05)
+        rep = hedge_verify(surf, path)
         assert rep.terminal_shortfall < 1e-6
         # wealth tracks the spot up to the surface's own O(h^2) error
         assert np.allclose(rep.wealth.values, path.values, rtol=5e-5)
@@ -525,7 +525,7 @@ class TestHedgeVerify:
             shorts = []
             for p in simulate_asset_paths(c, 100.0, grid_of(n_steps), seed=99,
                                           n_paths=60, band=band):
-                shorts.append(hedge_verify(surf, p, 0.05).terminal_shortfall)
+                shorts.append(hedge_verify(surf, p).terminal_shortfall)
             means.append(np.mean(shorts))
         ask0 = surf.value_at(0.0, 100.0)
         assert means[1] < 0.02 * ask0  # replication up to discretisation noise
@@ -535,7 +535,7 @@ class TestHedgeVerify:
         prob = make_problem(BAND)
         surf = solve_bsb_ask(prob, GridSpec(300, 300))
         c = ControlProcess.constant(0.03, 0.15, band=BAND)
-        viol = [hedge_verify(surf, p, 0.05).cost_monotonicity_violation
+        viol = [hedge_verify(surf, p).cost_monotonicity_violation
                 for p in simulate_asset_paths(c, 100.0, grid_of(1000), seed=17,
                                               n_paths=20, band=BAND)]
         # per-step surplus noise is O(Gamma S^2 sigma^2 dt); stay within a
@@ -550,17 +550,17 @@ class TestHedgeVerify:
         path = SampledPath(t, np.array([100.0, 110.0, 130.0, 120.0, 115.0]),
                            positive=True)
         with pytest.raises(DomainExitError) as exc:
-            hedge_verify(surf, path, 0.05)
+            hedge_verify(surf, path)
         assert exc.value.exit_time == pytest.approx(0.5)
 
     def test_path_past_the_surface_is_rejected(self):
         surf = solve_bsb_ask(make_problem(BAND), GridSpec(64, 64))
         values = np.array([100.0, 104.0, 98.0, 101.0, 103.0])
         with pytest.raises(ValueError, match=r"t=1\.5, past the surface's last time 1"):
-            hedge_verify(surf, SampledPath(grid_of(4, 1.5), values, positive=True), 0.05)
+            hedge_verify(surf, SampledPath(grid_of(4, 1.5), values, positive=True))
         # a path that ends at the maturity, up to round-off, is hedged
         end = SampledPath(grid_of(4, 1.0 + 1e-10), values, positive=True)
-        assert hedge_verify(surf, end, 0.05).wealth.horizon == 1.0 + 1e-10
+        assert hedge_verify(surf, end).wealth.horizon == 1.0 + 1e-10
 
 
 class TestPathFiles:
@@ -587,12 +587,6 @@ class TestPathFiles:
         assert len(got) == 3
         for a, b in zip(got, paths):
             assert np.allclose(a.values, b.values, rtol=1e-11)
-
-    def test_ensemble_needs_common_grid(self, tmp_path):
-        a = SampledPath(grid_of(4), np.ones(5))
-        b = SampledPath(grid_of(8), np.ones(9))
-        with pytest.raises(ValueError, match="time grid"):
-            write_ensemble_file([a, b], tmp_path / "x.csv")
 
     @pytest.mark.parametrize("reader, text, message", [
         (read_path_file, "time,value\n", "path file has no data rows"),
@@ -756,7 +750,8 @@ class TestTableDrivenAdversary:
     @staticmethod
     def sigma_state_loop(rule, S0, grid, z):
         """The kernel's reference: every step reads each path's sigma with
-        ``sigma_state``, the per-node lookup."""
+        ``sigma_state``, the per-node lookup.  Returns the paths and the
+        (n_paths, n_steps) sigma each step used."""
         n_paths, n_steps = z.shape
         dt = np.diff(grid)
         ref_S = np.empty((n_paths, n_steps + 1))
@@ -772,11 +767,9 @@ class TestTableDrivenAdversary:
 
     def assert_kernel_is_the_loop(self, rule, grid, n_paths, seed, S0=100.0):
         z = paths_mod._draw_normals(seed, n_paths, len(grid) - 1)
-        S, sig = paths_mod._paths_from_normals(rule, S0, grid, z)
         ref_S, ref_sig = self.sigma_state_loop(rule, S0, grid, z)
-        assert np.array_equal(S, ref_S)
-        assert np.array_equal(sig, ref_sig)
-        return sig
+        assert np.array_equal(paths_mod._paths_from_normals(rule, S0, grid, z), ref_S)
+        return ref_sig
 
     def test_paths_match_a_per_step_sigma_state_loop(self):
         # steps fall between the surface's time rows
@@ -794,20 +787,48 @@ class TestTableDrivenAdversary:
                                              grid_of(173), 600, 32)
         assert np.all(sig == (BAND.sigma_hi if side == "ask" else BAND.sigma_lo))
 
-    def test_mixed_table_matches_the_loop(self):
-        # constant rows, switching rows, and rows that differ from a constant
-        # one only at an end node, which the paths reach on three nodes
+    @staticmethod
+    def mixed_rule():
+        """Constant rows, switching rows, and rows that differ from a
+        constant one only at an end node, which the paths reach on three
+        nodes."""
         lo, hi = BAND.sigma_lo, BAND.sigma_hi
         patterns = [(lo, lo, lo), (hi, lo, hi), (lo, lo, hi), (hi, hi, hi), (lo, hi, hi),
                     (hi, lo, lo)]
         times = grid_of(11)
-        rule = BangBangRule(times=times, nodes=np.array([70.0, 100.0, 130.0]),
+        return BangBangRule(times=times, nodes=np.array([70.0, 100.0, 130.0]),
                             sigma_table=np.array([patterns[i % 6] for i in range(12)]),
                             mu_value=0.03, label="mixed", scale=np.exp(0.05 * (1.0 - times)))
+
+    def test_mixed_table_matches_the_loop(self):
+        rule = self.mixed_rule()
         sig = self.assert_kernel_is_the_loop(rule, grid_of(157), 800, 33)
         # the end node of the rows (lo, lo, hi) is reached: both ends used there
-        steps = paths_mod._in_force(times, grid_of(157)[:-1]) % 6 == 2
-        assert set(np.unique(sig[:, steps])) == {lo, hi}
+        steps = paths_mod._in_force(rule.times, grid_of(157)[:-1]) % 6 == 2
+        assert set(np.unique(sig[:, steps])) == {BAND.sigma_lo, BAND.sigma_hi}
+
+    @pytest.mark.parametrize("kind", ["call", "butterfly", "mixed"])
+    def test_mc_ask_bid_prices_the_loop_paths(self, kind):
+        # the estimate is, bitwise, the deflated payoff over the reference
+        # loop's paths and sigmas, with mc_ask_bid's deflator expression
+        if kind == "call":
+            prob = make_problem(BAND)
+            rule = bang_bang_control_from_surface(solve_bsb_ask(prob, GridSpec(100, 100)))
+        else:
+            prob = butterfly_problem()
+            rule = butterfly_rule() if kind == "butterfly" else self.mixed_rule()
+        grid, seed, n_paths, spot = grid_of(157), 34, 700, 100.0
+        est, _ = mc_ask_bid(prob, [rule], grid, seed, spot, n_paths)
+
+        z = paths_mod._draw_normals(seed, n_paths, len(grid) - 1)
+        S, sig = self.sigma_state_loop(rule, spot, grid, z)
+        r, tau = prob.rate, np.diff(grid)
+        lam = paths_mod._market_price_of_risk(rule.mu_value - r, sig)
+        h_T = np.exp(-(r * grid[-1] + 0.5 * np.sum(lam * lam * tau, axis=-1)
+                       + np.einsum("...j,...j->...", z, lam * np.sqrt(tau))))
+        y = h_T * prob.payoff(S[:, -1])
+        assert est.value == float(np.mean(y))
+        assert est.std_error == float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
     def test_nearest_node_ties_go_right(self):
         nodes = np.array([1.0, 2.0, 4.0])
@@ -908,10 +929,10 @@ class TestDeltaHedge:
         grid = grid_of(150)
         paths = simulate_asset_paths(ControlProcess.constant(0.03, 0.2, band=BAND), 100.0,
                                      grid, seed=41, n_paths=50)
-        wealth = paths_mod._delta_hedge(surface, grid, paths.values, 0.05)
+        wealth = paths_mod._delta_hedge(surface, grid, paths.values)
         u = surface.value_at(grid, paths.values.T).T
         for j, path in enumerate(paths):
-            rep = hedge_verify(surface, path, 0.05)
+            rep = hedge_verify(surface, path)
             assert np.array_equal(wealth[j], rep.wealth.values)
             assert np.array_equal(wealth[j] - u[j], rep.cost.values)
 
@@ -962,8 +983,8 @@ class TestSimulatorsReturnTheirMatrix:
         control = butterfly_rule() if control == "rule" else control
         grid = grid_of(64)
         ens = simulate_asset_paths(control, 100.0, grid, seed=5, n_paths=40)
-        S, _ = paths_mod._paths_from_normals(control, 100.0, grid,
-                                             paths_mod._draw_normals(5, 40, 64))
+        S = paths_mod._paths_from_normals(control, 100.0, grid,
+                                          paths_mod._draw_normals(5, 40, 64))
         assert isinstance(ens, PathEnsemble)
         assert np.array_equal(ens.times, grid) and np.array_equal(ens.values, S)
 
@@ -972,7 +993,7 @@ class TestSimulatorsReturnTheirMatrix:
         grid = grid_of(32)
         ens = simulate_gbm_increments(control, grid, seed=6, n_paths=30)
         z = paths_mod._draw_normals(6, 30, 32)
-        _, sig = paths_mod._paths_from_normals(control, 100.0, grid, z)
+        sig, _ = paths_mod._step_levels(control, grid)
         assert isinstance(ens, PathEnsemble)
         assert np.all(ens.values[:, 0] == 0.0)
         assert np.array_equal(ens.values[:, 1:],

@@ -1,13 +1,18 @@
 """Checks on the package's surface: every public annotation resolves, every
-kind of benchmark op still runs through the benchmark's own code, and every
-public simulator keeps the same input contract."""
+kind of benchmark op still runs through the benchmark's own code, every
+public simulator keeps the same input contract, and a failing property test
+leaves the rest of the suite reporting."""
 
 import importlib
 import inspect
 import json
 import math
 import pkgutil
+import shutil
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,14 @@ def test_simulator_needs_a_finite_grid(name, grid, no_draw):
         SIMULATORS[name](10, 100.0, grid=np.array(grid))
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, "0.1", True],
+                         ids=["nan", "inf", "-inf", "str", "bool"])
+def test_fractional_asset_needs_a_finite_drift(b, no_draw):
+    with pytest.raises(ValueError, match=f"drift rate b must be a finite real number, "
+                                         f"got {b!r}"):
+        bidask.simulate_fgbm_asset(fgbm(GRID), b, 100.0, 0.2, 1, 10)
+
+
 def test_state_feedback_rule_has_no_driving_path():
     rule = bidask.bang_bang_control_from_surface(
         bidask.solve_bsb_ask(PROBLEM, bidask.GridSpec(16, 16)))
@@ -181,3 +194,39 @@ def test_capacity_command_needs_a_positive_centre(tmp_path, capsys):
         "center_file": str(center), "eta": 5.0, "n_paths": 10}))
     assert main(["capacity", "--config", str(cfg)]) == 1
     assert "S0 must be positive, got -1.0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The suite's own configuration
+# ---------------------------------------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(x=st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_leaves_the_run_reporting(tmp_path):
+    # under the suite's configuration (filterwarnings = ["error"]) and its
+    # conftest, a failing @given test reports its falsifying example and the
+    # run goes on; the run's files land in tmp_path
+    shutil.copy(TESTS / "conftest.py", tmp_path)
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(TESTS.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out
+    assert "Falsifying example: test_fails(" in out
