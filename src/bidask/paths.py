@@ -24,7 +24,10 @@ runs every control on them: common random numbers.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
 grid; asset paths come from one kernel.  A ``BangBangRule`` holds a table
-of the band end it picks.
+of the band end it picks.  A tube capacity needs a path only until it
+leaves the tube, so ``estimate_tube_capacity`` steps a time-based
+control's paths with the kernel's arithmetic up to their exit, and its
+estimate is bitwise the one from the full paths.
 """
 
 from __future__ import annotations
@@ -204,9 +207,20 @@ class BangBangRule:
 
     def sigma_state(self, t, s):
         """The band end picked at times t and spots s, broadcast together
-        (a row of dates takes one column of spots per date)."""
+        (a row of dates takes one column of spots per date).  A spot on a
+        row that holds one sigma reads that row's first node, the same
+        value without the node lookup."""
         i = _in_force(self.times, t)
-        return self.sigma_table[i, _nearest_node(self.nodes, np.asarray(s) * self.scale[i])]
+        x = np.asarray(s) * self.scale[i]
+        j = np.zeros(x.shape, dtype=np.intp)
+        look = np.broadcast_to(~_flat_rows(self.sigma_table)[i], x.shape)
+        j[look] = _nearest_node(self.nodes, x[look])
+        return self.sigma_table[i, j]
+
+
+def _flat_rows(table: np.ndarray) -> np.ndarray:
+    """Which rows of a sigma table hold one sigma."""
+    return np.all(table == table[:, :1], axis=1)
 
 
 def _nearest_node(nodes: np.ndarray, s) -> np.ndarray:
@@ -411,11 +425,13 @@ def _paths_from_normals(control, S0, grid, z):
     if isinstance(control, BangBangRule):
         rows = _in_force(control.times, grid[:-1])
         mu = control.mu_value
-        # time-major, so every step reads and writes a contiguous row of S; z is read by column
+        # time-major: z is copied once into S[1:], and step i turns row i + 1
+        # from its normals into its levels in place, reading row i
         S = np.empty((n_steps + 1, n_paths))
         S[0] = S0
+        S[1:] = z.T
         table = control.sigma_table
-        flat = np.all(table == table[:, :1], axis=1)
+        flat = _flat_rows(table)
         # BangBangRule.sigma_state inlined, its row index taken for all steps
         # at once: calling it per step gives bitwise-equal paths but is
         # 15-20% slower at 2000 paths x 500 steps (2-core Xeon).  A row that
@@ -427,8 +443,13 @@ def _paths_from_normals(control, S0, grid, z):
                 sg = table[row, 0]
             else:
                 sg = table[row][_nearest_node(control.nodes, S[i] * control.scale[row])]
-            S[i + 1] = S[i] * np.exp((mu - 0.5 * sg * sg) * dt[i]
-                                     + sg * math.sqrt(dt[i]) * z[:, i])
+            # S[i] * exp((mu - sg^2/2) dt_i + sg sqrt(dt_i) z_i): the same
+            # scalars and operations, with no temporary path row
+            step = S[i + 1]
+            np.multiply(step, sg * math.sqrt(dt[i]), out=step)
+            np.add(step, (mu - 0.5 * sg * sg) * dt[i], out=step)
+            np.exp(step, out=step)
+            np.multiply(step, S[i], out=step)
         return S.T
 
     sig, mu = _step_levels(control, grid)
@@ -546,6 +567,9 @@ def mc_ask_bid(problem: PricingProblem, controls, grid, seed: int, spot: float,
 # ---------------------------------------------------------------------------
 
 
+_FIRST_CHUNK = 16  # steps in the tube march's first chunk; each next one doubles
+
+
 def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBand,
                            controls, seed: int, n_paths: int) -> float:
     """Monte Carlo lower bound for the capacity of the eta-tube around a path.
@@ -556,6 +580,14 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     < eta over the control family.  n_paths < 1 or a center whose first
     value (every path's S0) is not finite and positive raises ValueError;
     S0 and every control are checked before the draw.
+
+    A path that leaves the tube never counts again, so a time-based
+    control simulates each path only up to its exit (``_paths_in_tube``).
+    It stops once no more of its paths are inside than under the best
+    control so far: its count can only fall, so it cannot raise the
+    maximum.  A BangBangRule, whose volatility depends on the path, runs
+    the full kernel.  The result equals, bitwise, the fraction counted
+    over every control's full paths.
     """
     controls = list(controls)
     if not (math.isfinite(eta) and eta >= 0.0):
@@ -564,12 +596,47 @@ def estimate_tube_capacity(center: SampledPath, eta: float, band: UncertaintyBan
     S0 = float(center.values[0])
     _check_scenarios(S0, controls, grid, band)
     z = _draw_normals(seed, n_paths, len(grid) - 1)
-    best = 0.0
+    best = 0
     for control in controls:
-        S = _paths_from_normals(control, S0, grid, z)
-        inside = np.all(np.abs(S - center.values[None, :]) < eta, axis=1)
-        best = max(best, float(np.mean(inside)))
-    return best
+        if isinstance(control, BangBangRule):
+            S = _paths_from_normals(control, S0, grid, z)
+            inside = np.count_nonzero(np.all(np.abs(S - center.values) < eta, axis=1))
+        else:
+            inside = _paths_in_tube(control, S0, center, eta, z, best)
+        best = max(best, inside)
+    return best / n_paths
+
+
+def _paths_in_tube(control: ControlProcess, S0: float, center: SampledPath, eta: float,
+                   z: np.ndarray, best: int) -> int:
+    """How many paths that z drives under a time-based control stay within
+    eta of the center, or some count <= ``best`` once that few remain.
+
+    The grid is marched in chunks of _FIRST_CHUNK, 2 _FIRST_CHUNK, ...
+    steps, each over the paths still inside.  A chunk's log levels are the
+    kernel's: its increments (mu - sigma^2/2) dt + sigma sqrt(dt) z, the
+    survivor's last log level added to the first one, then one cumulative
+    sum.  That sum is sequential, so every level is bitwise the one the
+    kernel's cumulative sum over the full row gives.
+    """
+    values = center.values
+    dt = np.diff(center.times)
+    sig, mu = _step_levels(control, center.times)
+    drift, vol = (mu - 0.5 * sig * sig) * dt, sig * np.sqrt(dt)
+    n_paths, n_steps = z.shape
+    # the first column holds S0 = center_0, inside exactly when eta > 0
+    alive = np.arange(n_paths if eta > 0.0 else 0)
+    lo, width = 0, _FIRST_CHUNK
+    while lo < n_steps and len(alive) > best:
+        hi = min(lo + width, n_steps)
+        log_s = drift[lo:hi] + vol[lo:hi] * z[alive, lo:hi]
+        if lo:
+            log_s[:, 0] += level
+        np.cumsum(log_s, axis=1, out=log_s)
+        inside = np.all(np.abs(S0 * np.exp(log_s) - values[lo + 1:hi + 1]) < eta, axis=1)
+        alive, level = alive[inside], log_s[inside, -1]
+        lo, width = hi, 2 * width
+    return len(alive)
 
 
 # ---------------------------------------------------------------------------

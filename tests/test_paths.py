@@ -2,9 +2,12 @@
 
 import io
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidask import (
     BangBangRule,
@@ -830,6 +833,20 @@ class TestTableDrivenAdversary:
         assert est.value == float(np.mean(y))
         assert est.std_error == float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
+    def test_sigma_state_looks_up_only_rows_that_switch(self, monkeypatch):
+        rule = self.mixed_rule()
+        t = grid_of(157)[:-1]
+        s = 100.0 * np.exp(np.random.default_rng(5).normal(0.0, 0.2, (300, len(t))))
+        i = paths_mod._in_force(rule.times, t)
+        every_node = rule.sigma_table[i, paths_mod._nearest_node(rule.nodes, s * rule.scale[i])]
+        looked_up = []
+        real = paths_mod._nearest_node
+        monkeypatch.setattr(paths_mod, "_nearest_node",
+                            lambda nodes, x: looked_up.append(np.size(x)) or real(nodes, x))
+        assert np.array_equal(rule.sigma_state(t, s), every_node)
+        switching = ~np.all(rule.sigma_table == rule.sigma_table[:, :1], axis=1)
+        assert looked_up == [len(s) * np.count_nonzero(switching[i])] and 0 < looked_up[0] < s.size
+
     def test_nearest_node_ties_go_right(self):
         nodes = np.array([1.0, 2.0, 4.0])
         got = paths_mod._nearest_node(nodes, [0.0, 1.4, 1.5, 3.0, 3.1, 9.0])
@@ -878,6 +895,86 @@ class TestOneDrawPerFamily:
                  for c in family]
         assert estimate_tube_capacity(center, 6.0, BAND, family, seed=8,
                                       n_paths=400) == max(alone)
+
+
+def full_path_capacities(center, etas, controls, seed, n_paths):
+    """The full-matrix estimate at each eta: every control's full paths
+    from the kernel, the fraction of them inside the tube by np.mean."""
+    grid = center.times
+    S0 = float(center.values[0])
+    z = paths_mod._draw_normals(seed, n_paths, len(grid) - 1)
+    best = [0.0] * len(etas)
+    for control in controls:
+        S = paths_mod._paths_from_normals(control, S0, grid, z)
+        sup = np.max(np.abs(S - center.values[None, :]), axis=1)  # NaN stays outside
+        best = [max(b, float(np.mean(sup < eta))) for b, eta in zip(best, etas)]
+    return best
+
+
+class TestTubeCapacityToTheExit:
+    """A time-based control simulates each path up to its tube exit and
+    stops once it cannot beat the best control; the estimate is, bitwise,
+    the full-matrix one."""
+
+    ETAS = (0.0, 0.5, 2.0, 5.0, 8.0, 1e6)
+
+    @staticmethod
+    def center(kind):
+        if kind == "sample":  # 512 steps
+            return read_path_file(resources.files("bidask").joinpath("data/sample_path.csv"),
+                                  positive=True)
+        grid = grid_of(128)
+        if kind == "gbm":
+            return simulate_asset_paths(ControlProcess.constant(0.03, 0.2), 100.0, grid,
+                                        seed=3, n_paths=1)[0]
+        return SampledPath(grid, np.full(len(grid), 100.0), positive=True)
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        # breakpoints inside every grid, between and on chunk ends
+        piecewise = [ControlProcess((0.0, 0.25), (0.3, 0.1), (0.01, 0.05), band=BAND),
+                     ControlProcess((0.0, 0.375, 0.75), (0.1, 0.2, 0.12), (0.05, 0.02, 0.04),
+                                    band=BAND)]
+        constants = default_control_family(BAND)
+        return {"constants": constants,
+                "piecewise": piecewise + constants[::4],
+                "rule": [ControlProcess.constant(0.05, 0.1, band=BAND), butterfly_rule()]
+                + piecewise}
+
+    @pytest.mark.parametrize("n_paths", [1, 200, 4097])  # 4097 crosses a draw block
+    @pytest.mark.parametrize("family", ["constants", "piecewise", "rule"])
+    @pytest.mark.parametrize("center", ["sample", "gbm", "flat"])
+    def test_equals_the_full_path_estimate(self, families, center, family, n_paths):
+        center, controls = self.center(center), families[family]
+        got = [estimate_tube_capacity(center, eta, BAND, controls, seed=21, n_paths=n_paths)
+               for eta in self.ETAS]
+        assert got == full_path_capacities(center, self.ETAS, controls, 21, n_paths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_steps=st.integers(1, 80), eta=st.floats(0.0, 20.0), n_paths=st.integers(1, 300),
+           seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_random_grids_and_piecewise_controls(self, n_steps, eta, n_paths, seed, data):
+        grid = grid_of(n_steps)
+        center = SampledPath(grid, 100.0 * np.exp(0.05 * grid), positive=True)
+        controls = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            starts = data.draw(st.lists(st.integers(1, n_steps), max_size=3, unique=True))
+            bps = (0.0,) + tuple(grid[sorted(i for i in starts if i < n_steps)])
+            levels = st.floats(BAND.sigma_lo, BAND.sigma_hi)
+            drifts = st.floats(BAND.mu_lo, BAND.mu_hi)
+            controls.append(ControlProcess(
+                bps, tuple(data.draw(levels) for _ in bps), tuple(data.draw(drifts) for _ in bps),
+                band=BAND))
+        got = estimate_tube_capacity(center, eta, BAND, controls, seed=seed, n_paths=n_paths)
+        assert [got] == full_path_capacities(center, [eta], controls, seed, n_paths)
+
+    def test_one_point_center(self):
+        # no steps to march: the start alone decides, inside when eta > 0
+        center = SampledPath([0.0], [100.0], positive=True)
+        controls = [ControlProcess.constant(0.05, 0.2)]
+        got = [estimate_tube_capacity(center, eta, BAND, controls, seed=1, n_paths=5)
+               for eta in (0.0, 1.0)]
+        assert got == full_path_capacities(center, (0.0, 1.0), controls, 1, 5) == [0.0, 1.0]
 
 
 def selection_table(surface):
