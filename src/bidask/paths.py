@@ -612,12 +612,10 @@ def _paths_in_tube(control: ControlProcess, S0: float, center: SampledPath, eta:
     """How many paths that z drives under a time-based control stay within
     eta of the center, or some count <= ``best`` once that few remain.
 
-    The grid is marched in chunks of _FIRST_CHUNK, 2 _FIRST_CHUNK, ...
-    steps, each over the paths still inside.  A chunk's log levels are the
-    kernel's: its increments (mu - sigma^2/2) dt + sigma sqrt(dt) z, the
-    survivor's last log level added to the first one, then one cumulative
-    sum.  That sum is sequential, so every level is bitwise the one the
-    kernel's cumulative sum over the full row gives.
+    Chunks of _FIRST_CHUNK, 2 _FIRST_CHUNK, ... steps march the paths still
+    inside with the kernel's increments.  A survivor's log level is added
+    to its next chunk's first increment before the cumulative sum, which is
+    sequential, so every level is bitwise the kernel's full-row one.
     """
     values = center.values
     dt = np.diff(center.times)
