@@ -259,10 +259,12 @@ def _circulant_sample(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     one-row call gives.
     """
     n = len(lam) - 1
-    w = np.empty((len(z), n + 1), dtype=complex)
-    w[:, 0] = z[:, 0]
-    w[:, n] = z[:, 1]
-    w[:, 1:n] = (z[:, 2:n + 1] + 1j * z[:, n + 1:]) * math.sqrt(0.5)
+    w = np.zeros((len(z), n + 1), dtype=complex)
+    re, im = w.real, w.imag
+    re[:, 0] = z[:, 0]
+    re[:, n] = z[:, 1]
+    np.multiply(z[:, 2:n + 1], math.sqrt(0.5), out=re[:, 1:n])
+    np.multiply(z[:, n + 1:], math.sqrt(0.5), out=im[:, 1:n])
     w *= np.sqrt(2 * n * lam)
     return np.fft.irfft(w, 2 * n, axis=1)[:, :n]
 
@@ -290,21 +292,22 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     # the Cholesky and Volterra routes take one matvec per path (not a
     # batched matmul): path j's values must not depend on how many other
     # paths share the call
+    out = np.empty((n_paths, len(grid)))
+    out[:, 0] = 0.0
+    vals = out[:, 1:]
     if method == "volterra":
         K = _kernel_matrix(grid, H)
         vol_sqrt_dt = sig * np.sqrt(np.diff(grid))
-        vals = np.empty_like(z)
         for j in range(n_paths):
             vals[j] = K @ (vol_sqrt_dt * z[j])
     elif dt is not None:
         lam = _circulant_eigenvalues(_fgn_autocovariance(len(grid) - 1, H), H)
-        vals = np.cumsum(sig * dt**H * _circulant_sample(z, lam), axis=1)
+        np.cumsum(sig * dt**H * _circulant_sample(z, lam), axis=1, out=vals)
     else:
         L = _unit_cholesky(grid[1:], H)
-        vals = np.empty_like(z)
         for j in range(n_paths):
             vals[j] = sig * (L @ z[j])
-    return np.concatenate((np.zeros((n_paths, 1)), vals), axis=1)
+    return out
 
 
 def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,

@@ -18,9 +18,12 @@ Randomness: one named splittable generator (Philox keyed by an integer
 seed).  Paths come in blocks of ``_RNG_BLOCK``; path j lies in block
 b = j // _RNG_BLOCK, which draws from counter b << 128.  Path j's values
 depend only on (seed, j) and the normals per path, so growing n_paths
-never changes existing paths.  A call that compares a control family
-(``mc_ask_bid``, ``estimate_tube_capacity``) draws the normals once and
-runs every control on them: common random numbers.
+never changes existing paths.  A simulator draws its normals straight
+into the matrix it returns, in the kernel's layout (time-major for a
+BangBangRule), a few hundred paths at a time, and turns them into paths
+in place.  A call that compares a control family (``mc_ask_bid``,
+``estimate_tube_capacity``) draws the normals once, one row per path,
+and runs every control on them: common random numbers.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
 grid; asset paths come from one kernel.  A ``BangBangRule`` holds a table
@@ -80,7 +83,8 @@ def _checked_path(times, values, positive: bool, ndim: int):
     values = np.asarray(values, dtype=float)
     if values.ndim != ndim or values.shape[-1] != len(times):
         raise ValueError(f"values must be {ndim}-d, one value per time")
-    if positive and not (values > 0.0).all():
+    # min() is NaN when a value is, and makes no path-sized bool array
+    if positive and values.size and not values.min() > 0.0:
         raise ValueError("positive path has nonpositive or NaN values")
     return times, values
 
@@ -279,6 +283,7 @@ def default_control_family(band: UncertaintyBand):
 
 
 _RNG_BLOCK = 4096  # paths per substream; fixed so draws never depend on n_paths
+_DRAW_CHUNK = 256  # paths per buffered chunk of a draw into a strided matrix
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -296,25 +301,41 @@ def seed_violation(seed) -> str | None:
     return None if 0 <= seed < 2**64 else f"must fit in 64 bits, got {seed!r}"
 
 
-def _draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Standard normals, one row per path.
+def _check_n_paths(n_paths: int) -> None:
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
+
+
+def _draw_normals(seed: int, n_paths: int, n_steps: int, out=None) -> np.ndarray:
+    """Standard normals, one row per path: a new (n_paths, n_steps) array,
+    or ``out``, an (n_paths, n_steps) array of any strides (such as
+    columns of a ``_path_matrix``), filled and returned.
 
     Paths are grouped into fixed blocks of _RNG_BLOCK, each drawn from its
     own counter-offset substream, so row j depends only on (seed, j,
     n_steps): growing n_paths appends rows without touching existing ones.
-    A block is never split: the ziggurat takes a variable number of raw
-    draws per normal.  A seed that breaks ``seed_violation`` raises
-    ValueError.
+    The ziggurat takes a variable number of raw draws per normal, so a
+    block's rows come row-major from its one stream: straight into a
+    C-contiguous array, else _DRAW_CHUNK rows at a time through a buffer,
+    each chunk going on with the stream where the last one stopped.  A
+    seed that breaks ``seed_violation`` raises ValueError.
     """
     if msg := seed_violation(seed):
         raise ValueError(f"seed {msg}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-    z = np.empty((n_paths, n_steps))
+    _check_n_paths(n_paths)
+    z = np.empty((n_paths, n_steps)) if out is None else out
+    buf = None if z.flags.c_contiguous else np.empty((min(n_paths, _DRAW_CHUNK), n_steps))
     for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
-        # a partial block is a row prefix of the full one: draws are
-        # consumed row-major, so requesting fewer rows changes nothing
-        _block_rng(seed, block).standard_normal(out=z[lo:lo + _RNG_BLOCK])
+        rng = _block_rng(seed, block)
+        hi = min(lo + _RNG_BLOCK, n_paths)
+        if buf is None:
+            # a partial block is a row prefix of the full one
+            rng.standard_normal(out=z[lo:hi])
+            continue
+        for c in range(lo, hi, _DRAW_CHUNK):
+            chunk = buf[:min(hi - c, _DRAW_CHUNK)]
+            rng.standard_normal(out=chunk)
+            z[c:c + len(chunk)] = chunk
     return z
 
 
@@ -391,14 +412,17 @@ def simulate_gbm_increments(control: ControlProcess, grid, seed: int, n_paths: i
     with variance sigma_i^2 dt_i; deterministic given (seed, path index).
     The grid has to contain every control breakpoint.  n_paths < 1 and a
     BangBangRule (its volatility needs an asset path) raise ValueError.
+    The normals are drawn into the returned matrix and summed there.
     """
     grid = _as_grid(grid)
     _check_control(control, grid, band)
-    dt = np.diff(grid)
     sig, _ = _step_levels(control, grid)
-    z = _draw_normals(seed, n_paths, len(dt))
-    cum = np.cumsum(sig * np.sqrt(dt) * z, axis=1)
-    return PathEnsemble(grid, np.concatenate((np.zeros((n_paths, 1)), cum), axis=1))
+    W = _path_matrix(n_paths, len(grid))
+    W[:, 0] = 0.0
+    inc = _draw_normals(seed, n_paths, len(grid) - 1, out=W[:, 1:])
+    np.multiply(inc, sig * np.sqrt(np.diff(grid)), out=inc)
+    np.cumsum(inc, axis=1, out=inc)
+    return PathEnsemble(grid, W)
 
 
 def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
@@ -406,30 +430,46 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
     """Positive asset trajectories under one scenario, as a PathEnsemble
     (constant-per-step lognormal stepping, exact for piecewise constant
     controls); n_paths < 1 or an S0 not finite and positive: ValueError,
-    S0 and the control checked before any normal is drawn."""
+    S0 and the control checked before any normal is drawn.  The normals
+    are drawn into the kernel's matrix, which becomes the paths."""
     grid = _as_grid(grid)
     _check_scenarios(S0, [control], grid, band)
-    S = _paths_from_normals(control, S0, grid, _draw_normals(seed, n_paths, len(grid) - 1))
-    return PathEnsemble(grid, S, positive=True)
+    S = _path_matrix(n_paths, len(grid), time_major=isinstance(control, BangBangRule))
+    _draw_normals(seed, n_paths, len(grid) - 1, out=S[:, 1:])
+    return PathEnsemble(grid, _step_paths(control, S0, grid, S), positive=True)
+
+
+def _path_matrix(n_paths: int, n_points: int, time_major: bool = False) -> np.ndarray:
+    """An empty (n_paths, n_points) matrix, or the transposed view of a
+    time-major one; n_paths < 1 raises ValueError."""
+    _check_n_paths(n_paths)
+    return np.empty((n_points, n_paths)).T if time_major else np.empty((n_paths, n_points))
 
 
 def _paths_from_normals(control, S0, grid, z):
-    """The scenario kernel: asset paths (n_paths, n_grid) from the normals
-    z (n_paths, n_steps), fully vectorised for a time-based control and
-    stepped forward in time for a BangBangRule, which reads its table at
-    each step.  Its callers check S0 and the control
-    (``_check_scenarios``) before they draw z."""
+    """The scenario kernel's asset paths (n_paths, n_grid) from the normals
+    z (n_paths, n_steps), which the caller keeps."""
+    S = _path_matrix(len(z), len(grid), time_major=isinstance(control, BangBangRule))
+    S[:, 1:] = z
+    return _step_paths(control, S0, grid, S)
+
+
+def _step_paths(control, S0, grid, S):
+    """The scenario kernel: turns S (n_paths, n_grid), whose columns 1..
+    hold the normals, into asset paths in place and returns it.  A
+    time-based control's paths are S0 exp(cumsum(drift + vol z)) along each
+    row.  A BangBangRule, whose S is a time-major ``_path_matrix``, steps
+    forward in time and reads its table at each step.  Its callers check S0
+    and the control (``_check_scenarios``) before they draw the normals."""
     dt = np.diff(grid)
-    n_paths, n_steps = z.shape
 
     if isinstance(control, BangBangRule):
         rows = _in_force(control.times, grid[:-1])
         mu = control.mu_value
-        # time-major: z is copied once into S[1:], and step i turns row i + 1
-        # from its normals into its levels in place, reading row i
-        S = np.empty((n_steps + 1, n_paths))
-        S[0] = S0
-        S[1:] = z.T
+        # time-major: step i turns row i + 1 from its normals into its
+        # levels in place, reading row i
+        X = S.T
+        X[0] = S0
         table = control.sigma_table
         flat = _flat_rows(table)
         # BangBangRule.sigma_state inlined, its row index taken for all steps
@@ -437,26 +477,29 @@ def _paths_from_normals(control, S0, grid, z):
         # 15-20% slower at 2000 paths x 500 steps (2-core Xeon).  A row that
         # holds one sigma steps every path with it as a scalar, the same
         # arithmetic without the node lookup: the paths are bitwise equal.
-        for i in range(n_steps):
+        for i in range(len(dt)):
             row = rows[i]
             if flat[row]:
                 sg = table[row, 0]
             else:
-                sg = table[row][_nearest_node(control.nodes, S[i] * control.scale[row])]
-            # S[i] * exp((mu - sg^2/2) dt_i + sg sqrt(dt_i) z_i): the same
+                sg = table[row][_nearest_node(control.nodes, X[i] * control.scale[row])]
+            # X[i] * exp((mu - sg^2/2) dt_i + sg sqrt(dt_i) z_i): the same
             # scalars and operations, with no temporary path row
-            step = S[i + 1]
+            step = X[i + 1]
             np.multiply(step, sg * math.sqrt(dt[i]), out=step)
             np.add(step, (mu - 0.5 * sg * sg) * dt[i], out=step)
             np.exp(step, out=step)
-            np.multiply(step, S[i], out=step)
-        return S.T
+            np.multiply(step, X[i], out=step)
+        return S
 
     sig, mu = _step_levels(control, grid)
-    log_inc = (mu - 0.5 * sig * sig) * dt + sig * np.sqrt(dt) * z
-    S = np.empty((n_paths, n_steps + 1))
+    log_s = S[:, 1:]
+    np.multiply(log_s, sig * np.sqrt(dt), out=log_s)
+    np.add(log_s, (mu - 0.5 * sig * sig) * dt, out=log_s)
+    np.cumsum(log_s, axis=1, out=log_s)
+    np.exp(log_s, out=log_s)
+    np.multiply(log_s, S0, out=log_s)
     S[:, 0] = S0
-    S[:, 1:] = S0 * np.exp(np.cumsum(log_inc, axis=1))
     return S
 
 
@@ -842,22 +885,45 @@ def hedge_verify(surface: PriceSurface, asset_path: SampledPath) -> HedgeReport:
     )
 
 
+_HEDGE_CELLS = 1 << 16  # path-dates per block of the batch hedge, at least 64 dates
+
+
 def _delta_hedge(surface: PriceSurface, times, S):
     """Wealth Y, in S's shape, of the surface's self-financing delta hedge
     along each row of S (n_paths, n_steps+1): Y_0 = u(t_0, S_0) and Y_{i+1}
     = Y_i + r (Y_i - theta_i S_i) dt_i + theta_i (S_{i+1} - S_i), where r
     is ``surface.rate``, u ``value_at`` and theta_i = du/dx(t_i, S_i) one
     dated ``delta_at``.  The recursion Y_{i+1} = g_i Y_i + c_i is unrolled
-    with cumulative growth factors, so no per-path python loop is needed."""
+    with cumulative growth factors P_k = prod_{j<k} g_j, Y_k = P_k (Y_0 +
+    sum_{i<k} c_i / P_{i+1}), so no per-path python loop is needed.
+
+    The wealth is built in place, time-major, over blocks of dates (one
+    block for a small batch, else about _HEDGE_CELLS path-dates): a block's
+    c_i / P_{i+1} go into its rows, the running sum so far is added to its
+    first row, and its cumulative sum, which is sequential, gives the sums
+    bitwise as one sum over every date would.  No other batch-sized array
+    is made; a path-major S is copied a block at a time."""
     r = surface.rate
-    S = np.ascontiguousarray(S.T)  # time-major: each step reads and writes one row
-    theta = surface.delta_at(times[:-1], S[:-1])
+    S = S.T  # time-major view: a date's spots are a row
     dt = np.diff(times)[:, None]
-    g = 1.0 + r * dt
-    growth = np.concatenate(([[1.0]], np.cumprod(g, axis=0)))  # P_k = prod_{j<k} g_j
-    c = theta * (np.diff(S, axis=0) - S[:-1] * r * dt)
-    a = np.concatenate((surface.value_at(times[0], S[:1]), c / growth[1:]))
-    return (np.cumsum(a, axis=0) * growth).T
+    growth = np.concatenate(([[1.0]], np.cumprod(1.0 + r * dt, axis=0)))
+    Y = np.empty(S.shape)
+    Y[:1] = surface.value_at(times[0], S[:1])  # Y_0, its own running sum as P_0 = 1
+    carry = Y[0]
+    width = max(64, _HEDGE_CELLS // S.shape[1])
+    for lo in range(0, len(dt), width):
+        hi = min(lo + width, len(dt))
+        s = np.ascontiguousarray(S[lo:hi + 1])
+        y, p = Y[lo + 1:hi + 1], growth[lo + 1:hi + 1]
+        np.subtract(s[1:], s[:-1], out=y)
+        y -= s[:-1] * r * dt[lo:hi]
+        y *= surface.delta_at(times[lo:hi], s[:-1])  # theta
+        y /= p
+        y[0] += carry
+        np.cumsum(y, axis=0, out=y)
+        carry = y[-1].copy()
+        y *= p
+    return Y.T
 
 
 # ---------------------------------------------------------------------------

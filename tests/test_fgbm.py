@@ -485,3 +485,61 @@ class TestFractionalAsset:
         spec = FgbmSpec(0.3, BAND, tuple(np.linspace(0, 1, 65)))
         for p in simulate_fgbm_asset(spec, 0.0, 1e-3, 0.3, seed=8, n_paths=20):
             assert p.positive and np.all(p.values > 0)
+
+
+def complex_half_spectrum_sample(z, lam):
+    """The circulant sample's reference: the half-spectrum built as
+    complex numbers, (z_{k+1} + i z_{n+k}) sqrt(1/2)."""
+    n = len(lam) - 1
+    w = np.empty((len(z), n + 1), dtype=complex)
+    w[:, 0] = z[:, 0]
+    w[:, n] = z[:, 1]
+    w[:, 1:n] = (z[:, 2:n + 1] + 1j * z[:, n + 1:]) * math.sqrt(0.5)
+    w *= np.sqrt(2 * n * lam)
+    return np.fft.irfft(w, 2 * n, axis=1)[:, :n]
+
+
+def concatenated_noise(spec, sigma, seed, n_paths, method):
+    """The noise matrix's reference: each route's values in their own
+    array, a zero column concatenated in front."""
+    grid, H = spec.grid_array, spec.hurst
+    z = _draw_normals(seed, n_paths, bidask.fgbm._normals_per_path(grid, method))
+    if method == "volterra":
+        K = _kernel_matrix(grid, H)
+        vals = np.array([K @ (sigma * np.sqrt(np.diff(grid)) * row) for row in z])
+    elif bidask.fgbm._uniform_step(grid) is not None:
+        lam = _circulant_eigenvalues(_fgn_autocovariance(len(grid) - 1, H), H)
+        dt = bidask.fgbm._uniform_step(grid)
+        vals = np.cumsum(sigma * dt**H * complex_half_spectrum_sample(z, lam), axis=1)
+    else:
+        L = bidask.fgbm._unit_cholesky(grid[1:], H)
+        vals = np.array([sigma * (L @ row) for row in z])
+    return np.concatenate((np.zeros((n_paths, 1)), vals), axis=1)
+
+
+class TestSpectrumAndNoiseInPlace:
+    """The half-spectrum is filled through its real and imaginary parts and
+    the noise summed into its result: bitwise the complex-arithmetic and
+    concatenating references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
+    def test_circulant_sample_is_the_complex_one(self, n):
+        lam = _circulant_eigenvalues(_fgn_autocovariance(n, 0.7), 0.7)
+        z = _draw_normals(23, 32, 2 * n)
+        z[1, ::3] = 0.0  # signed zeros among nonzero normals
+        z[2, 1::4] = -0.0
+        got = bidask.fgbm._circulant_sample(z, lam)
+        assert got.tobytes() == complex_half_spectrum_sample(z, lam).tobytes()
+
+    @pytest.mark.parametrize("grid, method", [
+        (tuple(np.linspace(0.0, 1.0, 2)), "factorization"),     # circulant, n = 1
+        (tuple(np.linspace(0.0, 2.0, 257)), "factorization"),   # circulant
+        ((0.0, 0.1, 0.25, 0.5, 0.6, 1.0), "factorization"),     # Cholesky
+        (tuple(np.linspace(0.0, 1.0, 33)), "volterra"),
+    ])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.8])
+    def test_noise_matrix_is_the_concatenated_one(self, grid, method, H):
+        spec = FgbmSpec(H, BAND, grid)
+        got = bidask.fgbm._noise_matrix(spec, 0.2, 24, 20, method)
+        assert got.tobytes() == concatenated_noise(spec, 0.2, 24, 20, method).tobytes()
+        assert got.flags.c_contiguous

@@ -1121,3 +1121,151 @@ class TestBlockDraw:
         assert paths_mod._RNG_BLOCK == 4096
         assert np.array_equal(paths_mod._draw_normals(9, n_paths, 24),
                               self.by_block(9, n_paths, 24))
+
+
+def full_matrix_paths(control, S0, grid, seed, n_paths):
+    """The kernel's reference: one path-major draw, then a time-based
+    control's paths by its full-matrix formula, a rule's by the per-step
+    ``sigma_state`` loop."""
+    z = paths_mod._draw_normals(seed, n_paths, len(grid) - 1)
+    if isinstance(control, BangBangRule):
+        return TestTableDrivenAdversary.sigma_state_loop(control, S0, grid, z)[0]
+    dt = np.diff(grid)
+    sig, mu = paths_mod._step_levels(control, grid)
+    log_inc = (mu - 0.5 * sig * sig) * dt + sig * np.sqrt(dt) * z
+    S = np.empty((n_paths, len(grid)))
+    S[:, 0] = S0
+    S[:, 1:] = S0 * np.exp(np.cumsum(log_inc, axis=1))
+    return S
+
+
+def full_matrix_hedge(surface, times, S):
+    """The batch hedge's reference: every theta, c and a of the batch at
+    once, then one cumulative sum over all dates."""
+    r = surface.rate
+    S = np.ascontiguousarray(S.T)
+    theta = surface.delta_at(times[:-1], S[:-1])
+    dt = np.diff(times)[:, None]
+    growth = np.concatenate(([[1.0]], np.cumprod(1.0 + r * dt, axis=0)))
+    c = theta * (np.diff(S, axis=0) - S[:-1] * r * dt)
+    a = np.concatenate((surface.value_at(times[0], S[:1]), c / growth[1:]))
+    return (np.cumsum(a, axis=0) * growth).T
+
+
+# chunk and block edges of the draw: 256-path chunks, 4096-path blocks
+DRAW_EDGES = [1, 255, 256, 257, 4096, 4097, 2 * 4096 + 300]
+
+
+class TestDrawIntoTheKernelsLayout:
+    """Simulators draw straight into the matrix they return, a chunk of
+    paths at a time, and step it in place; every value is, bitwise, the
+    full-matrix one from a path-major draw."""
+
+    @pytest.mark.parametrize("n_paths", DRAW_EDGES)
+    def test_chunked_draw_continues_each_block_stream(self, n_paths):
+        z = paths_mod._draw_normals(13, n_paths, 5)
+        time_major = np.empty((5, n_paths))
+        assert paths_mod._draw_normals(13, n_paths, 5, out=time_major.T) is not None
+        assert np.array_equal(time_major.T, z)
+        with_start = np.empty((n_paths, 6))  # path-major rows with a column before
+        paths_mod._draw_normals(13, n_paths, 5, out=with_start[:, 1:])
+        assert np.array_equal(with_start[:, 1:], z)
+
+    @pytest.mark.parametrize("n_paths", DRAW_EDGES)
+    @pytest.mark.parametrize("kind", ["rule", "constant", "piecewise"])
+    def test_asset_paths_are_the_full_matrix_ones(self, kind, n_paths):
+        control = {"rule": butterfly_rule(),
+                   "constant": ControlProcess.constant(0.03, 0.2, band=BAND),
+                   "piecewise": ControlProcess((0.0, 0.25, 0.5), (0.1, 0.3, 0.2),
+                                               (0.01, 0.05, 0.02), band=BAND)}[kind]
+        grid = grid_of(12)
+        ens = simulate_asset_paths(control, 100.0, grid, seed=17, n_paths=n_paths)
+        assert np.array_equal(ens.values, full_matrix_paths(control, 100.0, grid, 17, n_paths))
+        # the parent layout, which reductions over the ensemble read:
+        # time-major for a rule, path-major otherwise
+        rows = ens.values.flags.f_contiguous if kind == "rule" else ens.values.flags.c_contiguous
+        assert rows or n_paths == 1
+
+    @pytest.mark.parametrize("n_paths", DRAW_EDGES)
+    def test_driving_increments_are_the_full_matrix_ones(self, n_paths):
+        control = ControlProcess((0.0, 0.5), (0.3, 0.1), (0.01, 0.03), band=BAND)
+        grid = grid_of(12)
+        ens = simulate_gbm_increments(control, grid, seed=18, n_paths=n_paths)
+        z = paths_mod._draw_normals(18, n_paths, 12)
+        sig, _ = paths_mod._step_levels(control, grid)
+        want = np.concatenate((np.zeros((n_paths, 1)),
+                               np.cumsum(sig * np.sqrt(np.diff(grid)) * z, axis=1)), axis=1)
+        assert np.array_equal(ens.values, want) and ens.values.flags.c_contiguous
+
+    @pytest.fixture(scope="class")
+    def surfaces(self):
+        return {r: solve_bsb_ask(make_problem(BAND, rate=r), GridSpec(100, 100))
+                for r in (0.0, 0.05)}
+
+    @pytest.mark.parametrize("layout", ["path", "time"])
+    @pytest.mark.parametrize("n_paths", [1, 7, 1024])  # 1024 paths: 64-date blocks
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_hedge_is_the_full_matrix_one(self, surfaces, r, n_steps, n_paths, layout):
+        surface, grid = surfaces[r], grid_of(n_steps)
+        S = simulate_asset_paths(ControlProcess.constant(0.03, 0.2, band=BAND), 100.0, grid,
+                                 seed=19, n_paths=n_paths).values
+        if layout == "time":
+            S = np.asfortranarray(S)
+        assert paths_mod._delta_hedge(surface, grid, S).tobytes() == \
+            full_matrix_hedge(surface, grid, S).tobytes()
+
+    @staticmethod
+    def traced_peak(call):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_rule_simulation_holds_its_paths_and_one_chunk(self):
+        # 2000 x 500: the paths are 8.0 MB, one chunk of normals 1.0 MB; a
+        # path-major draw beside the paths made it 16.3 MB
+        rule = bang_bang_control_from_surface(solve_bsb_ask(make_problem(BAND), GridSpec(64, 64)))
+        ens, peak = self.traced_peak(
+            lambda: simulate_asset_paths(rule, 100.0, grid_of(500), seed=20, n_paths=2000))
+        assert peak <= ens.values.nbytes + 1.5e6
+
+    def test_time_based_simulation_holds_its_paths_and_one_chunk(self):
+        # 1000 x 256: 2.1 MB of paths and 0.5 MB of chunk
+        ens, peak = self.traced_peak(
+            lambda: simulate_asset_paths(ControlProcess.constant(0.03, 0.2), 100.0,
+                                         grid_of(256), seed=21, n_paths=1000))
+        assert peak <= ens.values.nbytes + 1.0e6
+
+    def test_hedge_holds_its_wealth_and_a_few_blocks(self, surfaces):
+        # 1000 x 1000: 8.0 MB of wealth; 65-date blocks of 0.5 MB each.  Every
+        # batch-sized theta, c and a made it 40 MB
+        grid = grid_of(1000)
+        S = simulate_asset_paths(bang_bang_control_from_surface(surfaces[0.05]), 100.0, grid,
+                                 seed=22, n_paths=1000).values
+        Y, peak = self.traced_peak(lambda: paths_mod._delta_hedge(surfaces[0.05], grid, S))
+        assert peak <= Y.nbytes + 2.5e6
+
+
+class TestPositiveCheck:
+    """A positive path's check reads the minimum: it rejects a
+    nonpositive value or a NaN, warns of neither, and passes an empty
+    ensemble."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -math.inf])
+    def test_rejects_a_bad_value_anywhere(self, bad):
+        values = np.full((3, 5), 2.0)
+        values[2, 3] = bad
+        with pytest.raises(ValueError, match="nonpositive or NaN"):
+            PathEnsemble(grid_of(4), values, positive=True)
+        with pytest.raises(ValueError, match="nonpositive or NaN"):
+            SampledPath(grid_of(4), values[2], positive=True)
+
+    def test_empty_slice_of_a_positive_ensemble(self):
+        ens = simulate_asset_paths(ControlProcess.constant(0.03, 0.2), 100.0, grid_of(4),
+                                   seed=1, n_paths=2)
+        assert len(ens[5:]) == 0 and ens[5:].positive

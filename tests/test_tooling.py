@@ -230,3 +230,15 @@ def test_failing_property_test_leaves_the_run_reporting(tmp_path):
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
     assert "Falsifying example: test_fails(" in out
+
+
+@pytest.mark.parametrize("name", list(SIMULATORS))
+def test_simulator_draws_through_the_guarded_entry_point(name, monkeypatch):
+    # so ``no_draw`` refuses every simulator's draw, into a matrix or not
+    drawn = []
+    for module in (bidask.paths, bidask.fgbm):
+        real = module._draw_normals
+        monkeypatch.setattr(module, "_draw_normals",
+                            lambda *a, _real=real, **k: drawn.append(a) or _real(*a, **k))
+    SIMULATORS[name](10, 100.0)
+    assert drawn and all(args[:2] == (1, 10) for args in drawn)
