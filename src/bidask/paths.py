@@ -301,11 +301,6 @@ def seed_violation(seed) -> str | None:
     return None if 0 <= seed < 2**64 else f"must fit in 64 bits, got {seed!r}"
 
 
-def _check_n_paths(n_paths: int) -> None:
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-
-
 def _draw_normals(seed: int, n_paths: int, n_steps: int, out=None) -> np.ndarray:
     """Standard normals, one row per path: a new (n_paths, n_steps) array,
     or ``out``, an (n_paths, n_steps) array of any strides (such as
@@ -322,20 +317,18 @@ def _draw_normals(seed: int, n_paths: int, n_steps: int, out=None) -> np.ndarray
     """
     if msg := seed_violation(seed):
         raise ValueError(f"seed {msg}")
-    _check_n_paths(n_paths)
-    z = np.empty((n_paths, n_steps)) if out is None else out
+    z = _path_matrix(n_paths, n_steps) if out is None else out
     buf = None if z.flags.c_contiguous else np.empty((min(n_paths, _DRAW_CHUNK), n_steps))
     for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
         rng = _block_rng(seed, block)
         hi = min(lo + _RNG_BLOCK, n_paths)
-        if buf is None:
-            # a partial block is a row prefix of the full one
+        if buf is None:  # a partial block is a row prefix of the full one
             rng.standard_normal(out=z[lo:hi])
-            continue
-        for c in range(lo, hi, _DRAW_CHUNK):
-            chunk = buf[:min(hi - c, _DRAW_CHUNK)]
-            rng.standard_normal(out=chunk)
-            z[c:c + len(chunk)] = chunk
+        else:
+            for c in range(lo, hi, _DRAW_CHUNK):
+                chunk = buf[:min(hi - c, _DRAW_CHUNK)]
+                rng.standard_normal(out=chunk)
+                z[c:c + len(chunk)] = chunk
     return z
 
 
@@ -442,13 +435,14 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
 def _path_matrix(n_paths: int, n_points: int, time_major: bool = False) -> np.ndarray:
     """An empty (n_paths, n_points) matrix, or the transposed view of a
     time-major one; n_paths < 1 raises ValueError."""
-    _check_n_paths(n_paths)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     return np.empty((n_points, n_paths)).T if time_major else np.empty((n_paths, n_points))
 
 
 def _paths_from_normals(control, S0, grid, z):
     """The scenario kernel's asset paths (n_paths, n_grid) from the normals
-    z (n_paths, n_steps), which the caller keeps."""
+    z (n_paths, n_steps), copied so that a family's controls share z."""
     S = _path_matrix(len(z), len(grid), time_major=isinstance(control, BangBangRule))
     S[:, 1:] = z
     return _step_paths(control, S0, grid, S)

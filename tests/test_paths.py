@@ -1164,9 +1164,9 @@ class TestDrawIntoTheKernelsLayout:
     @pytest.mark.parametrize("n_paths", DRAW_EDGES)
     def test_chunked_draw_continues_each_block_stream(self, n_paths):
         z = paths_mod._draw_normals(13, n_paths, 5)
-        time_major = np.empty((5, n_paths))
-        assert paths_mod._draw_normals(13, n_paths, 5, out=time_major.T) is not None
-        assert np.array_equal(time_major.T, z)
+        view = np.empty((5, n_paths)).T  # time-major
+        assert paths_mod._draw_normals(13, n_paths, 5, out=view) is view
+        assert np.array_equal(view, z)
         with_start = np.empty((n_paths, 6))  # path-major rows with a column before
         paths_mod._draw_normals(13, n_paths, 5, out=with_start[:, 1:])
         assert np.array_equal(with_start[:, 1:], z)
@@ -1183,8 +1183,8 @@ class TestDrawIntoTheKernelsLayout:
         assert np.array_equal(ens.values, full_matrix_paths(control, 100.0, grid, 17, n_paths))
         # the parent layout, which reductions over the ensemble read:
         # time-major for a rule, path-major otherwise
-        rows = ens.values.flags.f_contiguous if kind == "rule" else ens.values.flags.c_contiguous
-        assert rows or n_paths == 1
+        flags = ens.values.flags
+        assert flags.f_contiguous if kind == "rule" else flags.c_contiguous
 
     @pytest.mark.parametrize("n_paths", DRAW_EDGES)
     def test_driving_increments_are_the_full_matrix_ones(self, n_paths):
