@@ -1181,8 +1181,8 @@ class TestDrawIntoTheKernelsLayout:
         grid = grid_of(12)
         ens = simulate_asset_paths(control, 100.0, grid, seed=17, n_paths=n_paths)
         assert np.array_equal(ens.values, full_matrix_paths(control, 100.0, grid, 17, n_paths))
-        # the parent layout, which reductions over the ensemble read:
-        # time-major for a rule, path-major otherwise
+        # the layout that reductions over the ensemble read, which fixes
+        # their summation order: time-major for a rule, path-major otherwise
         flags = ens.values.flags
         assert flags.f_contiguous if kind == "rule" else flags.c_contiguous
 
@@ -1228,7 +1228,7 @@ class TestDrawIntoTheKernelsLayout:
 
     def test_rule_simulation_holds_its_paths_and_one_chunk(self):
         # 2000 x 500: the paths are 8.0 MB, one chunk of normals 1.0 MB; a
-        # path-major draw beside the paths made it 16.3 MB
+        # full path-major draw beside the paths would add 8.0 MB
         rule = bang_bang_control_from_surface(solve_bsb_ask(make_problem(BAND), GridSpec(64, 64)))
         ens, peak = self.traced_peak(
             lambda: simulate_asset_paths(rule, 100.0, grid_of(500), seed=20, n_paths=2000))
@@ -1242,8 +1242,8 @@ class TestDrawIntoTheKernelsLayout:
         assert peak <= ens.values.nbytes + 1.0e6
 
     def test_hedge_holds_its_wealth_and_a_few_blocks(self, surfaces):
-        # 1000 x 1000: 8.0 MB of wealth; 65-date blocks of 0.5 MB each.  Every
-        # batch-sized theta, c and a made it 40 MB
+        # 1000 x 1000: 8.0 MB of wealth; 65-date blocks of 0.5 MB each.  A
+        # batch-sized theta, c or a would add 8.0 MB each
         grid = grid_of(1000)
         S = simulate_asset_paths(bang_bang_control_from_surface(surfaces[0.05]), 100.0, grid,
                                  seed=22, n_paths=1000).values
