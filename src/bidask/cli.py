@@ -719,14 +719,12 @@ def main(argv=None) -> int:
         prog="bidask",
         description="Bid/ask pricing and scenario tools under drift and "
                     "volatility uncertainty.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="report file (default stdout)")
-        p.add_argument("--format", choices=FORMATS, default=None,
-                       help="override report format")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--out", default=None, help="report file (default stdout)")
+    parser.add_argument("--format", choices=FORMATS, default=None,
+                        help="override report format")
     args = parser.parse_args(argv)
 
     try:

@@ -140,14 +140,19 @@ def retirement_walk(signs, X0: float, eps: float) -> np.ndarray:
 
     Levels are computed from integer cumulative exponents, so a +1 followed
     by a -1 returns to X0 exactly and drift stays within 1 ulp per step.
+    A sign whose value is not -1, 0 or +1 (of any dtype: 1.0 is +1, 0.5 is
+    no sign) raises ValueError naming it.
     """
-    signs = np.asarray(signs, dtype=int)
+    given = np.asarray(signs)
     if not (math.isfinite(X0) and X0 > 0.0):
         raise ValueError(f"X0 must be positive, got {X0!r}")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if np.any(np.abs(signs) > 1):
-        raise ValueError("signs must lie in {-1, 0, +1}")
+    bad = ~np.isin(given, (-1, 0, 1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"sign {given[k]} at index {k} is not -1, 0 or +1")
+    signs = given.astype(int)
     zeros = np.flatnonzero(signs == 0)
     if len(zeros) and np.any(signs[zeros[0]:] != 0):
         raise ValueError("nonzero sign after retirement")

@@ -12,13 +12,18 @@ covariance envelopes.  Two sampling methods are exposed:
     autocovariance is embedded in a circulant of twice the size, whose
     eigenvalues (one real FFT) are nonnegative for every H, and each path
     is one inverse FFT of 2n scaled normals, O(n log n);
-  - on any other grid, Cholesky of R on the grid, one lower-triangular
-    matvec per path, O(n^3) to factor and O(n^2) per path;
+  - on any other grid, Cholesky of R on the grid, O(n^3) to factor and
+    O(n^2) per path;
 * discrete Volterra synthesis (``volterra``): B_H(t_i) ~= sum_j K_H(t_i,
   s_j*) dB_j with the square-integrable kernel K_H evaluated at increment
   midpoints, which also powers conditional means given the driving noise.
   The kernel is in closed form, one Gauss hypergeometric function for
   every H.
+
+The Cholesky factor and the kernel matrix are both lower triangular, and
+the two routes share one loop of one matvec per path: the driving
+increments are scaled before the kernel's matvec, sigma is applied after
+the factor's.
 
 Every grid starts at 0, where the noise is 0.  Nothing is cached between
 calls: each call builds its eigenvalues, factor or kernel matrix afresh.
@@ -289,16 +294,7 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     dt = _uniform_step(grid)
     z = _draw_normals(seed, n_paths, _normals_per_path(grid, method))
 
-    # the Cholesky and Volterra routes take one matvec per path (not a
-    # batched matmul): path j's values must not depend on how many other
-    # paths share the call
-    if method == "volterra":
-        K = _kernel_matrix(grid, H)
-        vol_sqrt_dt = sig * np.sqrt(np.diff(grid))
-        out = np.zeros((n_paths, len(grid)))
-        for j in range(n_paths):
-            out[j, 1:] = K @ (vol_sqrt_dt * z[j])
-    elif dt is not None:
+    if method == "factorization" and dt is not None:
         lam = _circulant_eigenvalues(_fgn_autocovariance(len(grid) - 1, H), H)
         inc = sig * dt**H * _circulant_sample(z, lam)
         # made after the sample's temporaries: made before them, the result
@@ -307,11 +303,19 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
         # faults, +0.5 ms, per 32-path call at n = 1024 on a 2-core Xeon)
         out = np.zeros((n_paths, len(grid)))
         np.cumsum(inc, axis=1, out=out[:, 1:])
+        return out
+
+    # the Volterra and Cholesky routes: a lower-triangular factor, vol
+    # sqrt(dt) applied before the kernel and sigma after the Cholesky
+    # factor, and one matvec per path (not a batched matmul): path j's
+    # values must not depend on how many other paths share the call
+    if method == "volterra":
+        L, pre, post = _kernel_matrix(grid, H), sig * np.sqrt(np.diff(grid)), 1.0
     else:
-        L = _unit_cholesky(grid[1:], H)
-        out = np.zeros((n_paths, len(grid)))
-        for j in range(n_paths):
-            out[j, 1:] = sig * (L @ z[j])
+        L, pre, post = _unit_cholesky(grid[1:], H), 1.0, sig
+    out = np.zeros((n_paths, len(grid)))
+    for j in range(n_paths):
+        out[j, 1:] = post * (L @ (pre * z[j]))  # a factor 1.0 changes no bit
     return out
 
 

@@ -18,16 +18,19 @@ Randomness: one named splittable generator (Philox keyed by an integer
 seed).  Paths come in blocks of ``_RNG_BLOCK``; path j lies in block
 b = j // _RNG_BLOCK, which draws from counter b << 128.  Path j's values
 depend only on (seed, j) and the normals per path, so growing n_paths
-never changes existing paths.  A simulator draws its normals straight
-into the matrix it returns, in the kernel's layout (time-major for a
-BangBangRule), a few hundred paths at a time, and turns them into paths
-in place.  A call that compares a control family (``mc_ask_bid``,
-``estimate_tube_capacity``) draws the normals once, one row per path,
-and runs every control on them: common random numbers.
+never changes existing paths.
 
 Every simulator returns a ``PathEnsemble``, one matrix of paths on one
-grid; asset paths come from one kernel.  A ``BangBangRule`` holds a table
-of the band end it picks.  A tube capacity needs a path only until it
+grid.  Asset paths come from one kernel, ``_paths_from_normals``, which
+reads the normals it is given and writes paths into a matrix laid out by
+``_path_matrix``, the one place that picks a layout (time-major for a
+BangBangRule, which steps forward in time).  A simulator draws its
+normals, a few hundred paths at a time, into that matrix's columns 1..,
+and the kernel turns them into paths in place.  A call that compares a
+control family (``mc_ask_bid``, ``estimate_tube_capacity``) draws the
+normals once, one row per path, and the kernel only reads them, so every
+control runs on them: common random numbers.  A ``BangBangRule`` holds a
+table of the band end it picks.  A tube capacity needs a path only until it
 leaves the tube, so ``estimate_tube_capacity`` steps a time-based
 control's paths with the kernel's arithmetic up to their exit, and its
 estimate is bitwise the one from the full paths.
@@ -36,6 +39,7 @@ estimate is bitwise the one from the full paths.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -110,8 +114,9 @@ class SampledPath:
 
 class PathEnsemble(Sequence):
     """Paths on one time grid, held as one (n_paths, n+1) matrix ``values``
-    and checked once.  ``[j]`` and iteration give unchecked ``SampledPath``
-    views of row j; a slice gives a ``PathEnsemble``."""
+    and checked once.  ``[j]`` (an integer) and iteration give unchecked
+    ``SampledPath`` views of row j; a slice gives a ``PathEnsemble``, and
+    any other index raises TypeError."""
 
     def __init__(self, times, values, positive: bool = False):
         self.times, self.values = _checked_path(times, values, positive, 2)
@@ -123,8 +128,9 @@ class PathEnsemble(Sequence):
     def __getitem__(self, j):
         if isinstance(j, slice):
             return PathEnsemble(self.times, self.values[j], self.positive)
+        row = self.values[operator.index(j)]  # TypeError for a list, array or tuple
         path = object.__new__(SampledPath)  # a view: the grid is checked
-        path.times, path.values, path.positive = self.times, self.values[j], self.positive
+        path.times, path.values, path.positive = self.times, row, self.positive
         return path
 
 
@@ -427,42 +433,38 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
     are drawn into the kernel's matrix, which becomes the paths."""
     grid = _as_grid(grid)
     _check_scenarios(S0, [control], grid, band)
-    S = _path_matrix(n_paths, len(grid), time_major=isinstance(control, BangBangRule))
-    _draw_normals(seed, n_paths, len(grid) - 1, out=S[:, 1:])
-    return PathEnsemble(grid, _step_paths(control, S0, grid, S), positive=True)
+    S = _path_matrix(n_paths, len(grid), control)
+    z = _draw_normals(seed, n_paths, len(grid) - 1, out=S[:, 1:])
+    return PathEnsemble(grid, _paths_from_normals(control, S0, grid, z, S), positive=True)
 
 
-def _path_matrix(n_paths: int, n_points: int, time_major: bool = False) -> np.ndarray:
-    """An empty (n_paths, n_points) matrix, or the transposed view of a
-    time-major one; n_paths < 1 raises ValueError."""
+def _path_matrix(n_paths: int, n_points: int, control=None) -> np.ndarray:
+    """An empty (n_paths, n_points) matrix in the kernel's layout for
+    ``control``: a time-major one's transposed view for a BangBangRule,
+    else path-major (None: a plain draw); n_paths < 1 raises ValueError."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-    return np.empty((n_points, n_paths)).T if time_major else np.empty((n_paths, n_points))
+    if isinstance(control, BangBangRule):
+        return np.empty((n_points, n_paths)).T
+    return np.empty((n_paths, n_points))
 
 
-def _paths_from_normals(control, S0, grid, z):
-    """The scenario kernel's asset paths (n_paths, n_grid) from the normals
-    z (n_paths, n_steps), copied so that a family's controls share z."""
-    S = _path_matrix(len(z), len(grid), time_major=isinstance(control, BangBangRule))
-    S[:, 1:] = z
-    return _step_paths(control, S0, grid, S)
-
-
-def _step_paths(control, S0, grid, S):
-    """The scenario kernel: turns S (n_paths, n_grid), whose columns 1..
-    hold the normals, into asset paths in place and returns it.  A
+def _paths_from_normals(control, S0, grid, z, S=None):
+    """The scenario kernel: asset paths (n_paths, n_grid) from the normals z
+    (n_paths, n_steps), written into S (a new ``_path_matrix`` when None)
+    and returned.  z is only read, unless it is S's own columns 1...  A
     time-based control's paths are S0 exp(cumsum(drift + vol z)) along each
-    row.  A BangBangRule, whose S is a time-major ``_path_matrix``, steps
-    forward in time and reads its table at each step.  Its callers check S0
-    and the control (``_check_scenarios``) before they draw the normals."""
+    row; a BangBangRule steps forward in time, reading its table at each
+    step.  Callers check S0 and the control (``_check_scenarios``) first."""
+    if S is None:
+        S = _path_matrix(len(z), len(grid), control)
     dt = np.diff(grid)
 
     if isinstance(control, BangBangRule):
         rows = _in_force(control.times, grid[:-1])
         mu = control.mu_value
-        # time-major: step i turns row i + 1 from its normals into its
-        # levels in place, reading row i
-        X = S.T
+        # time-major: step i writes row i + 1 from normals column i, reading row i
+        X, Z = S.T, z.T
         X[0] = S0
         table = control.sigma_table
         flat = _flat_rows(table)
@@ -480,7 +482,7 @@ def _step_paths(control, S0, grid, S):
             # X[i] * exp((mu - sg^2/2) dt_i + sg sqrt(dt_i) z_i): the same
             # scalars and operations, with no temporary path row
             step = X[i + 1]
-            np.multiply(step, sg * math.sqrt(dt[i]), out=step)
+            np.multiply(Z[i], sg * math.sqrt(dt[i]), out=step)
             np.add(step, (mu - 0.5 * sg * sg) * dt[i], out=step)
             np.exp(step, out=step)
             np.multiply(step, X[i], out=step)
@@ -488,7 +490,7 @@ def _step_paths(control, S0, grid, S):
 
     sig, mu = _step_levels(control, grid)
     log_s = S[:, 1:]
-    np.multiply(log_s, sig * np.sqrt(dt), out=log_s)
+    np.multiply(z, sig * np.sqrt(dt), out=log_s)
     np.add(log_s, (mu - 0.5 * sig * sig) * dt, out=log_s)
     np.cumsum(log_s, axis=1, out=log_s)
     np.exp(log_s, out=log_s)
@@ -702,6 +704,15 @@ def _expected_abs_gauss_max(n_blocks: int) -> float:
     return float(val)
 
 
+def _check_finite(path: SampledPath, name: str) -> None:
+    """Raise ValueError, naming ``name`` and the first bad value's time,
+    when a value of the path is not finite."""
+    bad = ~np.isfinite(path.values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{name} value {path.values[k]} at t={path.times[k]:g} is not finite")
+
+
 def holder_exponent(path: SampledPath) -> HolderEstimate:
     """Roughness exponent from max increment magnitude over dyadic coarsenings.
 
@@ -711,11 +722,13 @@ def holder_exponent(path: SampledPath) -> HolderEstimate:
     sqrt(2 log N_k) extreme-value factor drifts across scales and biases
     the fit low by roughly 1/(2 log N).  The estimate is the log-log
     regression slope against the coarsened time step, clipped into (0, 1]:
-    a Lipschitz path gives 1, driving noise ~1/2.
+    a Lipschitz path gives 1, driving noise ~1/2.  A path shorter than 64
+    points or with a value that is not finite raises ValueError.
     """
     n = len(path)
     if n < 64:
         raise ValueError(f"path too short for roughness estimation ({n} < 64 points)")
+    _check_finite(path, "path")
     vals = path.values
     if np.ptp(vals) == 0.0:
         one = np.array([1.0])
@@ -779,12 +792,15 @@ def riemann_stieltjes(integrand: SampledPath, integrator: SampledPath):
     The integrand is resampled (linear interpolation) onto the integrator's
     grid when the grids differ; horizons must agree.  Left sums keep the
     integrand non-anticipating, which is what hedging needs.  Returns
-    (value, ConvergenceReport).
+    (value, ConvergenceReport).  A value of either path that is not finite
+    raises ValueError.
     """
     if abs(integrand.horizon - integrator.horizon) > _time_tol(integrator.horizon):
         raise ValueError(
             f"horizon mismatch: integrand ends at {integrand.horizon}, "
             f"integrator at {integrator.horizon}")
+    _check_finite(integrand, "integrand")
+    _check_finite(integrator, "integrator")
     times = integrator.times
     if len(integrand.times) == len(times) and np.array_equal(integrand.times, times):
         theta = integrand.values

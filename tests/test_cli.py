@@ -727,6 +727,23 @@ class TestCommandLine:
         doc = json.loads(capsys.readouterr().out)
         assert doc["outputs"]["ask"] == pytest.approx(10.4506, rel=1e-3)
 
+    @pytest.mark.parametrize("argv", [
+        [], ["price"], ["frobnicate", "--config", "c.json"],
+        ["price", "--config", "c.json", "--format", "xml"],
+        ["price", "--config", "c.json", "--seed", "1.5"],
+    ], ids=["no-command", "no-config", "unknown-command", "unknown-format", "float-seed"])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: bidask")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_takes_the_four_options(self, command, tmp_path):
+        # a missing config file is the run's error (1), not a usage error (2)
+        assert main([command, "--config", str(tmp_path / "none.json"), "--seed", "1",
+                     "--out", str(tmp_path / "r.txt"), "--format", "json"]) == 1
+
     def test_byte_identical_reports(self, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(price_config(seed=3)))

@@ -113,6 +113,23 @@ class TestRetirementWalk:
         with pytest.raises(ValueError):
             retirement_walk([0], -5.0, 0.1)
 
+    @pytest.mark.parametrize("signs, named", [
+        ([1, 0.5], "sign 0.5 at index 1"),  # once truncated to a retirement
+        ([1.7, -1, 0], "sign 1.7 at index 0"),  # once walked as +1
+        ([1, math.nan], "sign nan at index 1"),
+        ([-2, 0], "sign -2 at index 0"),
+    ])
+    def test_rejects_a_sign_that_is_not_a_unit_integer(self, signs, named):
+        with pytest.raises(ValueError, match=f"{named} is not -1, 0 or \\+1"):
+            retirement_walk(signs, 100.0, 0.1)
+
+    @pytest.mark.parametrize("signs", [[1.0, -1.0, 1.0, 0.0], [], [True, False]])
+    def test_reads_values_not_dtype(self, signs):
+        # signs rebuilt from report rows by np.array may come as floats
+        as_int = np.asarray(signs).astype(int)
+        assert np.array_equal(retirement_walk(np.array(signs), 100.0, 0.1),
+                              retirement_walk(as_int, 100.0, 0.1))
+
 
 class TestShadowPath:
     def test_constant_path_shadow_is_source(self):

@@ -445,6 +445,15 @@ class TestHolderExponent:
         assert len(h.scales) == len(h.max_increments) >= 3
         assert 0.0 <= h.r_squared <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # a NaN once read as a Lipschitz path, an infinity as exponent NaN
+        t = grid_of(100)
+        values = t.copy()
+        values[40] = bad
+        with pytest.raises(ValueError, match=r"path value .* at t=0\.4 is not finite"):
+            holder_exponent(SampledPath(t, values))
+
 
 class TestRiemannStieltjes:
     def test_constant_integrand_telescopes_exactly(self):
@@ -496,6 +505,18 @@ class TestRiemannStieltjes:
         with pytest.raises(ValueError, match="horizon"):
             riemann_stieltjes(SampledPath(grid_of(16), np.zeros(17)),
                               SampledPath(grid_of(16, horizon=2.0), np.zeros(17)))
+
+    @pytest.mark.parametrize("n", [16, 128])  # 128 points: the roughness is estimated
+    @pytest.mark.parametrize("which", ["integrand", "integrator"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, n, which, bad):
+        t = grid_of(n)
+        values = np.sin(t)
+        values[n // 2] = bad
+        paths = {"integrand": SampledPath(t, t), "integrator": SampledPath(t, t**2),
+                 which: SampledPath(t, values)}
+        with pytest.raises(ValueError, match=f"{which} value .* is not finite"):
+            riemann_stieltjes(paths["integrand"], paths["integrator"])
 
     def test_young_budget_reported(self):
         t = grid_of(1024)
@@ -833,6 +854,19 @@ class TestTableDrivenAdversary:
         assert est.value == float(np.mean(y))
         assert est.std_error == float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
+    @pytest.mark.parametrize("own_columns", [False, True], ids=["shared-z", "in-place"])
+    def test_kernel_writes_a_path_major_matrix(self, own_columns):
+        # the time-major layout is pinned above (a new matrix) and by
+        # simulate_asset_paths (z is the matrix's own columns)
+        rule, grid, S0 = self.mixed_rule(), grid_of(157), 100.0
+        z = paths_mod._draw_normals(35, 500, len(grid) - 1)
+        S = np.empty((500, len(grid)))
+        if own_columns:
+            S[:, 1:] = z
+        got = paths_mod._paths_from_normals(rule, S0, grid, S[:, 1:] if own_columns else z, S)
+        assert got is S
+        assert np.array_equal(S, self.sigma_state_loop(rule, S0, grid, z)[0])
+
     def test_sigma_state_looks_up_only_rows_that_switch(self, monkeypatch):
         rule = self.mixed_rule()
         t = grid_of(157)[:-1]
@@ -886,6 +920,25 @@ class TestOneDrawPerFamily:
         family = default_control_family(BAND)[:4] + [butterfly_rule()]
         estimate_tube_capacity(center, 5.0, BAND, family, seed=6, n_paths=300)
         assert draws == [(6, 300, 64)]
+
+    def test_family_leaves_the_shared_draw_unchanged(self, monkeypatch):
+        # the rule runs first, so the time-based controls read z after it
+        drawn = []
+        real = paths_mod._draw_normals
+
+        def kept(*args):
+            z = real(*args)
+            drawn.append((z, z.copy()))
+            return z
+
+        monkeypatch.setattr(paths_mod, "_draw_normals", kept)
+        family = [butterfly_rule()] + default_control_family(BAND)[:3]
+        mc_ask_bid(butterfly_problem(), family, grid_of(32), seed=4, spot=100.0, n_paths=200)
+        center = SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)), positive=True)
+        estimate_tube_capacity(center, 5.0, BAND, family, seed=6, n_paths=300)
+        assert len(drawn) == 2
+        for z, before in drawn:
+            assert z.tobytes() == before.tobytes()
 
     def test_family_capacity_is_the_best_single_control(self):
         center = SampledPath(grid_of(64), 100.0 * np.exp(0.05 * grid_of(64)),
@@ -1054,6 +1107,21 @@ class TestPathEnsemble:
         assert len(part) == 2 and np.array_equal(part.values, ens.values[1:])
         assert part.times is ens.times
 
+    def test_integer_like_index_gives_a_row(self):
+        values = np.arange(12.0).reshape(3, 4)
+        ens = PathEnsemble(grid_of(3), values)
+        assert np.array_equal(ens[np.int64(2)].values, values[2])
+        assert np.array_equal(ens[np.array(1)].values, values[1])
+
+    @pytest.mark.parametrize("index", [[0, 1], np.array([0, 1]), (0, 1), 1.0,
+                                       np.array([True, False, True]), None],
+                             ids=["list", "array", "tuple", "float", "mask", "none"])
+    def test_other_index_raises_type_error(self, index):
+        # each once gave a SampledPath whose values were not one path
+        ens = PathEnsemble(grid_of(3), np.arange(12.0).reshape(3, 4))
+        with pytest.raises(TypeError):
+            ens[index]
+
     def test_one_point_grid(self):
         ens = PathEnsemble([0.0], [[1.0], [2.0]])
         assert len(ens) == 2 and len(ens[0]) == 1 and ens[1].horizon == 0.0
@@ -1185,6 +1253,14 @@ class TestDrawIntoTheKernelsLayout:
         # their summation order: time-major for a rule, path-major otherwise
         flags = ens.values.flags
         assert flags.f_contiguous if kind == "rule" else flags.c_contiguous
+
+    def test_time_based_kernel_writes_a_time_major_matrix(self):
+        control = ControlProcess((0.0, 0.25, 0.5), (0.1, 0.3, 0.2), (0.01, 0.05, 0.02))
+        grid = grid_of(12)
+        z = paths_mod._draw_normals(17, 300, 12)
+        S = np.empty((len(grid), 300)).T
+        assert paths_mod._paths_from_normals(control, 100.0, grid, z, S) is S
+        assert np.array_equal(S, full_matrix_paths(control, 100.0, grid, 17, 300))
 
     @pytest.mark.parametrize("n_paths", DRAW_EDGES)
     def test_driving_increments_are_the_full_matrix_ones(self, n_paths):
