@@ -148,11 +148,12 @@ def retirement_walk(signs, X0: float, eps: float) -> np.ndarray:
         raise ValueError(f"X0 must be positive, got {X0!r}")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    bad = ~np.isin(given, (-1, 0, 1))
+    # three comparisons, not np.isin, whose overhead doubled the walk's time
+    bad = (given != -1) & (given != 0) & (given != 1)
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"sign {given[k]} at index {k} is not -1, 0 or +1")
-    signs = given.astype(int)
+    signs = given.astype(int, copy=False)
     zeros = np.flatnonzero(signs == 0)
     if len(zeros) and np.any(signs[zeros[0]:] != 0):
         raise ValueError("nonzero sign after retirement")
