@@ -310,12 +310,14 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     # factor, and one matvec per path (not a batched matmul): path j's
     # values must not depend on how many other paths share the call
     if method == "volterra":
-        L, pre, post = _kernel_matrix(grid, H), sig * np.sqrt(np.diff(grid)), 1.0
+        L, scale = _kernel_matrix(grid, H), 1.0
+        z *= sig * np.sqrt(np.diff(grid))
     else:
-        L, pre, post = _unit_cholesky(grid[1:], H), 1.0, sig
+        L, scale = _unit_cholesky(grid[1:], H), sig
     out = np.zeros((n_paths, len(grid)))
     for j in range(n_paths):
-        out[j, 1:] = post * (L @ (pre * z[j]))  # a factor 1.0 changes no bit
+        out[j, 1:] = L @ z[j]
+    out *= scale  # a factor 1.0 changes no bit
     return out
 
 
