@@ -305,10 +305,9 @@ def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
         np.cumsum(inc, axis=1, out=out[:, 1:])
         return out
 
-    # the Volterra and Cholesky routes: a lower-triangular factor, vol
-    # sqrt(dt) applied before the kernel and sigma after the Cholesky
-    # factor, and one matvec per path (not a batched matmul): path j's
-    # values must not depend on how many other paths share the call
+    # the Volterra and Cholesky routes: one matvec per path with a lower-
+    # triangular factor (not a batched matmul), so that path j's values do
+    # not depend on how many other paths share the call
     if method == "volterra":
         L, scale = _kernel_matrix(grid, H), 1.0
         z *= sig * np.sqrt(np.diff(grid))

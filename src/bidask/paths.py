@@ -439,9 +439,8 @@ def simulate_asset_paths(control, S0: float, grid, seed: int, n_paths: int,
 
 
 def _path_matrix(n_paths: int, n_points: int, control=None) -> np.ndarray:
-    """An empty (n_paths, n_points) matrix in the kernel's layout for
-    ``control``: a time-major one's transposed view for a BangBangRule,
-    else path-major (None: a plain draw); n_paths < 1 raises ValueError."""
+    """An empty (n_paths, n_points) matrix, the transposed view of a
+    time-major one for a BangBangRule; n_paths < 1 raises ValueError."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     if isinstance(control, BangBangRule):
@@ -451,11 +450,10 @@ def _path_matrix(n_paths: int, n_points: int, control=None) -> np.ndarray:
 
 def _paths_from_normals(control, S0, grid, z, S=None):
     """The scenario kernel: asset paths (n_paths, n_grid) from the normals z
-    (n_paths, n_steps), written into S (a new ``_path_matrix`` when None)
-    and returned.  z is only read, unless it is S's own columns 1...  A
-    time-based control's paths are S0 exp(cumsum(drift + vol z)) along each
-    row; a BangBangRule steps forward in time, reading its table at each
-    step.  Callers check S0 and the control (``_check_scenarios``) first."""
+    (n_paths, n_steps), written into S (a new ``_path_matrix`` when None),
+    z left as it is unless it is S's columns 1...  A time-based control's
+    paths are S0 exp(cumsum(drift + vol z)) along each row; a BangBangRule
+    steps forward in time.  Callers check S0 and the control first."""
     if S is None:
         S = _path_matrix(len(z), len(grid), control)
     dt = np.diff(grid)
@@ -463,8 +461,11 @@ def _paths_from_normals(control, S0, grid, z, S=None):
     if isinstance(control, BangBangRule):
         rows = _in_force(control.times, grid[:-1])
         mu = control.mu_value
-        # time-major: step i writes row i + 1 from normals column i, reading row i
-        X, Z = S.T, z.T
+        if not np.may_share_memory(S, z):
+            S[:, 1:] = z  # one transposing copy is faster than a strided read per step
+        # time-major: step i turns row i + 1 from its normals into its
+        # levels in place, reading row i
+        X = S.T
         X[0] = S0
         table = control.sigma_table
         flat = _flat_rows(table)
@@ -482,7 +483,7 @@ def _paths_from_normals(control, S0, grid, z, S=None):
             # X[i] * exp((mu - sg^2/2) dt_i + sg sqrt(dt_i) z_i): the same
             # scalars and operations, with no temporary path row
             step = X[i + 1]
-            np.multiply(Z[i], sg * math.sqrt(dt[i]), out=step)
+            np.multiply(step, sg * math.sqrt(dt[i]), out=step)
             np.add(step, (mu - 0.5 * sg * sg) * dt[i], out=step)
             np.exp(step, out=step)
             np.multiply(step, X[i], out=step)

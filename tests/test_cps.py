@@ -117,7 +117,6 @@ class TestRetirementWalk:
         ([1, 0.5], "sign 0.5 at index 1"),  # once truncated to a retirement
         ([1.7, -1, 0], "sign 1.7 at index 0"),  # once walked as +1
         ([1, math.nan], "sign nan at index 1"),
-        ([-2, 0], "sign -2 at index 0"),
     ])
     def test_rejects_a_sign_that_is_not_a_unit_integer(self, signs, named):
         with pytest.raises(ValueError, match=f"{named} is not -1, 0 or \\+1"):
