@@ -451,7 +451,7 @@ def _path_matrix(n_paths: int, n_points: int, control=None) -> np.ndarray:
 def _paths_from_normals(control, S0, grid, z, S=None):
     """The scenario kernel: asset paths (n_paths, n_grid) from the normals z
     (n_paths, n_steps), written into S (a new ``_path_matrix`` when None),
-    z left as it is unless it is S's columns 1...  A time-based control's
+    z left as it is unless it is ``S[:, 1:]``.  A time-based control's
     paths are S0 exp(cumsum(drift + vol z)) along each row; a BangBangRule
     steps forward in time.  Callers check S0 and the control first."""
     if S is None:
