@@ -141,9 +141,12 @@ def retirement_walk(signs, X0: float, eps: float) -> np.ndarray:
     Levels are computed from integer cumulative exponents, so a +1 followed
     by a -1 returns to X0 exactly and drift stays within 1 ulp per step.
     A sign whose value is not -1, 0 or +1 (of any dtype: 1.0 is +1, 0.5 is
-    no sign) raises ValueError naming it.
+    no sign) raises ValueError naming it, as does a sign array that is not
+    1-d.
     """
     given = np.asarray(signs)
+    if given.ndim != 1:
+        raise ValueError(f"signs must be a 1-d array, got shape {given.shape}")
     if not (math.isfinite(X0) and X0 > 0.0):
         raise ValueError(f"X0 must be positive, got {X0!r}")
     if not (math.isfinite(eps) and eps > 0.0):

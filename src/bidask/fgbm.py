@@ -17,8 +17,9 @@ covariance envelopes.  Two sampling methods are exposed:
 * discrete Volterra synthesis (``volterra``): B_H(t_i) ~= sum_j K_H(t_i,
   s_j*) dB_j with the square-integrable kernel K_H evaluated at increment
   midpoints, which also powers conditional means given the driving noise.
-  The kernel is in closed form, one Gauss hypergeometric function for
-  every H.
+  The kernel is in closed form for every H: after a Pfaff transform its
+  hypergeometric factor is an incomplete beta function, summed by one of
+  two power series in numpy (see ``_kernel``).
 
 The Cholesky factor and the kernel matrix are both lower triangular, and
 the two routes share one loop of one matvec per path: the driving
@@ -32,11 +33,10 @@ Only constant-sigma scenarios are supported: scaling the covariance by a
 constant is exact, while a time-varying volatility has no closed
 covariance here.
 
-scipy is imported inside the two calls that use it: ``cholesky`` when a
-non-uniform grid is factorised and ``hyp2f1`` when the Volterra kernel is
-evaluated.  So exact sampling on a uniform grid loads neither
-``scipy.linalg`` nor ``scipy.special``, whose import takes longer than
-such a call.
+scipy is imported inside the one call that uses it: ``cholesky`` when a
+non-uniform grid is factorised.  So exact sampling on a uniform grid and
+Volterra synthesis load no scipy module, whose import takes longer than
+such a call; the kernel needs only numpy and ``math``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .paths import (PathEnsemble, SampledPath, _as_grid, _check_start, _draw_normals,
-                    _time_tol)
+from .paths import (PathEnsemble, SampledPath, _as_grid, _check_finite, _check_start,
+                    _draw_normals, _time_tol)
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -125,23 +125,74 @@ def moving_avg_constant(H: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(t, s, H: float) -> np.ndarray:
-    """K_H(t, s) elementwise over broadcast arrays with 0 < s < t (unchecked):
-    the Molchan-Golosov form c_H (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s),
-    c_H = moving_avg_constant(H), for every H in (0, 1); exactly 1 at H = 1/2."""
-    from scipy.special import hyp2f1
+_SERIES_TERMS = 54  # both series run in a variable <= 1/2; 2^-54 is a quarter ulp of 1
 
-    return moving_avg_constant(H) * (t - s) ** (H - 0.5) \
-        * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
+
+def _series_coefficients(H: float) -> tuple[list, list]:
+    """Coefficients n = 1..54 of ``_kernel``'s two series, a = H - 1/2:
+    a (2H)_n / (n! (a + n)) in x, and a (1 - a)_n / (n! (n - 2a)) in y."""
+    a = H - 0.5
+    near, far = [], []
+    rise_x = rise_y = 1.0  # (2H)_n / n! and (1 - a)_n / n!
+    for n in range(1, _SERIES_TERMS + 1):
+        rise_x *= (2.0 * H + n - 1) / n
+        rise_y *= (n - a) / n
+        near.append(a * rise_x / (a + n))
+        far.append(a * rise_y / (n - 2.0 * a))
+    return near, far
+
+
+def _power_series(coefs: list, u: np.ndarray) -> np.ndarray:
+    """sum_n coefs[n-1] u^n, n = 1..len(coefs), by Horner's rule."""
+    acc = np.full(u.shape, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        acc *= u
+        acc += c
+    acc *= u
+    return acc
+
+
+def _kernel(t, s, H: float) -> np.ndarray:
+    """K_H(t, s) elementwise over broadcast arrays with 0 < s < t (unchecked).
+
+    The Molchan-Golosov form c_H (t-s)^a 2F1(a, -a; a+1; 1 - t/s), a = H - 1/2
+    and c_H = moving_avg_constant(H), becomes after a Pfaff transform
+    c_H (t-s)^a y^a F with x = (t-s)/t, y = s/t and F = 2F1(a, 2H; a+1; x)
+    = a x^-a B(x; a, -2a), an incomplete beta function.  F is one of two
+    power series, 54 terms by Horner's rule, each in a variable at most 1/2:
+
+    * x <= 1/2:  F = 1 + a sum_{n>=1} (2H)_n / n! x^n / (a + n);
+    * x > 1/2:   F = x^-a [G(a+1) G(-2a) / G(-a)
+                 + y^-2a (1/2 - a sum_{m>=1} (1-a)_m / m! y^m / (m - 2a))],
+      G the gamma function, from B(x; a, -2a) = B(a, -2a) - B(y; -2a, a).
+
+    At H = 1/2 the kernel is exactly 1.
+    """
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    if H == 0.5:
+        return np.ones(t.shape)
+    a = H - 0.5
+    near_coefs, far_coefs = _series_coefficients(H)
+    x = (t - s) / t
+    y = s / t
+    F = np.empty(x.shape)
+    near = x <= 0.5
+    F[near] = 1.0 + _power_series(near_coefs, x[near])
+    far = ~near
+    y_far = y[far]
+    head = math.gamma(a + 1.0) * math.gamma(-2.0 * a) / math.gamma(-a)
+    F[far] = x[far] ** -a * (head + y_far ** (-2.0 * a)
+                             * (0.5 - _power_series(far_coefs, y_far)))
+    return moving_avg_constant(H) * ((t - s) * y) ** a * F
 
 
 def volterra_kernel(t: float, s: float, H: float) -> float:
     """Square-integrable kernel writing the fractional noise as an integral
     against ordinary driving noise: B_H(t) = int_0^t K_H(t, s) dB_s.
 
-    One Gauss hypergeometric closed form for every Hurst index, so nothing
-    is integrated numerically; at H = 1/2 it is the identity, the driving
-    noise being already the process.  Needs 0 < s < t < inf.
+    One closed form for every Hurst index, summed as a power series, so
+    nothing is integrated numerically; at H = 1/2 it is the identity, the
+    driving noise being already the process.  Needs 0 < s < t < inf.
     """
     if msg := hurst_violation(H):
         raise ValueError(msg)
@@ -340,9 +391,11 @@ def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
                           H: float) -> float:
     """Best forecast of the fractional noise at t given driving noise to v:
     the discrete Volterra sum over increments contained in [0, v].  Needs
-    finite 0 <= v <= t, with v no later than the driving path's end."""
+    finite 0 <= v <= t, with v no later than the driving path's end, and a
+    driving path whose values are all finite."""
     if msg := hurst_violation(H):
         raise ValueError(msg)
+    _check_finite(driving_increments, "driving path")
     if not (0.0 <= v <= t + 1e-12 and t < math.inf):
         raise ValueError(f"need finite 0 <= v <= t, got v={v!r}, t={t!r}")
     end = driving_increments.horizon

@@ -1015,8 +1015,11 @@ class TestFreshInterpreter:
     def test_commands_that_solve_no_pde_leave_scipy_out(self):
         # each config runs through parse_config, run and render in one
         # interpreter, which then lists the scipy modules loaded so far: the
-        # four commands that solve no PDE load neither, and a price run after
-        # them loads LAPACK
+        # commands that solve no PDE (fgbm by both methods) and a conditional
+        # mean (the None entry) load neither, and a price run after them
+        # loads LAPACK but not scipy.special
+        fgbm = {"command": "fgbm", "band": dict(BAND), "hurst": 0.7, "sigma": 0.2,
+                "horizon": 1.0, "n_steps": 32, "n_paths": 2}
         configs = [
             {"command": "simulate", "band": dict(BAND), "s0": 100.0, "horizon": 1.0,
              "n_steps": 16, "n_paths": 4, "control": {"mu": 0.03, "sigma": 0.2}},
@@ -1024,19 +1027,25 @@ class TestFreshInterpreter:
              "center_file": str(sample_path_file()), "eta": 5.0, "n_paths": 10},
             {"command": "cps", "band": dict(BAND), "path_file": str(sample_path_file()),
              "epsilon": 0.05},
-            {"command": "fgbm", "band": dict(BAND), "hurst": 0.7, "sigma": 0.2,
-             "horizon": 1.0, "n_steps": 32, "n_paths": 2},
+            fgbm,
+            {**fgbm, "hurst": 0.3, "method": "volterra"},
+            None,
             price_config(grid={"n_space": 32, "n_time": 16}),
         ]
         script = ("import json, sys\n"
-                  "from bidask import parse_config, run\n"
+                  "import numpy as np\n"
+                  "from bidask import SampledPath, fgbm_conditional_mean, parse_config, run\n"
+                  "grid = np.linspace(0.0, 1.0, 17)\n"
                   "for cfg in json.load(sys.stdin):\n"
-                  "    config = parse_config(json.dumps(cfg))\n"
-                  "    run(config).render(config.effective['format'])\n"
+                  "    if cfg is None:\n"
+                  "        drv = SampledPath(grid, np.sin(7.0 * grid))\n"
+                  "        fgbm_conditional_mean(drv, 0.5, 1.0, 0.3)\n"
+                  "    else:\n"
+                  "        config = parse_config(json.dumps(cfg))\n"
+                  "        run(config).render(config.effective['format'])\n"
                   "    print([m for m in ('scipy.linalg', 'scipy.special') "
                   "if m in sys.modules])\n")
         proc = _run_python(["-c", script], input=json.dumps(configs))
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.splitlines()
-        assert loaded[:4] == ["[]"] * 4
-        assert "'scipy.linalg'" in loaded[4]
+        assert loaded == ["[]"] * 6 + ["['scipy.linalg']"]

@@ -122,6 +122,12 @@ class TestRetirementWalk:
         with pytest.raises(ValueError, match=f"{named} is not -1, 0 or \\+1"):
             retirement_walk(signs, 100.0, 0.1)
 
+    @pytest.mark.parametrize("signs", [[[1, -1], [0, 0]], [[1], [-1]], 1])
+    def test_rejects_signs_that_are_not_1d(self, signs):
+        # a 2-d array was once walked flattened
+        with pytest.raises(ValueError, match="1-d"):
+            retirement_walk(np.array(signs), 100.0, 0.1)
+
     @pytest.mark.parametrize("signs", [[1.0, -1.0, 1.0, 0.0], [], [True, False]])
     def test_reads_values_not_dtype(self, signs):
         # signs rebuilt from report rows by np.array may come as floats

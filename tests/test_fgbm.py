@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg import cholesky
-from scipy.special import beta
+from scipy.special import beta, hyp2f1
 
 from bidask import (
     ControlProcess,
@@ -25,7 +25,8 @@ from bidask import (
 )
 import bidask.fgbm
 from bidask import NumericalFailure
-from bidask.fgbm import _circulant_eigenvalues, _fgn_autocovariance, _kernel_matrix
+from bidask.fgbm import (_circulant_eigenvalues, _fgn_autocovariance, _kernel,
+                         _kernel_matrix)
 from bidask.paths import _draw_normals
 
 BAND = UncertaintyBand(0.0, 0.0, 0.1, 0.3)
@@ -63,6 +64,13 @@ def quadrature_kernel_below_half(t, s, H):
                   points=[split] if split < 1.0 else None)
     direct = (t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
     return c * (direct - (H - 0.5) * s ** (0.5 - H) * val)
+
+
+def hyp2f1_kernel(t, s, H):
+    """The kernel's Molchan-Golosov form through scipy's hyp2f1:
+    c_H (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s)."""
+    return moving_avg_constant(H) * (t - s) ** (H - 0.5) \
+        * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
 
 
 class TestCovariance:
@@ -181,6 +189,21 @@ class TestVolterraKernel:
             for j in range(len(mids)):
                 want = volterra_kernel(grid[i + 1], mids[j], H) if j <= i else 0.0
                 assert K[i, j] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("H, rel", [
+        *((H, 1e-13) for H in (0.001, 0.01, 0.1, 0.3, 0.45, 0.4999, 0.5001, 0.55,
+                               0.7, 0.9, 0.95, 0.99)),
+        (0.999, 1e-12),
+    ])
+    def test_series_match_the_hyp2f1_form(self, H, rel):
+        # s/t from 1e-12 to 1 - 1e-12: x = 1 - s/t crosses the switch
+        # between the two series at 1/2, which the grid holds exactly
+        fracs = np.concatenate((np.logspace(-12, -1, 45), np.linspace(0.1, 0.9, 81),
+                                1.0 - np.logspace(-1, -12, 45)))
+        for t in (1e-3, 0.3, 1.0, 7.0):
+            s = fracs * t
+            np.testing.assert_allclose(_kernel(t, s, H), hyp2f1_kernel(t, s, H),
+                                       rtol=rel, atol=0.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -445,6 +468,15 @@ class TestConditionalMean:
         for v, t in ((0.9, 1.0), (0.3, math.nan), (math.nan, 1.0), (0.3, math.inf)):
             with pytest.raises(ValueError):
                 fgbm_conditional_mean(short, v, t, 0.7)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_driving_path_that_is_not_finite(self, bad):
+        grid = np.linspace(0, 1, 17)
+        values = np.zeros_like(grid)
+        values[3] = bad
+        with pytest.raises(ValueError, match="driving path value .* at t=0.1875 is not finite"):
+            fgbm_conditional_mean(SampledPath(grid, values), 0.5, 1.0, 0.7)
 
 
 class TestFractionalAsset:

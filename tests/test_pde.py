@@ -1,6 +1,7 @@
 """Finite-difference solver tests against closed-form and structural oracles."""
 
 import io
+import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.special import ndtr
 
 from bidask import (
     GridSpec,
@@ -70,6 +72,22 @@ class TestClosedForm:
         c = black_scholes_closed_form(100, 90, 0.03, 0.25, 2.0, "call")
         p = black_scholes_closed_form(100, 90, 0.03, 0.25, 2.0, "put")
         assert c - p == pytest.approx(100 - 90 * math.exp(-0.06), rel=1e-12)
+
+    def test_matches_the_ndtr_form(self):
+        # the normal CDF is 0.5 erfc(-d sqrt(1/2)); scipy's ndtr form, built
+        # here, agrees to 1e-15 relative to the larger of the value and the
+        # spot (an out-of-the-money value, a difference of two CDF terms,
+        # can lose digits relative to itself in either form)
+        grid = itertools.product((50.0, 90.0, 100.0, 110.0, 200.0), (60.0, 100.0, 150.0),
+                                 (-0.02, 0.0, 0.05), (0.05, 0.2, 0.6), (0.01, 0.5, 1.0, 5.0))
+        for S, K, r, sig, T in grid:
+            srt = sig * math.sqrt(T)
+            d1 = (math.log(S / K) + (r + 0.5 * sig * sig) * T) / srt
+            disc = K * math.exp(-r * T)
+            call = float(S * ndtr(d1) - disc * ndtr(d1 - srt))
+            for kind, want in (("call", call), ("put", call - S + disc)):
+                assert black_scholes_closed_form(S, K, r, sig, T, kind) == \
+                    pytest.approx(want, rel=1e-15, abs=1e-15 * S)
 
     def test_rejects_nonpositive_inputs(self):
         for bad in [dict(spot=-1.0), dict(sigma=0.0), dict(T=0.0), dict(strike=0.0)]:

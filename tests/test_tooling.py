@@ -1,8 +1,10 @@
 """Checks on the package's surface: every public annotation resolves, every
 kind of benchmark op still runs through the benchmark's own code, every
-public simulator keeps the same input contract, and a failing property test
-leaves the rest of the suite reporting."""
+public simulator keeps the same input contract, a failing property test
+leaves the rest of the suite reporting, and scipy.special is imported in one
+place only."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -47,6 +49,43 @@ def test_public_type_hints_resolve(module):
     for name in mod.__all__:
         for obj in _functions_of(getattr(mod, name)):
             typing.get_type_hints(obj)  # NameError on a name the module lacks
+
+
+def _names_scipy_special(node) -> bool:
+    """Whether an AST node imports scipy.special or reads it off scipy."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["scipy", "special"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        parts = (node.module or "").split(".")
+        return parts[:2] == ["scipy", "special"] or (
+            parts == ["scipy"] and any(a.name == "special" for a in node.names))
+    return (isinstance(node, ast.Attribute) and node.attr == "special"
+            and isinstance(node.value, ast.Name) and node.value.id == "scipy")
+
+
+def _scipy_special_users() -> set:
+    """(module, innermost enclosing function or None) of every place in the
+    package's source that names scipy.special."""
+    found = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if _names_scipy_special(child):
+                found.add((module, function))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, module, inner)
+
+    for info in pkgutil.iter_modules(bidask.__path__, "bidask."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        visit(ast.parse(source), info.name, None)
+    return found
+
+
+def test_scipy_special_is_imported_only_for_the_gauss_max():
+    # loading scipy.special costs a process about 25 MB and 130 ms; the
+    # normal CDF and the Volterra kernel are computed without it
+    assert _scipy_special_users() == {("bidask.paths", "_expected_abs_gauss_max")}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
