@@ -478,6 +478,38 @@ def test_unread_key_fails_at_its_full_path(shape, path):
     assert config_errors(cfg) == [f"{path}bogus: unknown key (strict mode)"]
 
 
+NESTED_FAULTS = {
+    "asset": ({"command": "fgbm", "band": dict(BAND), "hurst": 0.7, "sigma": 0.2,
+               "horizon": 1.0, "asset": {"s0": -1.0, "drift": "up", "bogus": 1}},
+              ["asset.s0: must be positive", "asset.drift: expected a number, got 'up'",
+               "asset.bogus: unknown key (strict mode)"]),
+    "scenario": (hedge_config(scenario={"mu": 0.03, "sigma": 0.2, "n_steps": 0,
+                                        "bogus": 1}),
+                 ["scenario.n_steps: must be >= 1",
+                  "scenario.bogus: unknown key (strict mode)"]),
+    "scenario_not_an_object": (hedge_config(scenario=5),
+                               ["scenario: expected an object",
+                                "path_file: hedge needs either path_file or scenario"]),
+    "controls": ({"command": "capacity", "band": dict(BAND), "center_file": "c.csv",
+                  "eta": 5.0, "controls": [{"mu": 0.02, "sigma": 0.1, "bogus": 1}, 5]},
+                 ["controls.1: expected an object",
+                  "controls.0.bogus: unknown key (strict mode)"]),
+    "pricing": (cps_pricing_config(maturity=-1.0, rate="5%", bogus=1),
+                ["pricing.maturity: must be positive",
+                 "pricing.rate: expected a number, got '5%'",
+                 "pricing.bogus: unknown key (strict mode)"]),
+    "band": (price_config(band={**BAND, "bogus": 1}),
+             ["band.bogus: unknown key (strict mode)"]),
+}
+
+
+@pytest.mark.parametrize("section", NESTED_FAULTS)
+def test_nested_field_errors_are_pinned(section):
+    # the exact lines, in order, for faults inside each nested section
+    cfg, errors = NESTED_FAULTS[section]
+    assert config_errors(cfg) == errors
+
+
 def _optional(key, values):
     """``key`` absent, null or drawn from ``values``, as a one-key dict."""
     return st.one_of(st.just({}), st.just({key: None}),
@@ -599,6 +631,61 @@ def test_emitted_config_is_a_fixed_point(cfg):
     # significant digits); parsing it again must reproduce it byte for byte
     emitted = emit_config(parse_config(json.dumps(cfg)))
     assert emit_config(parse_config(emitted)) == emitted
+
+
+_TOP = {"seed": 7, "format": "csv", "output": "report.csv", "band": dict(BAND)}
+# per command, configs that between them set every key its reader accepts
+FULL_CONFIGS = {
+    "price": [price_config(**_TOP, spot_domain=[20.0, 500.0], grid=dict(GRID))],
+    "hedge": [hedge_config(**_TOP, payoff={"kind": "put", "strike": 90.0},
+                           spot_domain=[20.0, 500.0], grid=dict(GRID),
+                           scenario={"mu": 0.03, "sigma": 0.2, "n_steps": 50},
+                           path_file=None),
+              hedge_config(**_TOP, spot_domain=[20.0, 500.0], grid=dict(GRID),
+                           scenario=None, path_file="path.csv")],
+    "simulate": [{"command": "simulate", **_TOP, "s0": 100.0, "horizon": 1.0,
+                  "n_steps": 32, "n_paths": 4, "paths_out": "paths.csv",
+                  "control": control}
+                 for control in ({"mu": 0.03, "sigma": 0.2},
+                                 {"breakpoints": [0.0, 0.5], "sigma_levels": [0.1, 0.3],
+                                  "mu_levels": [0.01, 0.05]})],
+    "fgbm": [{"command": "fgbm", **_TOP, "hurst": 0.7, "sigma": 0.2, "horizon": 1.0,
+              "n_steps": 32, "n_paths": 4, "method": "factorization",
+              "asset": {"s0": 100.0, "drift": 0.02}, "paths_out": "paths.csv"}],
+    "cps": [{"command": "cps", **_TOP, "path_file": "path.csv", "epsilon": 0.05,
+             "pricing": {"payoff": {"kind": "power", "exponent": 2.0}, "maturity": 1.0,
+                         "rate": 0.01, "spot_domain": [20.0, 500.0],
+                         "grid": dict(GRID)}}],
+    "capacity": [{"command": "capacity", **_TOP, "center_file": "c.csv", "eta": 5.0,
+                  "n_paths": 10, "controls": [{"mu": 0.02, "sigma": 0.1},
+                                              {"mu": 0.04, "sigma": 0.3}]}],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_key_set_is_echoed_with_its_value(command):
+    assert set(FULL_CONFIGS) == set(COMMANDS)
+    for cfg in FULL_CONFIGS[command]:
+        emitted = emit_config(parse_config(json.dumps(cfg)))
+        assert json.loads(emitted) == cfg
+        assert emit_config(parse_config(emitted)) == emitted
+
+
+@pytest.mark.parametrize("command, section, path", [
+    ("price", "grid", ()), ("hedge", "grid", ()), ("hedge", "scenario", ()),
+    ("fgbm", "asset", ()), ("cps", "pricing", ()), ("cps", "grid", ("pricing",)),
+    ("capacity", "controls", ())])
+def test_a_null_section_is_echoed_as_null_and_grid_as_its_defaults(command, section,
+                                                                   path):
+    cfg = json.loads(json.dumps(FULL_CONFIGS[command][-1]))
+    holder = cfg
+    for key in path:
+        holder = holder[key]
+    holder[section] = None
+    echo = json.loads(emit_config(parse_config(json.dumps(cfg))))
+    for key in path:
+        echo = echo[key]
+    assert echo[section] == (asdict(pde.GridSpec()) if section == "grid" else None)
 
 
 class TestRun:
