@@ -10,11 +10,12 @@ reads, fails a scalar field, and fails a list where its payoff or control
 rejects it.  A null optional section (``grid``, ``scenario``, ``asset``,
 ``pricing``) is the same as an absent one.  The effective config after
 defaulting is echoed into the report so any result is reproducible from
-its own output: ``parse(emit(c)) == c``.  Reports are rendered with fixed
-12-significant-digit floats and deterministic key order, so identical
-configs produce byte-identical reports; the timing section therefore
-carries deterministic work counters (grid sizes, draw counts, PDE linear
-solves), not wall clocks.
+its own output: ``parse(emit(c)) == c``.  The reader writes that echo as
+it reads, each field's value or default in read order, so a key is named
+once.  Reports are rendered with fixed 12-significant-digit floats and
+deterministic key order, so identical configs produce byte-identical
+reports; the timing section therefore carries deterministic work counters
+(grid sizes, draw counts, PDE linear solves), not wall clocks.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class CommandFailure(RuntimeError):
 @dataclass
 class RunConfig:
     """A fully validated run: the command plus its canonical effective
-    config (every default filled in).
+    config (every default filled in), the echo the reader wrote.
 
     ``_built`` holds the typed objects (band, problem, grid, control)
     that validation constructed, so running does not rebuild them from
@@ -163,66 +164,85 @@ def emit_config(config: RunConfig) -> str:
 
 
 class _Reader:
-    """Walks a config dict, accumulating every violation with its path; a key
+    """Walks a config dict, accumulating every violation with its path, and
+    writes the echo as it reads: each field's effective value (its value or
+    its default) goes into the echo of the section that holds it, in read
+    order, so the echo's key order is the order the readers read.  A key
     that no ``get`` or ``section`` asked for fails in ``reject_unread``."""
 
     def __init__(self, cfg):
         self.errors = []
-        # (path prefix, object, keys asked) by id; the command is read by hand,
-        # before any reader, since it picks the readers
-        self._asked = {id(cfg): ("", cfg, {"command"})}
+        self.echo = {}
+        # (path prefix, object, keys asked, echo) by id
+        self._sections = {id(cfg): ("", cfg, set(), self.echo)}
 
     def fail(self, path, msg):
         self.errors.append(f"{path}: {msg}")
 
-    def _ask(self, d, key):
-        if id(d) in self._asked:
-            self._asked[id(d)][2].add(key)
+    def path(self, d, key):
+        return f"{self._sections[id(d)][0]}{key}"
+
+    def set(self, d, key, value):
+        """Ask for ``d[key]`` and echo ``value`` as its effective value."""
+        _, _, asked, echo = self._sections[id(d)]
+        asked.add(key)
+        echo[key] = value
 
     def reject_unread(self):
-        for prefix, d, asked in self._asked.values():
+        for prefix, d, asked, _ in self._sections.values():
             for key in d:
                 if key not in asked:
                     self.fail(prefix + key, "unknown key (strict mode)")
 
-    def section(self, cfg, key, *, prefix="", required=False):
-        """``cfg[key]`` checked as an object, or None when absent or null (an
-        error only when ``required``); its keys are the ones its reader reads."""
-        self._ask(cfg, key)
-        path = f"{prefix}{key}"
-        d = cfg.get(key)
-        if d is None and not required:
-            return None
+    def _open(self, d, path, present):
+        """``d``, read at ``path``, registered with a new echo once it checks
+        as an object; (None, None) after failing when it does not."""
         if not isinstance(d, dict):
-            self.fail(path, "expected an object" if key in cfg else
-                      "required section is missing")
-            return None
-        self._asked.setdefault(id(d), (path + ".", d, set()))
+            self.fail(path, "expected an object" if present else "required section is missing")
+            return None, None
+        echo = {}
+        self._sections[id(d)] = (path + ".", d, set(), echo)
+        return d, echo
+
+    def section(self, cfg, key, *, required=False):
+        """``cfg[key]`` checked as an object, or None when absent or null (an
+        error only when ``required``); its keys are the ones its reader reads.
+        Its echo is a new object, or null when the section is None."""
+        d, echo = cfg.get(key), None
+        if d is not None or required:
+            d, echo = self._open(d, self.path(cfg, key), key in cfg)
+        self.set(cfg, key, echo)
         return d
 
-    def get(self, d, key, path, *, required=False, default=None, kind=None,
-            check=None):
-        self._ask(d, key)
-        full = path + key
-        if key not in d or d[key] is None:
-            if required:
-                self.fail(full, "required key is missing")
-            return default
-        v = d[key]
-        if kind is float:
+    def sections(self, cfg, key, items):
+        """Each entry of the list ``items`` read from ``cfg[key]``, checked as a
+        required section when its reader comes to it; the echo of ``cfg[key]``
+        is the list of the entries' echoes."""
+        echoes = []
+        self.set(cfg, key, echoes)
+        for i, d in enumerate(items):
+            d, echo = self._open(d, f"{self.path(cfg, key)}.{i}", True)
+            echoes.append(echo)
+            yield d
+
+    def get(self, d, key, *, required=False, default=None, kind=None, check=None):
+        v, msg = d.get(key), None
+        if v is None:
+            msg = "required key is missing" if required else None
+        elif kind is float:
             msg = _number_fault(v)
             v = v if msg else float(v)
         elif kind is int:
             msg = (f"expected an integer, got {v!r}"
                    if isinstance(v, bool) or not isinstance(v, int) else None)
-        else:
-            msg = (f"expected {kind.__name__}, got {v!r}"
-                   if kind is not None and not isinstance(v, kind) else None)
-        if not msg and check is not None:
+        elif kind is not None and not isinstance(v, kind):
+            msg = f"expected {kind.__name__}, got {v!r}"
+        if v is not None and not msg and check is not None:
             msg = check(v)
         if msg:
-            self.fail(full, msg)
-            return default
+            self.fail(self.path(d, key), msg)
+        v = default if v is None or msg else v
+        self.set(d, key, v)
         return v
 
 
@@ -279,69 +299,62 @@ def _spot_interval(v):
 def _read_band(r, cfg):
     d = r.section(cfg, "band", required=True)
     if d is None:
-        return None, {}
-    echo = {key: r.get(d, key, "band.", required=True, kind=float)
-            for key in ("mu_lo", "mu_hi", "sigma_lo", "sigma_hi")}
-    if None in echo.values():
-        return None, echo
+        return None
+    levels = {key: r.get(d, key, required=True, kind=float)
+              for key in ("mu_lo", "mu_hi", "sigma_lo", "sigma_hi")}
+    if None in levels.values():
+        return None
     try:
-        return UncertaintyBand(**echo), echo
+        return UncertaintyBand(**levels)
     except ValueError as e:
         r.fail("band", str(e))
-        return None, echo
+        return None
 
 
-def _read_payoff(r, cfg, prefix=""):
-    key = prefix + "payoff"
-    d = r.section(cfg, "payoff", prefix=prefix, required=True)
+def _read_payoff(r, cfg):
+    d = r.section(cfg, "payoff", required=True)
     if d is None:
-        return None, {}
-    path = key + "."
-    kind = r.get(d, "kind", path, required=True, kind=str, check=_one_of(KINDS))
-    echo = {"kind": kind}
+        return None
+    kind = r.get(d, "kind", required=True, kind=str, check=_one_of(KINDS))
     name = KINDS.get(kind)
+    args = []
     if name == "knots":
-        echo[name] = r.get(d, name, path, required=True, kind=list,
-                           check=lambda v: _numbers(v, width=2))
+        args.append(r.get(d, name, required=True, kind=list,
+                          check=lambda v: _numbers(v, width=2)))
     elif name is not None:
-        echo[name] = r.get(d, name, path, required=True, kind=float)
-    if None in echo.values():
-        return None, echo
-    ctor = getattr(ScalarFunctionSpec, kind)
+        args.append(r.get(d, name, required=True, kind=float))
+    if None in (kind, *args):
+        return None
     try:
-        return (ctor() if name is None else ctor(echo[name])), echo
+        return getattr(ScalarFunctionSpec, kind)(*args)
     except (OverflowError, ValueError) as e:
-        r.fail(key, str(e))
-        return None, echo
+        r.fail(r.path(cfg, "payoff"), str(e))
+        return None
 
 
-def _read_grid(r, cfg, prefix=""):
-    path = prefix + "grid."
-    d = r.section(cfg, "grid", prefix=prefix) or {}
+def _read_grid(r, cfg):
+    d = r.section(cfg, "grid")
     base = GridSpec()
+    if d is None:
+        r.set(cfg, "grid", asdict(base))
+        return base
     return GridSpec(
-        *(r.get(d, key, path, kind=int, default=getattr(base, key),
+        *(r.get(d, key, kind=int, default=getattr(base, key),
                 check=_at_least(GridSpec.MIN_STEPS)) for key in ("n_space", "n_time")),
-        r.get(d, "stretching", path, kind=str, default=base.stretching,
+        r.get(d, "stretching", kind=str, default=base.stretching,
               check=_one_of(STRETCHINGS)))
 
 
-def _read_pricing(r, cfg, band, built, prefix="", spot=False):
-    """Echo of payoff, maturity, rate, spot (if ``spot``), spot_domain and
+def _read_pricing(r, cfg, band, built, spot=False):
+    """Reads payoff, maturity, rate, spot (if ``spot``), spot_domain and
     grid; builds ``built["problem"]`` and ``built["grid"]``.  Without a spot
     the domain is required, with one it defaults to spot*exp(+-8 sigma_hi
     sqrt(maturity))."""
-    payoff, payoff_echo = _read_payoff(r, cfg, prefix)
-    maturity = r.get(cfg, "maturity", prefix, required=True, kind=float, check=_positive)
-    rate = r.get(cfg, "rate", prefix, kind=float, default=0.0)
-    echo = {"payoff": payoff_echo, "maturity": maturity, "rate": rate}
-    s0 = None
-    if spot:
-        s0 = echo["spot"] = r.get(cfg, "spot", prefix, required=True, kind=float,
-                                  check=_positive)
-    grid = _read_grid(r, cfg, prefix)
-    domain = r.get(cfg, "spot_domain", prefix, required=not spot, kind=list,
-                   check=_spot_interval)
+    payoff = _read_payoff(r, cfg)
+    maturity = r.get(cfg, "maturity", required=True, kind=float, check=_positive)
+    rate = r.get(cfg, "rate", kind=float, default=0.0)
+    s0 = r.get(cfg, "spot", required=True, kind=float, check=_positive) if spot else None
+    domain = r.get(cfg, "spot_domain", required=not spot, kind=list, check=_spot_interval)
     if domain is not None:
         domain = [float(domain[0]), float(domain[1])]
     elif cfg.get("spot_domain") is None and None not in (s0, maturity, band):
@@ -349,61 +362,54 @@ def _read_pricing(r, cfg, band, built, prefix="", spot=False):
         try:
             domain = [s0 * math.exp(-half), s0 * math.exp(half)]
         except OverflowError:
-            r.fail(prefix + "spot_domain", "the default domain "
+            r.fail(r.path(cfg, "spot_domain"), "the default domain "
                    "spot*exp(+-8*sigma_hi*sqrt(maturity)) overflows; give a spot_domain")
+    r.set(cfg, "spot_domain", domain)
+    grid = _read_grid(r, cfg)
     if None not in (s0, domain) and not domain[0] <= s0 <= domain[1]:
-        r.fail(prefix + "spot", f"{s0:g} is outside the spot_domain "
+        r.fail(r.path(cfg, "spot"), f"{s0:g} is outside the spot_domain "
                f"[{domain[0]:g}, {domain[1]:g}]")
-    echo["spot_domain"] = domain
-    echo["grid"] = asdict(grid)
     if None not in (band, payoff, maturity, domain):
         try:
             problem = built["problem"] = PricingProblem(payoff, maturity, rate, band,
                                                         tuple(domain))
         except ValueError as e:
-            r.fail(f"{prefix}payoff/{prefix}spot_domain", str(e))
+            r.fail(f"{r.path(cfg, 'payoff')}/{r.path(cfg, 'spot_domain')}", str(e))
         else:
             if msg := stretching_violation(grid.stretching, problem.maturity_domain[0]):
-                r.fail(prefix + "spot_domain", msg)
+                r.fail(r.path(cfg, "spot_domain"), msg)
         built["grid"] = grid
-    return echo
 
 
 def _read_control(r, cfg, band):
-    raw = cfg.get("control")
-    if not (isinstance(raw, dict) and "breakpoints" in raw):
-        return _read_constant_control(r, cfg, "control", band, required=True)
     d = r.section(cfg, "control", required=True)
-    echo = {key: r.get(d, key, "control.", required=True, kind=list, check=_numbers)
-            for key in ("breakpoints", "sigma_levels", "mu_levels")}
-    if None in echo.values():
-        return None, echo
+    if d is None or "breakpoints" not in d:
+        return _read_constant_control(r, d, band)
+    levels = [r.get(d, key, required=True, kind=list, check=_numbers)
+              for key in ("breakpoints", "sigma_levels", "mu_levels")]
+    if None in levels:
+        return None
     try:
-        return ControlProcess(*(tuple(map(float, v)) for v in echo.values()),
-                              band=band), echo
+        return ControlProcess(*(tuple(map(float, v)) for v in levels), band=band)
     except (OverflowError, ValueError) as e:
         r.fail("control", str(e))
-        return None, echo
+        return None
 
 
-def _read_constant_control(r, cfg, key, band, *, prefix="", required=False,
-                           n_steps=None):
-    """The {mu, sigma} section ``cfg[key]`` as a constant control inside
-    ``band``, built at parse time, and its echo (None when absent); each
-    level outside the band fails at its own field, ``{prefix}{key}.mu`` or
-    ``.sigma``.  With an ``n_steps`` default it also takes a step count."""
-    d = r.section(cfg, key, prefix=prefix, required=required)
+def _read_constant_control(r, d, band, n_steps=None):
+    """The {mu, sigma} section ``d`` as a constant control inside ``band``,
+    built at parse time (None when ``d`` is); each level outside the band
+    fails at its own field, ``.mu`` or ``.sigma``.  With an ``n_steps``
+    default it also takes a step count."""
     if d is None:
-        return None, None
-    path = f"{prefix}{key}."
-    echo = {level: r.get(d, level, path, required=True, kind=float,
-                         check=_in_band(band, level)) for level in ("mu", "sigma")}
+        return None
+    mu, sigma = (r.get(d, level, required=True, kind=float, check=_in_band(band, level))
+                 for level in ("mu", "sigma"))
     if n_steps is not None:
-        echo["n_steps"] = r.get(d, "n_steps", path, kind=int, default=n_steps,
-                                check=_at_least(1))
-    if band is None or None in (echo["mu"], echo["sigma"]):
-        return None, echo
-    return ControlProcess.constant(echo["mu"], echo["sigma"], band=band), echo
+        r.get(d, "n_steps", kind=int, default=n_steps, check=_at_least(1))
+    if None in (band, mu, sigma):
+        return None
+    return ControlProcess.constant(mu, sigma, band=band)
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
@@ -421,11 +427,11 @@ def _load_config(text: str) -> dict:
     return cfg
 
 
-def _read_sampling(r, cfg) -> dict:
-    """The sampler keys ``simulate`` and ``fgbm`` share, in echo order."""
-    return {"horizon": r.get(cfg, "horizon", "", required=True, kind=float, check=_positive),
-            "n_steps": r.get(cfg, "n_steps", "", kind=int, default=256, check=_at_least(1)),
-            "n_paths": r.get(cfg, "n_paths", "", kind=int, default=1, check=_at_least(1))}
+def _read_sampling(r, cfg):
+    """The sampler keys ``simulate`` and ``fgbm`` share."""
+    r.get(cfg, "horizon", required=True, kind=float, check=_positive)
+    r.get(cfg, "n_steps", kind=int, default=256, check=_at_least(1))
+    r.get(cfg, "n_paths", kind=int, default=1, check=_at_least(1))
 
 
 def _check_config(cfg: dict, command: str | None) -> RunConfig:
@@ -440,88 +446,70 @@ def _check_config(cfg: dict, command: str | None) -> RunConfig:
     if r.errors:
         raise ConfigError(r.errors)
 
-    seed = r.get(cfg, "seed", "", kind=int, default=0, check=seed_violation)
-    fmt = r.get(cfg, "format", "", kind=str, default="json", check=_one_of(FORMATS))
-    output = r.get(cfg, "output", "", kind=str, default=None)
-
-    eff = {"command": cmd, "seed": seed, "format": fmt, "output": output}
-    band, band_echo = _read_band(r, cfg)
-    eff["band"] = band_echo
+    r.set(cfg, "command", cmd)  # read by hand, before any reader: it picks them
+    r.get(cfg, "seed", kind=int, default=0, check=seed_violation)
+    r.get(cfg, "format", kind=str, default="json", check=_one_of(FORMATS))
+    r.get(cfg, "output", kind=str)
+    band = _read_band(r, cfg)
     built = {"band": band}
 
     if cmd == "price" or cmd == "hedge":
-        eff.update(_read_pricing(r, cfg, band, built, spot=True))
+        _read_pricing(r, cfg, band, built, spot=True)
         if cmd == "hedge":
-            path_file = r.get(cfg, "path_file", "", kind=str)
-            built["scenario"], scenario = _read_constant_control(
-                r, cfg, "scenario", band, n_steps=1000)
+            path_file = r.get(cfg, "path_file", kind=str)
+            scenario = r.section(cfg, "scenario")
+            built["scenario"] = _read_constant_control(r, scenario, band, n_steps=1000)
             if scenario is None and path_file is None:
                 r.fail("path_file", "hedge needs either path_file or scenario")
             elif scenario is not None and path_file is not None:
                 r.fail("path_file/scenario", "hedge takes path_file or scenario, not both")
-            eff.update({"path_file": path_file, "scenario": scenario})
 
     elif cmd == "simulate":
-        s0 = r.get(cfg, "s0", "", required=True, kind=float, check=_positive)
-        sampling = _read_sampling(r, cfg)
-        built["control"], control_echo = _read_control(r, cfg, band)
-        paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
-        eff.update({"s0": s0, **sampling, "control": control_echo,
-                    "paths_out": paths_out})
+        r.get(cfg, "s0", required=True, kind=float, check=_positive)
+        _read_sampling(r, cfg)
+        built["control"] = _read_control(r, cfg, band)
+        r.get(cfg, "paths_out", kind=str)
 
     elif cmd == "fgbm":
-        hurst = r.get(cfg, "hurst", "", required=True, kind=float, check=hurst_violation)
-        sigma = r.get(cfg, "sigma", "", required=True, kind=float,
-                      check=_in_band(band, "sigma"))
-        sampling = _read_sampling(r, cfg)
-        method = r.get(cfg, "method", "", kind=str, default="factorization",
+        r.get(cfg, "hurst", required=True, kind=float, check=hurst_violation)
+        r.get(cfg, "sigma", required=True, kind=float, check=_in_band(band, "sigma"))
+        _read_sampling(r, cfg)
+        method = r.get(cfg, "method", kind=str, default="factorization",
                        check=_one_of(METHODS))
-        paths_out = r.get(cfg, "paths_out", "", kind=str, default=None)
-        asset_echo = None
         d = r.section(cfg, "asset")
         if d is not None:
-            asset_echo = {
-                "s0": r.get(d, "s0", "asset.", required=True, kind=float, check=_positive),
-                "drift": r.get(d, "drift", "asset.", kind=float, default=0.0),
-            }
+            r.get(d, "s0", required=True, kind=float, check=_positive)
+            r.get(d, "drift", kind=float, default=0.0)
             if method == "volterra":
                 r.fail("method", "asset paths are sampled exactly; "
                        "'volterra' cannot drive them")
-        eff.update({"hurst": hurst, "sigma": sigma, **sampling, "method": method,
-                    "asset": asset_echo, "paths_out": paths_out})
+        r.get(cfg, "paths_out", kind=str)
 
     elif cmd == "cps":
-        path_file = r.get(cfg, "path_file", "", required=True, kind=str)
-        epsilon = r.get(cfg, "epsilon", "", required=True, kind=float, check=_positive)
+        r.get(cfg, "path_file", required=True, kind=str)
+        r.get(cfg, "epsilon", required=True, kind=float, check=_positive)
         d = r.section(cfg, "pricing")
-        pricing_echo = None if d is None else _read_pricing(r, d, band, built, "pricing.")
-        eff.update({"path_file": path_file, "epsilon": epsilon,
-                    "pricing": pricing_echo})
+        if d is not None:
+            _read_pricing(r, d, band, built)
 
     elif cmd == "capacity":
-        center_file = r.get(cfg, "center_file", "", required=True, kind=str)
-        eta = r.get(cfg, "eta", "", required=True, kind=float,
-                    check=lambda v: None if v >= 0 else "must be nonnegative")
-        n_paths = r.get(cfg, "n_paths", "", kind=int, default=1000, check=_at_least(1))
-        items = r.get(cfg, "controls", "", check=lambda v: (
+        r.get(cfg, "center_file", required=True, kind=str)
+        r.get(cfg, "eta", required=True, kind=float,
+              check=lambda v: None if v >= 0 else "must be nonnegative")
+        r.get(cfg, "n_paths", kind=int, default=1000, check=_at_least(1))
+        items = r.get(cfg, "controls", check=lambda v: (
             "expected a list of {mu, sigma} objects" if not isinstance(v, list)
             else None if v else "control family must be nonempty"))
-        controls_echo = None
         if items is not None:
-            by_index = dict(enumerate(items))
-            read = [_read_constant_control(r, by_index, i, band, prefix="controls.",
-                                           required=True) for i in by_index]
-            built["controls"] = [control for control, _ in read]
-            controls_echo = [echo for _, echo in read]
+            built["controls"] = [_read_constant_control(r, d, band)
+                                 for d in r.sections(cfg, "controls", items)]
         elif band is not None:
             built["controls"] = default_control_family(band)
-        eff.update({"center_file": center_file, "eta": eta,
-                    "n_paths": n_paths, "controls": controls_echo})
 
     r.reject_unread()
     if r.errors:
         raise ConfigError(r.errors)
-    return RunConfig(command=cmd, effective=eff, _built=built)
+    return RunConfig(command=cmd, effective=r.echo, _built=built)
 
 
 # ---------------------------------------------------------------------------
