@@ -729,7 +729,9 @@ def _normal_cdf(d: float) -> float:
 def black_scholes_closed_form(
     spot: float, strike: float, r: float, sigma: float, T: float, kind: str = "call"
 ) -> float:
-    """Classical lognormal call/put value; used as a reduction oracle."""
+    """Classical lognormal call/put value; used as a reduction oracle.  Each
+    kind is a difference of its own two CDF terms, so an out-of-the-money
+    put keeps its digits (parity would subtract numbers of the spot's size)."""
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     for name, v in (("spot", spot), ("strike", strike), ("sigma", sigma), ("T", T)):
@@ -740,10 +742,9 @@ def black_scholes_closed_form(
     srt = sigma * math.sqrt(T)
     d1 = (math.log(spot / strike) + (r + 0.5 * sigma * sigma) * T) / srt
     d2 = d1 - srt
-    call = spot * _normal_cdf(d1) - strike * math.exp(-r * T) * _normal_cdf(d2)
     if kind == "call":
-        return float(call)
-    return float(call - spot + strike * math.exp(-r * T))
+        return float(spot * _normal_cdf(d1) - strike * math.exp(-r * T) * _normal_cdf(d2))
+    return float(strike * math.exp(-r * T) * _normal_cdf(-d2) - spot * _normal_cdf(-d1))
 
 
 # ---------------------------------------------------------------------------

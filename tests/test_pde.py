@@ -85,9 +85,27 @@ class TestClosedForm:
             d1 = (math.log(S / K) + (r + 0.5 * sig * sig) * T) / srt
             disc = K * math.exp(-r * T)
             call = float(S * ndtr(d1) - disc * ndtr(d1 - srt))
-            for kind, want in (("call", call), ("put", call - S + disc)):
+            put = float(disc * ndtr(srt - d1) - S * ndtr(-d1))
+            for kind, want in (("call", call), ("put", put)):
                 assert black_scholes_closed_form(S, K, r, sig, T, kind) == \
                     pytest.approx(want, rel=1e-15, abs=1e-15 * S)
+
+    def test_out_of_the_money_put_matches_mpmath(self):
+        # the put is K e^{-rT} N(-d2) - S N(-d1), two terms at most ~93 times
+        # the put on this grid (d/(sigma sqrt T) <= 93), each good to a few
+        # ulps (d^2 of them from rounding erfc's argument): 2e-13 at worst.
+        # Parity, call - S + K e^{-rT}, errs by ulps of S: 1e-8 at the deepest
+        import mpmath
+        grid = itertools.product((80.0, 90.0, 95.0), (0.0, 0.03), (0.1, 0.2, 0.3),
+                                 (0.25, 1.0, 2.0))
+        with mpmath.workdps(50):
+            for K, r, sig, T in grid:
+                S, srt = mpmath.mpf(100), mpmath.mpf(sig) * mpmath.sqrt(T)
+                d1 = (mpmath.log(S / K) + (r + mpmath.mpf(sig) ** 2 / 2) * T) / srt
+                want = (K * mpmath.exp(-mpmath.mpf(r) * T) * mpmath.ncdf(srt - d1)
+                        - S * mpmath.ncdf(-d1))
+                assert black_scholes_closed_form(100.0, K, r, sig, T, "put") == \
+                    pytest.approx(float(want), rel=5e-13, abs=0)
 
     def test_rejects_nonpositive_inputs(self):
         for bad in [dict(spot=-1.0), dict(sigma=0.0), dict(T=0.0), dict(strike=0.0)]:
