@@ -226,6 +226,8 @@ class _Reader:
             yield d
 
     def get(self, d, key, *, required=False, default=None, kind=None, check=None):
+        """``d[key]`` of ``kind`` passing ``check``, else ``default`` (and a
+        failure, unless it is absent and not ``required``); echoed either way."""
         v, msg = d.get(key), None
         if v is None:
             msg = "required key is missing" if required else None
