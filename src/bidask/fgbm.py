@@ -29,6 +29,13 @@ the factor's.
 Every grid starts at 0, where the noise is 0.  Nothing is cached between
 calls: each call builds its eigenvalues, factor or kernel matrix afresh.
 
+A sampler holds its output plus one chunk: the normals are drawn, and
+turned into noise values, a few paths at a time (at most _CHUNK_NORMALS
+normals per chunk), each chunk going on with its block's stream of the
+draw, so every path is bitwise the one a whole draw gives.  Besides the
+output and one chunk's work arrays, only the route's eigenvalues, factor
+or kernel matrix is held.
+
 Only constant-sigma scenarios are supported: scaling the covariance by a
 constant is exact, while a time-varying volatility has no closed
 covariance here.
@@ -48,7 +55,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .paths import (PathEnsemble, SampledPath, _as_grid, _check_finite, _check_start,
-                    _draw_normals, _time_tol)
+                    _normal_chunks, _time_tol)
 from .sublinear import UncertaintyBand
 
 __all__ = [
@@ -304,25 +311,63 @@ def _circulant_eigenvalues(gamma: np.ndarray, H: float) -> np.ndarray:
     return lam
 
 
-def _circulant_sample(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Rows of n correlated normals, one per row of 2n standard normals z.
+def _circulant_sample(z: np.ndarray, scale: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of n correlated normals, one per row of 2n standard normals z,
+    through ``w``, a complex (len(z), n + 1) buffer whose imaginary end
+    entries are 0; ``scale`` is sqrt(2n lam_k), k = 0..n.
 
     The Hermitian half-spectrum w_0 = z_0, w_n = z_1, w_k = (z_{k+1} +
     i z_{n+k}) / sqrt(2) for 0 < k < n, scaled by sqrt(2n lam_k), inverts
     to a real vector whose covariance is the circulant; its first n
-    entries have the embedded Toeplitz covariance gamma(|i-j|).  One
-    row-wise inverse FFT over the batch gives each row bitwise what a
-    one-row call gives.
+    entries have the embedded Toeplitz covariance gamma(|i-j|).  The
+    scaling keeps the imaginary end entries 0, so ``w`` serves the next
+    call.  One row-wise inverse FFT over the batch gives each row bitwise
+    what a one-row call gives.
     """
-    n = len(lam) - 1
-    w = np.zeros((len(z), n + 1), dtype=complex)
+    n = len(scale) - 1
     re, im = w.real, w.imag
     re[:, 0] = z[:, 0]
     re[:, n] = z[:, 1]
     np.multiply(z[:, 2:n + 1], math.sqrt(0.5), out=re[:, 1:n])
     np.multiply(z[:, n + 1:], math.sqrt(0.5), out=im[:, 1:n])
-    w *= np.sqrt(2 * n * lam)
+    w *= scale
     return np.fft.irfft(w, 2 * n, axis=1)[:, :n]
+
+
+def _circulant_rows(chunks, lam: np.ndarray, step_scale: float):
+    """Noise values of each chunk of normals: the cumulated increments
+    ``step_scale`` times ``_circulant_sample``, in the inverse FFT's own
+    chunk-sized result.  One half-spectrum buffer, sized by the first
+    chunk (no later one is larger), serves every chunk."""
+    n = len(lam) - 1
+    scale = np.sqrt(2 * n * lam)
+    w = None
+    for lo, z in chunks:
+        if w is None:
+            w = np.zeros((len(z), n + 1), dtype=complex)
+        x = _circulant_sample(z, scale, w[:len(z)])
+        x *= step_scale
+        yield lo, np.cumsum(x, axis=1, out=x)
+
+
+def _matvec_rows(chunks, L: np.ndarray, drive, scale: float):
+    """Noise values of each chunk of normals: scale * (L @ (drive * z_j))
+    for each row z_j, one matvec per path (not a batched matmul), so that
+    path j's values do not depend on how many other paths share the call.
+    A factor 1.0 changes no bit."""
+    v = None
+    for lo, z in chunks:
+        z *= drive
+        if v is None:
+            v = np.empty_like(z)
+        vals = v[:len(z)]
+        for zj, vj in zip(z, vals):
+            vj[:] = L @ zj
+        vals *= scale
+        yield lo, vals
+
+
+_CHUNK_NORMALS = 2**14  # normals per chunk of a draw, one path per chunk at least
 
 
 def _normals_per_path(grid: np.ndarray, method: str) -> int:
@@ -333,42 +378,35 @@ def _normals_per_path(grid: np.ndarray, method: str) -> int:
     return len(grid) - 1
 
 
-def _noise_matrix(spec: FgbmSpec, sigma, seed: int, n_paths: int,
-                  method: str) -> np.ndarray:
-    """(n_paths, n+1) noise values on ``spec.grid``, row j for path j,
-    column 0 all zeros."""
+def _noise_rows(spec: FgbmSpec, sigma, seed: int, n_paths: int, method: str):
+    """Noise values on ``spec.grid[1:]``, a chunk of paths at a time: an
+    iterator over (lo, v), v the values of paths lo, lo + 1, ... in a
+    buffer that the next chunk overwrites.
+
+    A chunk holds at most _CHUNK_NORMALS normals (one path's, if a path
+    needs more) and never crosses a block of the draw, so row j is bitwise
+    the same for any n_paths.  The inputs are checked and the route's
+    eigenvalues, factor or kernel matrix built at the call, before any
+    normal is drawn.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     sig = _scenario_sigma(sigma, spec.band)
     grid = spec.grid_array
     H = spec.hurst
     dt = _uniform_step(grid)
-    z = _draw_normals(seed, n_paths, _normals_per_path(grid, method))
+    per_path = _normals_per_path(grid, method)
+    chunks = _normal_chunks(seed, n_paths, per_path, max(1, _CHUNK_NORMALS // per_path))
 
     if method == "factorization" and dt is not None:
         lam = _circulant_eigenvalues(_fgn_autocovariance(len(grid) - 1, H), H)
-        inc = sig * dt**H * _circulant_sample(z, lam)
-        # made after the sample's temporaries: made before them, the result
-        # sat below them on the heap, whose freed top went back to the
-        # system, and each call faulted its pages in again (416 minor
-        # faults, +0.5 ms, per 32-path call at n = 1024 on a 2-core Xeon)
-        out = np.zeros((n_paths, len(grid)))
-        np.cumsum(inc, axis=1, out=out[:, 1:])
-        return out
-
-    # the Volterra and Cholesky routes: one matvec per path with a lower-
-    # triangular factor (not a batched matmul), so that path j's values do
-    # not depend on how many other paths share the call
+        return _circulant_rows(chunks, lam, sig * dt**H)
+    # the Volterra and Cholesky routes: a lower-triangular factor, the
+    # driving increments scaled before the kernel's matvec, sigma applied
+    # after the factor's
     if method == "volterra":
-        L, scale = _kernel_matrix(grid, H), 1.0
-        z *= sig * np.sqrt(np.diff(grid))
-    else:
-        L, scale = _unit_cholesky(grid[1:], H), sig
-    out = np.zeros((n_paths, len(grid)))
-    for j in range(n_paths):
-        out[j, 1:] = L @ z[j]
-    out *= scale  # a factor 1.0 changes no bit
-    return out
+        return _matvec_rows(chunks, _kernel_matrix(grid, H), sig * np.sqrt(np.diff(grid)), 1.0)
+    return _matvec_rows(chunks, _unit_cholesky(grid[1:], H), 1.0, sig)
 
 
 def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
@@ -383,8 +421,17 @@ def simulate_fgbm(spec: FgbmSpec, sigma, seed: int, n_paths: int,
     discrete kernel.  Paths start at 0 (as the grid does) and are
     deterministic per (seed, path index).  Nothing is cached between calls.
     n_paths < 1 raises ValueError.
+
+    The call holds its result, the route's factor or kernel matrix, and one
+    chunk of at most _CHUNK_NORMALS normals with its work arrays: the paths
+    are drawn and written a few rows at a time.
     """
-    return PathEnsemble(spec.grid_array, _noise_matrix(spec, sigma, seed, n_paths, method))
+    rows = _noise_rows(spec, sigma, seed, n_paths, method)
+    out = np.empty((n_paths, len(spec.grid)))
+    out[:, 0] = 0.0
+    for lo, v in rows:
+        out[lo:lo + len(v), 1:] = v
+    return PathEnsemble(spec.grid_array, out)
 
 
 def fgbm_conditional_mean(driving_increments: SampledPath, v: float, t: float,
@@ -416,15 +463,27 @@ def simulate_fgbm_asset(spec: FgbmSpec, b: float, S0: float, sigma, seed: int,
     rate b, as a PathEnsemble: S_{i+1} = S_i exp(b dt_i + dB_H), with the
     noise ``simulate_fgbm`` samples exactly at the same seed.  n_paths < 1,
     an S0 not finite and positive, or a b not a finite real number (a bool
-    is not one) raises ValueError, S0 and b checked before the draw."""
+    is not one) raises ValueError, S0 and b checked before the draw.
+
+    The call holds its result and what ``simulate_fgbm`` holds besides its
+    own result: each chunk of noise values becomes asset rows in the
+    result, log-increments, drift, running sum, exponential and S0 in
+    place, so the noise matrix is never built."""
     _check_start(S0)
     real = isinstance(b, (int, float, np.integer, np.floating)) and not isinstance(b, bool)
     if not (real and math.isfinite(b)):
         raise ValueError(f"drift rate b must be a finite real number, got {b!r}")
+    rows = _noise_rows(spec, sigma, seed, n_paths, "factorization")
     grid = spec.grid_array
-    noise = _noise_matrix(spec, sigma, seed, n_paths, "factorization")
     b_dt = float(b) * np.diff(grid)
-    vals = np.empty_like(noise)
+    vals = np.empty((n_paths, len(grid)))
     vals[:, 0] = S0
-    vals[:, 1:] = S0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))
+    for lo, v in rows:  # each chunk's noise values become its asset rows in place
+        log_s = vals[lo:lo + len(v), 1:]
+        log_s[:, 0] = v[:, 0]
+        np.subtract(v[:, 1:], v[:, :-1], out=log_s[:, 1:])
+        log_s += b_dt
+        np.cumsum(log_s, axis=1, out=log_s)
+        np.exp(log_s, out=log_s)
+        log_s *= S0
     return PathEnsemble(grid, vals, positive=True)

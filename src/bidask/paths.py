@@ -307,34 +307,57 @@ def seed_violation(seed) -> str | None:
     return None if 0 <= seed < 2**64 else f"must fit in 64 bits, got {seed!r}"
 
 
-def _draw_normals(seed: int, n_paths: int, n_steps: int, out=None) -> np.ndarray:
-    """Standard normals, one row per path: a new (n_paths, n_steps) array,
-    or ``out``, an (n_paths, n_steps) array of any strides (such as
-    columns of a ``_path_matrix``), filled and returned.
+def _normal_chunks(seed: int, n_paths: int, n_steps: int, rows: int, out=None):
+    """Standard normals, one row per path, drawn at most ``rows`` paths at a
+    time: an iterator over (lo, z), z the normals of paths lo, lo + 1, ...
+    z is ``out[lo:lo + len(z)]`` when ``out``, a C-contiguous (n_paths,
+    n_steps) array, is given, else a view of one buffer that the next chunk
+    overwrites.
 
     Paths are grouped into fixed blocks of _RNG_BLOCK, each drawn from its
     own counter-offset substream, so row j depends only on (seed, j,
     n_steps): growing n_paths appends rows without touching existing ones.
     The ziggurat takes a variable number of raw draws per normal, so a
-    block's rows come row-major from its one stream: straight into a
-    C-contiguous array, else _DRAW_CHUNK rows at a time through a buffer,
-    each chunk going on with the stream where the last one stopped.  A
-    seed that breaks ``seed_violation`` raises ValueError.
+    block's rows come row-major from its one stream.  A chunk never crosses
+    a block edge and goes on with the stream where the last one stopped,
+    so every row is bitwise the same for any ``rows``.  A seed that breaks
+    ``seed_violation``, or n_paths < 1, raises ValueError at the call,
+    before any draw.
     """
     if msg := seed_violation(seed):
         raise ValueError(f"seed {msg}")
+    # n_paths < 1 is the smallest row count, for which _path_matrix raises
+    buf = _path_matrix(min(n_paths, rows, _RNG_BLOCK), n_steps) if out is None else None
+
+    def chunks():
+        for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
+            rng = _block_rng(seed, block)
+            hi = min(lo + _RNG_BLOCK, n_paths)
+            for c in range(lo, hi, rows):
+                k = min(hi - c, rows)
+                z = buf[:k] if out is None else out[c:c + k]
+                rng.standard_normal(out=z)
+                yield c, z
+
+    return chunks()
+
+
+def _draw_normals(seed: int, n_paths: int, n_steps: int, out=None) -> np.ndarray:
+    """Standard normals, one row per path: a new (n_paths, n_steps) array,
+    or ``out``, an (n_paths, n_steps) array of any strides (such as
+    columns of a ``_path_matrix``), filled and returned.
+
+    The rows are ``_normal_chunks``' rows: a whole block at a time straight
+    into a C-contiguous array (a partial block is a row prefix of the full
+    one), else _DRAW_CHUNK rows at a time through its buffer.
+    """
     z = _path_matrix(n_paths, n_steps) if out is None else out
-    buf = None if z.flags.c_contiguous else np.empty((min(n_paths, _DRAW_CHUNK), n_steps))
-    for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
-        rng = _block_rng(seed, block)
-        hi = min(lo + _RNG_BLOCK, n_paths)
-        if buf is None:  # a partial block is a row prefix of the full one
-            rng.standard_normal(out=z[lo:hi])
-        else:
-            for c in range(lo, hi, _DRAW_CHUNK):
-                chunk = buf[:min(hi - c, _DRAW_CHUNK)]
-                rng.standard_normal(out=chunk)
-                z[c:c + len(chunk)] = chunk
+    if z.flags.c_contiguous:
+        for _ in _normal_chunks(seed, n_paths, n_steps, _RNG_BLOCK, out=z):
+            pass
+    else:
+        for lo, chunk in _normal_chunks(seed, n_paths, n_steps, _DRAW_CHUNK):
+            z[lo:lo + len(chunk)] = chunk
     return z
 
 

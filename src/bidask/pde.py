@@ -121,9 +121,10 @@ def stretching_violation(stretching: str, lower: float) -> str | None:
 class PricingProblem:
     """A European claim plus the market data needed to price it.
 
-    The payoff must be nonnegative on ``maturity_domain``, where it is
-    sampled (claims here are nonnegative by assumption), checked against
-    its exact minimum there; maturity and the domain must be sensible.
+    The payoff must be finite and nonnegative on ``maturity_domain``, where
+    it is sampled (claims here are nonnegative by assumption), checked
+    against its exact maximum and minimum there; maturity and the domain
+    must be sensible.
     """
 
     payoff: ScalarFunctionSpec
@@ -151,8 +152,12 @@ class PricingProblem:
         if not f_min < f_max < math.inf:
             raise ValueError(f"spot_domain carried to maturity at rate {self.rate} "
                              "leaves the float range")
-        lo = -maximal_expectation(self.payoff.negated(), f_min, f_max)
-        hi = maximal_expectation(self.payoff, f_min, f_max)
+        with np.errstate(all="ignore"):  # a power overflows, or divides by 0, to inf
+            lo = -maximal_expectation(self.payoff.negated(), f_min, f_max)
+            hi = maximal_expectation(self.payoff, f_min, f_max)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{self.payoff.kind} payoff is not finite on the spot domain "
+                             f"carried to maturity, [{f_min:g}, {f_max:g}]")
         if lo < -1e-12 * max(1.0, abs(lo), abs(hi)):
             raise ValueError("payoff must be nonnegative on the spot domain")
 
@@ -765,12 +770,13 @@ def _text_stream(target, mode: str):
 def _write_table(dest, header: str, first_col, rows) -> None:
     """Comma-separated text: the ``header`` line, then one line per entry of
     ``first_col`` followed by its row of ``rows``, each number at 12
-    significant digits."""
+    significant digits.  Rows are formatted one at a time, so only one
+    row's Python floats and text are held."""
     line = ",".join(["{:.12g}"] * (rows.shape[1] + 1)) + "\n"
     with _text_stream(dest, "w") as fh:
         fh.write(header + "\n")
-        for t, row in zip(first_col.tolist(), rows.tolist()):
-            fh.write(line.format(t, *row))
+        for t, row in zip(first_col.tolist(), rows):
+            fh.write(line.format(t, *row.tolist()))
 
 
 def write_surface_file(surface: PriceSurface, dest) -> None:

@@ -109,6 +109,20 @@ class TestParseConfig:
             "pricing.payoff/pricing.spot_domain: "
             "payoff must be nonnegative on the spot domain"]
 
+    @pytest.mark.parametrize("exponent", [400, 1e308])
+    def test_payoff_not_finite_on_its_domain_is_a_config_error(self, exponent):
+        cfg = {
+            "command": "price",
+            "band": {"mu_lo": 0.0, "mu_hi": 0.05, "sigma_lo": 0.1, "sigma_hi": 0.3},
+            "payoff": {"kind": "power", "exponent": exponent},
+            "maturity": 1.0, "rate": 0.0, "spot": 100.0, "spot_domain": [20.0, 500.0],
+        }
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(cfg))
+        assert exc.value.errors == [
+            "payoff/spot_domain: power payoff is not finite on the spot domain "
+            "carried to maturity, [20, 500]"]
+
     @pytest.mark.parametrize("pricing, fields", [
         ({"payoff": {"kind": "call"}}, ["pricing.payoff.strike"]),
         ({"grid": {"n_space": 8, "bogus": 1}},

@@ -329,12 +329,13 @@ class TestSimulatorsReturnTheirMatrix:
         ens = simulate_fgbm(spec, 0.2, seed=8, n_paths=20, method=method)
         assert isinstance(ens, bidask.PathEnsemble)
         assert np.array_equal(ens.times, spec.grid_array)
-        assert np.array_equal(ens.values, bidask.fgbm._noise_matrix(spec, 0.2, 8, 20, method))
+        assert ens.values.tobytes() == concatenated_noise(spec, 0.2, 8, 20, method).tobytes()
+        assert ens.values.flags.c_contiguous
 
     def test_asset(self):
         spec = FgbmSpec(0.7, BAND, tuple(np.linspace(0.0, 1.0, 33)))
         ens = simulate_fgbm_asset(spec, 0.02, 50.0, 0.2, seed=9, n_paths=20)
-        noise = bidask.fgbm._noise_matrix(spec, 0.2, 9, 20, "factorization")
+        noise = concatenated_noise(spec, 0.2, 9, 20, "factorization")
         log_inc = np.full(32, 0.02) * np.diff(spec.grid_array) + np.diff(noise, axis=1)
         assert isinstance(ens, bidask.PathEnsemble) and ens.positive
         assert np.all(ens.values[:, 0] == 50.0)
@@ -549,10 +550,23 @@ def concatenated_noise(spec, sigma, seed, n_paths, method):
     return np.concatenate((np.zeros((n_paths, 1)), vals), axis=1)
 
 
+def chunk_rows(grid, method):
+    """Paths per chunk of ``simulate_fgbm``'s draw on ``grid``."""
+    per_path = bidask.fgbm._normals_per_path(np.asarray(grid), method)
+    return max(1, bidask.fgbm._CHUNK_NORMALS // per_path)
+
+
+def chunk_edges(grid, method):
+    """Path counts at and around the chunk size m, and at the 4096-path
+    block edges of the draw."""
+    m = chunk_rows(grid, method)
+    return sorted({1, m - 1, m, m + 1, 2 * m + 1, 4095, 4096, 4097} - {0})
+
+
 class TestSpectrumAndNoiseInPlace:
-    """The half-spectrum is filled through its real and imaginary parts and
-    the noise summed into its result: bitwise the complex-arithmetic and
-    concatenating references."""
+    """The half-spectrum is filled through its real and imaginary parts, in
+    a buffer that serves every chunk, and the noise is summed a chunk at a
+    time: bitwise the complex-arithmetic and concatenating references."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
     def test_circulant_sample_is_the_complex_one(self, n):
@@ -560,8 +574,13 @@ class TestSpectrumAndNoiseInPlace:
         z = _draw_normals(23, 32, 2 * n)
         z[1, ::3] = 0.0  # signed zeros among nonzero normals
         z[2, 1::4] = -0.0
-        got = bidask.fgbm._circulant_sample(z, lam)
-        assert got.tobytes() == complex_half_spectrum_sample(z, lam).tobytes()
+        w = np.zeros((32, n + 1), dtype=complex)
+        scale = np.sqrt(2 * n * lam)
+        want = complex_half_spectrum_sample(z, lam).tobytes()
+        assert bidask.fgbm._circulant_sample(z, scale, w).tobytes() == want
+        # the buffer, filled by that call, serves the next one unchanged
+        assert np.all(w.imag[:, [0, n]] == 0.0) and not np.signbit(w.imag[:, [0, n]]).any()
+        assert bidask.fgbm._circulant_sample(z, scale, w).tobytes() == want
 
     @pytest.mark.parametrize("grid, method", [
         (tuple(np.linspace(0.0, 1.0, 2)), "factorization"),     # circulant, n = 1
@@ -572,6 +591,44 @@ class TestSpectrumAndNoiseInPlace:
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.8])
     def test_noise_matrix_is_the_concatenated_one(self, grid, method, H):
         spec = FgbmSpec(H, BAND, grid)
-        got = bidask.fgbm._noise_matrix(spec, 0.2, 24, 20, method)
-        assert got.tobytes() == concatenated_noise(spec, 0.2, 24, 20, method).tobytes()
-        assert got.flags.c_contiguous
+        for n_paths in [20, *chunk_edges(grid, method)]:
+            got = simulate_fgbm(spec, 0.2, 24, n_paths, method).values
+            want = concatenated_noise(spec, 0.2, 24, n_paths, method)
+            assert got.tobytes() == want.tobytes(), n_paths
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("grid", [
+        tuple(np.linspace(0.0, 1.0, 2)),                        # circulant, n = 1
+        tuple(np.linspace(0.0, 1.0, 65)),                       # circulant
+        (0.0, 0.1, 0.25, 0.5, 0.6, 1.0),                        # Cholesky
+    ], ids=["circulant_n1", "circulant", "cholesky"])
+    def test_asset_is_the_full_matrix_one(self, grid):
+        spec = FgbmSpec(0.7, BAND, grid)
+        b_dt = 0.03 * np.diff(spec.grid_array)
+        for n_paths in chunk_edges(grid, "factorization"):
+            noise = concatenated_noise(spec, 0.2, 25, n_paths, "factorization")
+            want = np.empty_like(noise)
+            want[:, 0] = 100.0
+            want[:, 1:] = 100.0 * np.exp(np.cumsum(b_dt + np.diff(noise, axis=1), axis=1))
+            got = simulate_fgbm_asset(spec, 0.03, 100.0, 0.2, 25, n_paths).values
+            assert got.tobytes() == want.tobytes(), n_paths
+
+
+@pytest.mark.parametrize("sample", [
+    lambda spec: simulate_fgbm(spec, 0.2, 1, 2000),
+    lambda spec: simulate_fgbm_asset(spec, 0.01, 100.0, 0.2, 1, 2000),
+], ids=["noise", "asset"])
+def test_holds_its_output_and_one_chunk_at_scale(sample):
+    # 2000 paths of 2048 steps: 32.8 MB of output.  A whole draw of 2n
+    # normals per path would add 65.5 MB, its half-spectrum as much again
+    import tracemalloc
+
+    spec = FgbmSpec(0.7, BAND, tuple(np.linspace(0.0, 1.0, 2049)))
+    sample(FgbmSpec(0.7, BAND, (0.0, 0.5, 1.0)))  # the modules a first call imports
+    tracemalloc.start()
+    try:
+        ens = sample(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ens.values.nbytes + 1.0e6

@@ -612,6 +612,31 @@ class TestPathFiles:
         for a, b in zip(got, paths):
             assert np.allclose(a.values, b.values, rtol=1e-11)
 
+    def test_ensemble_file_is_the_whole_matrix_format(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal((40, 33)) * 10.0 ** np.arange(-16, 17)
+        values[0, :3] = -0.0, 1e-300, -1e300
+        paths = PathEnsemble(grid_of(32), values)
+        write_ensemble_file(paths, tmp_path / "ens.csv")
+        line = ",".join(["{:.12g}"] * 41) + "\n"
+        want = "time," + ",".join(f"value_{j}" for j in range(40)) + "\n" + "".join(
+            line.format(t, *row) for t, row in zip(paths.times.tolist(), values.T.tolist()))
+        assert (tmp_path / "ens.csv").read_text() == want
+
+    def test_ensemble_file_is_written_a_row_at_a_time(self, tmp_path):
+        # 500 paths of 1024 steps: 4.1 MB of values, as Python floats all at
+        # once about 16 MB; one row is 500 floats and a line of text
+        import tracemalloc
+
+        paths = simulate_asset_paths(ControlProcess.constant(0.05, 0.2), 100.0, grid_of(1024),
+                                     seed=4, n_paths=500)
+        tracemalloc.start()
+        try:
+            write_ensemble_file(paths, tmp_path / "ens.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
+
     @pytest.mark.parametrize("reader, text, message", [
         (read_path_file, "time,value\n", "path file has no data rows"),
         (read_path_file, "time,value\n0.0\n1.0\n", "path file has no value columns"),

@@ -136,6 +136,17 @@ class TestValidation:
             PricingProblem(ScalarFunctionSpec.negation(), 1.0, 0.05, BAND_FLAT,
                            (1.0, 200.0))
 
+    @pytest.mark.parametrize("payoff, domain", [
+        (ScalarFunctionSpec.power(400.0), (20.0, 500.0)),    # overflows at the top
+        (ScalarFunctionSpec.power(1e308), (20.0, 500.0)),
+        (ScalarFunctionSpec.power(-1.0), (0.0, 500.0)),      # divides by 0 at the bottom
+        (ScalarFunctionSpec.power(-1.0).negated(), (0.0, 500.0)),  # -inf, with a finite max
+    ], ids=["400", "1e308", "-1", "-1_negated"])
+    def test_problem_rejects_a_payoff_that_is_not_finite(self, payoff, domain):
+        # no numpy warning escapes: the suite turns warnings into errors
+        with pytest.raises(ValueError, match="power payoff is not finite on the spot domain"):
+            PricingProblem(payoff, 1.0, 0.05, BAND_FLAT, domain)
+
     def test_problem_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             PricingProblem(ScalarFunctionSpec.call(100.0), 1.0, 0.05, BAND_FLAT,

@@ -13,6 +13,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -157,8 +158,8 @@ def no_draw(monkeypatch):
     def refuse(*args):
         raise AssertionError("normals drawn for a rejected input")
 
-    monkeypatch.setattr(bidask.paths, "_draw_normals", refuse)
-    monkeypatch.setattr(bidask.fgbm, "_draw_normals", refuse)  # its own name for the draw
+    monkeypatch.setattr(bidask.paths, "_normal_chunks", refuse)  # under _draw_normals too
+    monkeypatch.setattr(bidask.fgbm, "_normal_chunks", refuse)  # its own name for the draw
 
 
 @pytest.mark.parametrize("n_paths", [0, -1])
@@ -273,11 +274,50 @@ def test_failing_property_test_leaves_the_run_reporting(tmp_path):
 
 @pytest.mark.parametrize("name", list(SIMULATORS))
 def test_simulator_draws_through_the_guarded_entry_point(name, monkeypatch):
-    # so ``no_draw`` refuses every simulator's draw, into a matrix or not
+    # so ``no_draw`` refuses every simulator's draw, into a matrix or a chunk at a time
     drawn = []
     for module in (bidask.paths, bidask.fgbm):
-        real = module._draw_normals
-        monkeypatch.setattr(module, "_draw_normals",
+        real = module._normal_chunks
+        monkeypatch.setattr(module, "_normal_chunks",
                             lambda *a, _real=real, **k: drawn.append(a) or _real(*a, **k))
     SIMULATORS[name](10, 100.0)
     assert drawn and all(args[:2] == (1, 10) for args in drawn)
+
+
+# each simulator of SIMULATORS that returns paths, on the grid of each of
+# its routes, with the bytes of the factor that route holds: a fractional
+# sampler takes the circulant route on a uniform grid and a Cholesky factor
+# on another, and builds the Volterra kernel on request
+UNIFORM = np.linspace(0.0, 1.0, 257)
+NON_UNIFORM = np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, 256)) / 256.0))
+FACTOR = 8 * 256 * 256
+SAMPLERS = {
+    "gbm_increments": (SIMULATORS["simulate_gbm_increments"], UNIFORM, 0),
+    "asset_paths": (SIMULATORS["simulate_asset_paths"], UNIFORM, 0),
+    "fgbm_circulant": (SIMULATORS["simulate_fgbm"], UNIFORM, 0),
+    "fgbm_cholesky": (SIMULATORS["simulate_fgbm"], NON_UNIFORM, FACTOR),
+    "fgbm_volterra": (lambda n, s0, grid, seed: bidask.simulate_fgbm(
+        fgbm(grid), 0.2, seed, n, method="volterra"), UNIFORM, FACTOR),
+    "fgbm_asset_circulant": (SIMULATORS["simulate_fgbm_asset"], UNIFORM, 0),
+    "fgbm_asset_cholesky": (SIMULATORS["simulate_fgbm_asset"], NON_UNIFORM, FACTOR),
+}
+CHUNK_ALLOWANCE = 1.0e6  # bytes: one chunk of normals and its work arrays
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", list(SAMPLERS))
+def test_sampler_holds_its_output_its_factor_and_one_chunk(case):
+    # 2000 paths of 256 steps: 4.1 MB of output, and 0.5 MB of factor.  A
+    # whole draw beside the output would add 4.1 MB (8.2 MB on the circulant
+    # route, which draws 2n normals per path)
+    sample, grid, factor = SAMPLERS[case]
+    sample(1, 100.0, grid=grid, seed=3)  # the modules a first call imports are not traced
+    ens, peak = traced_peak(lambda: sample(2000, 100.0, grid=grid, seed=3))
+    assert peak <= ens.values.nbytes + factor + CHUNK_ALLOWANCE
